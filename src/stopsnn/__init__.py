@@ -15,6 +15,7 @@ from .learning import (
     TraceSet,
     apply_updates,
     complexity_estimate,
+    learn_batch,
     learn_sample,
 )
 from .lif import LifState, SpikeMode, SurrogateKind, decode_prediction, encode_direct, lif_step, surrogate_eval
@@ -40,6 +41,7 @@ __all__ = [
     "TraceSet",
     "apply_updates",
     "complexity_estimate",
+    "learn_batch",
     "learn_sample",
     "LifState",
     "SpikeMode",

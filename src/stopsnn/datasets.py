@@ -304,3 +304,17 @@ def batch_iter(dataset, batch_size: int, shuffle_seed: int | None = None):
         order = np.random.default_rng(shuffle_seed).permutation(n)
     for start in range(0, n, batch_size):
         yield [dataset[int(i)] for i in order[start : start + batch_size]]
+
+
+def batch_frames(samples):
+    """Per time-step, that step's frames of every sample stacked into one (B, ...) array.
+
+    Only one step's batch exists at a time; nothing is stacked across time.
+    """
+    for step in zip(*(sample.frames for sample in samples)):
+        yield np.array(step)
+
+
+def batch_targets(samples) -> Tensor:
+    """The samples' one-hot targets as (B, C) rows."""
+    return np.stack([sample.target for sample in samples])

@@ -25,6 +25,13 @@ through the firing comparison -- and leakages get d * leakage_trace.
 Everything here streams: after a time-step advances, no per-time-step
 tensor from earlier steps is retained. The reference implementations that
 do keep full history live in the oracle subpackage.
+
+States, traces and errors may carry a leading batch axis, so one call
+learns a whole mini-batch: per layer and time-step the dense weight
+gradient is one GEMM over the batch (delta^T @ traces), a convolution's
+one batched-im2col GEMM. Memory stays constant in the window length and
+grows linearly in the batch. Unbatched arguments are the batch-of-one
+case.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import ShapeError, TargetError
+from .errors import NumericError, ShapeError, TargetError
 from .lif import SpikeMode, SurrogateKind, firing_derivative
 from .numerics import Tensor
 from .topology import (
@@ -42,6 +49,7 @@ from .topology import (
     LayerParams,
     LayerSpec,
     NetworkSpec,
+    batch_shape,
     broadcast_thresholds,
     forward_timestep,
     passthrough_adjoint,
@@ -72,21 +80,28 @@ class LossKind(Enum):
 
 
 def softmax(x: Tensor) -> Tensor:
-    shifted = x - np.max(x)
+    """Softmax over the last axis (each sample of a batch separately)."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def validate_one_hot(target: Tensor) -> Tensor:
+    """A one-hot target vector, or a (B, C) batch of one-hot rows."""
     target = np.asarray(target, dtype=np.float64)
+    if target.ndim not in (1, 2) or target.size == 0:
+        raise TargetError("target must be a one-hot vector with exactly one 1")
+    rows = target.size // target.shape[-1]
     ones = np.count_nonzero(target == 1.0)
-    if target.ndim != 1 or ones != 1 or np.count_nonzero(target) != ones:
+    # every nonzero is a 1 and there are as many as rows; with no empty row, one per row
+    if ones != rows or np.count_nonzero(target) != ones or (rows > 1 and not target.any(axis=-1).all()):
         raise TargetError("target must be a one-hot vector with exactly one 1")
     return target
 
 
 def loss_value(output_spikes: Tensor, target: Tensor, kind: LossKind) -> float:
-    """Instantaneous loss at one time-step."""
+    """Instantaneous loss at one time-step, summed over a batch."""
     target = validate_one_hot(target)
     if kind is LossKind.CE:
         probs = softmax(output_spikes)
@@ -144,13 +159,14 @@ class TraceSet:
     leakage: list[Tensor | None]
 
     @classmethod
-    def zeros(cls, spec: NetworkSpec, mode: SynergyMode) -> "TraceSet":
+    def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int | None = None) -> "TraceSet":
         weight, threshold, leakage = [], [], []
         for layer in spec.layers:
             if layer.is_lif:
-                weight.append(np.zeros(layer.in_shape))
-                threshold.append(np.zeros(layer.out_shape) if mode.trains_thresholds else None)
-                leakage.append(np.zeros(layer.out_shape) if mode.trains_leakages else None)
+                out_shape = batch_shape(batch, layer.out_shape)
+                weight.append(np.zeros(batch_shape(batch, layer.in_shape)))
+                threshold.append(np.zeros(out_shape) if mode.trains_thresholds else None)
+                leakage.append(np.zeros(out_shape) if mode.trains_leakages else None)
             else:
                 weight.append(None)
                 threshold.append(None)
@@ -168,7 +184,8 @@ class GradAccumulator:
     Threshold and leakage entries are kept per neuron (a full spatial map
     for convolution layers); channel and layer averaging happen at update
     time, so these raw sums are directly comparable with the reference
-    oracles.
+    oracles. Only the families the mode trains are allocated; the others
+    are read-only zero views that take no memory.
     """
 
     dw: list[Tensor | None]
@@ -177,28 +194,26 @@ class GradAccumulator:
     samples: int = 0
 
     @classmethod
-    def zeros(cls, spec: NetworkSpec) -> "GradAccumulator":
+    def zeros(cls, spec: NetworkSpec, mode: SynergyMode = SynergyMode.WTL) -> "GradAccumulator":
+        def family(trained: bool, layer: LayerSpec) -> Tensor:
+            return np.zeros(layer.out_shape) if trained else np.broadcast_to(0.0, layer.out_shape)
+
         dw, dtheta, dalpha = [], [], []
         for layer in spec.layers:
-            if layer.is_lif:
-                if layer.kind is LayerKind.DENSE:
-                    dw.append(np.zeros((layer.fan_out, layer.fan_in)))
-                else:
-                    cin = layer.in_shape[0]
-                    dw.append(np.zeros((layer.out_shape[0], cin, layer.kernel, layer.kernel)))
-                dtheta.append(np.zeros(layer.out_shape))
-                dalpha.append(np.zeros(layer.out_shape))
-            else:
-                dw.append(None)
-                dtheta.append(None)
-                dalpha.append(None)
+            lif = layer.is_lif
+            dw.append(np.zeros(layer.weight_shape) if lif else None)
+            dtheta.append(family(mode.trains_thresholds, layer) if lif else None)
+            dalpha.append(family(mode.trains_leakages, layer) if lif else None)
         return cls(dw=dw, dtheta=dtheta, dalpha=dalpha)
 
     def merge(self, other: "GradAccumulator") -> None:
-        """Add another accumulator in place (deterministic, index-ordered)."""
+        """Add another accumulator in place (deterministic, index-ordered).
+
+        Read-only entries are untrained families' zero views; they add nothing.
+        """
         for mine, theirs in ((self.dw, other.dw), (self.dtheta, other.dtheta), (self.dalpha, other.dalpha)):
             for i, arr in enumerate(theirs):
-                if arr is not None:
+                if arr is not None and arr.flags.writeable:
                     mine[i] += arr
         self.samples += other.samples
 
@@ -242,7 +257,7 @@ def hidden_error(
 def weight_adjoint(layer: LayerSpec, params: LayerParams, delta: Tensor) -> Tensor:
     """Pull a layer's neuron error back through its weights to its input."""
     if layer.kind is LayerKind.DENSE:
-        return numerics.matmul(params.weights.T, delta)
+        return numerics.matmul(params.weights.T, delta.T).T
     return numerics.conv2d_adjoint_input(delta, params.weights, stride=layer.stride, padding=layer.padding)
 
 
@@ -254,23 +269,32 @@ def accumulate_gradients(
     traces: TraceSet,
     mode: SynergyMode,
 ) -> GradAccumulator:
-    """Fold one layer's error/trace products for the current time-step into acc."""
+    """Fold one layer's error/trace products for the current time-step into acc.
+
+    A batched delta is summed over the batch: one GEMM for the weights,
+    one batch-sum each for thresholds and leakages.
+    """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
-        acc.dw[index] += np.outer(delta, wt)
+        acc.dw[index] += np.dot(delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1]))
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     if mode.trains_thresholds:
-        acc.dtheta[index] += delta * (traces.threshold[index] - 1.0)
+        acc.dtheta[index] += _batch_sum(delta * (traces.threshold[index] - 1.0), layer)
     if mode.trains_leakages:
-        acc.dalpha[index] += delta * traces.leakage[index]
+        acc.dalpha[index] += _batch_sum(delta * traces.leakage[index], layer)
     return acc
 
 
-# ---------------------------------------------------------------------------
-# one-sample learning
+def _batch_sum(values: Tensor, layer: LayerSpec) -> Tensor:
+    """Per-neuron values summed over a leading batch axis, if there is one."""
+    return values if values.ndim == len(layer.out_shape) else values.sum(axis=0)
 
-def learn_sample(
+
+# ---------------------------------------------------------------------------
+# learning a sample or a mini-batch
+
+def learn_batch(
     spec: NetworkSpec,
     params: list[LayerParams | None],
     frames,
@@ -280,24 +304,26 @@ def learn_sample(
     spike_mode: SpikeMode = SpikeMode.HARD,
     audit: dict | None = None,
 ) -> GradAccumulator:
-    """Run one sample through the full learning procedure.
+    """Run a mini-batch, or one sample, through the full learning procedure.
 
-    Each time-step performs the forward sweep (dynamics plus trace
-    updates), then backpropagates the instantaneous loss spatially and
-    folds the error/trace products into the accumulator. No per-time-step
-    history survives the step; pass an audit dict to receive the count of
-    retained step-carried tensors plus the sample's total loss, decoded
-    prediction, and output spike counts.
+    frames yields one input per time-step: a (B, ...) batch with a (B, C)
+    target of one-hot rows, or a single sample with a one-hot vector. Each
+    time-step performs the forward sweep (dynamics plus trace updates),
+    then backpropagates the instantaneous loss spatially and folds the
+    error/trace products, summed over the batch, into the accumulator. No
+    per-time-step history survives the step; pass an audit dict to receive
+    the count of retained step-carried tensors plus the total loss over
+    the batch and the decoded prediction (one per sample when batched).
     """
-    frames = list(frames)
     target = validate_one_hot(target)
-    states = reset_network(spec)
-    traces = TraceSet.zeros(spec, mode)
-    acc = GradAccumulator.zeros(spec)
+    batch = target.shape[0] if target.ndim == 2 else None
+    states = reset_network(spec, batch)
+    traces = TraceSet.zeros(spec, mode, batch)
+    acc = GradAccumulator.zeros(spec, mode)
     lif_indices = spec.lif_indices
-    top = lif_indices[-1]
+    first, top = lif_indices[0], lif_indices[-1]
     total_loss = 0.0
-    output_counts = np.zeros(spec.num_classes)
+    output_counts = np.zeros(batch_shape(batch, (spec.num_classes,)))
 
     for frame in frames:
         prev_states = states
@@ -323,7 +349,8 @@ def learn_sample(
         output_counts += states[top].spikes
 
         delta_spikes: Tensor | None = None
-        for i in reversed(range(len(spec.layers))):
+        # no error is needed below the first neuron layer
+        for i in reversed(range(first, len(spec.layers))):
             layer = spec.layers[i]
             if layer.is_lif:
                 p = params[i]
@@ -335,37 +362,24 @@ def learn_sample(
                 else:
                     delta = hidden_error(delta_spikes, states[i].potentials, theta, spec.surrogate, spike_mode)
                 accumulate_gradients(acc, i, layer, delta, traces, mode)
-                if i > 0:
+                if i > first:
                     delta_spikes = weight_adjoint(layer, p, delta)
             else:
                 delta_spikes = passthrough_adjoint(layer, delta_spikes)
 
-    acc.samples = 1
+    acc.samples = 1 if batch is None else batch
     if audit is not None:
         state_tensors = sum(
             (st.potentials is not None) + 1 for st, l in zip(states, spec.layers) if l.is_lif
         )
         audit["retained_time_indexed_tensors"] = state_tensors + traces.live_tensor_count()
         audit["loss"] = total_loss
-        audit["prediction"] = int(np.argmax(output_counts))
+        audit["prediction"] = np.argmax(output_counts, axis=-1).tolist()
     return acc
 
 
-def sample_loss(
-    spec: NetworkSpec,
-    params: list[LayerParams | None],
-    frames,
-    target: Tensor,
-    loss: LossKind = LossKind.CE,
-    spike_mode: SpikeMode = SpikeMode.HARD,
-) -> float:
-    """Total loss of one sample: instantaneous losses summed over the window."""
-    states = reset_network(spec)
-    total = 0.0
-    for frame in frames:
-        states, out = forward_timestep(spec, params, states, frame, spike_mode)
-        total += loss_value(out, target, loss)
-    return total
+# a single sample is the unbatched case of the batched engine
+learn_sample = learn_batch
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +411,17 @@ def apply_updates(
     changes are averaged over each channel's neurons (the channel shares
     one threshold), then truncated at the floor epsilon; leakage changes
     are averaged over the layer's neurons and the result clamped to [0, 1].
+
+    Fails closed: a non-finite gradient of a trained family, checked before
+    any parameter moves, or a non-finite updated parameter raises
+    NumericError naming the layer and the family (w, theta or alpha).
     """
+    for i in spec.lif_indices:
+        _require_finite(acc.dw[i], "w gradient", i)
+        if mode.trains_thresholds:
+            _require_finite(acc.dtheta[i], "theta gradient", i)
+        if mode.trains_leakages:
+            _require_finite(acc.dalpha[i], "alpha gradient", i)
     scale = 1.0 / float(batch_size)
     for i, layer in enumerate(spec.layers):
         if not layer.is_lif:
@@ -424,7 +448,15 @@ def apply_updates(
                 leak_velocities[i] = momentum * leak_velocities[i] + dalpha
                 dalpha = leak_velocities[i]
             p.leak = float(min(1.0, max(0.0, p.leak - eta_alpha * dalpha)))
+        _require_finite(p.weights, "w", i)
+        _require_finite(p.thresholds, "theta", i)
+        _require_finite(p.leak, "alpha", i)
     return params
+
+
+def _require_finite(values, what: str, layer: int) -> None:
+    if not np.isfinite(values).all():
+        raise NumericError(f"non-finite {what} at layer {layer}")
 
 
 # ---------------------------------------------------------------------------

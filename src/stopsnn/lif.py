@@ -114,7 +114,7 @@ def lif_step(
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if state.potentials is None or state.potentials.shape != synaptic_input.shape:
         raise ShapeError("state and synaptic input shapes disagree")
-    if np.any(thresholds <= 0.0):
+    if (thresholds <= 0.0).any():
         raise ParameterError("thresholds must be strictly positive")
     if not 0.0 <= leakage <= 1.0:
         raise ParameterError(f"leakage must lie in [0, 1], got {leakage}")

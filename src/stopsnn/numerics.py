@@ -2,8 +2,12 @@
 
 Matrix multiply, 2-D convolution with its exact adjoints, and average
 pooling; every higher-level operation in the package is expressed through
-these. All kernels are pure functions over C-contiguous float64 arrays.
-Convolution is cross-correlation (no kernel flip) with zero padding.
+these. All kernels are pure functions over float64 arrays. Convolution is
+cross-correlation (no kernel flip) with zero padding.
+
+Spatial kernels take one (C,H,W) map or a (B,C,H,W) batch of them and
+return the same rank; the convolutions lay a whole batch's patches side
+by side (batched im2col), so each call is one GEMM.
 """
 from __future__ import annotations
 
@@ -14,11 +18,6 @@ from .errors import ShapeError
 Tensor = np.ndarray
 
 
-def as_tensor(values) -> Tensor:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b; b may be a vector (treated as a column)."""
     a = np.asarray(a, dtype=np.float64)
@@ -27,7 +26,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D a and 1/2-D b, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
-    return a @ b
+    return np.dot(a, b)
 
 
 def _conv_out_len(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -40,52 +39,77 @@ def _conv_out_len(size: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+def _batched(x: Tensor, what: str) -> Tensor:
+    """A (B,C,H,W) view of a map or batch of maps."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"{what} must be (C,H,W) or (B,C,H,W), got {x.shape}")
+    return x if x.ndim == 4 else x[None]
+
+
+def _unbatched_like(out: Tensor, like: Tensor) -> Tensor:
+    """Drop the batch axis again when the caller passed a single map."""
+    return out if np.ndim(like) == 4 else out[0]
+
+
 def _pad2d(x: Tensor, padding: int) -> Tensor:
+    """Zero-pad the last two axes."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros(x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding))
+    out[..., padding:-padding, padding:-padding] = x
+    return out
 
 
 def _im2col(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> Tensor:
-    """Patch matrix of shape (Cin*kh*kw, h_out*w_out) from a padded input."""
-    c = padded.shape[0]
-    sc, sh, sw = padded.strides
+    """Patch matrix of shape (C*kh*kw, B*h_out*w_out) from a padded (B,C,Hp,Wp) batch."""
+    b, c = padded.shape[:2]
+    sb, sc, sh, sw = padded.strides
     view = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(c, kh, kw, h_out, w_out),
-        strides=(sc, sh, sw, stride * sh, stride * sw),
+        shape=(c, kh, kw, b, h_out, w_out),
+        strides=(sc, sh, sw, sb, stride * sh, stride * sw),
         writeable=False,
     )
-    return view.reshape(c * kh * kw, h_out * w_out)
+    return view.reshape(c * kh * kw, b * h_out * w_out)
+
+
+def _correlate(padded: Tensor, kernels: Tensor, stride: int, h_out: int, w_out: int) -> Tensor:
+    """One GEMM of the kernels against every patch of a padded batch; (B,Cout,h_out,w_out)."""
+    cout, cin, kh, kw = kernels.shape
+    cols = _im2col(padded, kh, kw, stride, h_out, w_out)
+    out = kernels.reshape(cout, cin * kh * kw) @ cols
+    return np.ascontiguousarray(out.reshape(cout, padded.shape[0], h_out, w_out).transpose(1, 0, 2, 3))
 
 
 def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate a (Cin,H,W) input with (Cout,Cin,kh,kw) kernels."""
-    inp = np.asarray(inp, dtype=np.float64)
+    """Cross-correlate a (Cin,H,W) input, or a batch of them, with (Cout,Cin,kh,kw) kernels."""
+    x = _batched(inp, "conv2d input")
     kernels = np.asarray(kernels, dtype=np.float64)
-    if inp.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects 3-D input and 4-D kernels, got {inp.shape}, {kernels.shape}")
-    cin, h, w = inp.shape
+    if kernels.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-D kernels, got {kernels.shape}")
+    _, cin, h, w = x.shape
     cout, cin_k, kh, kw = kernels.shape
     if cin != cin_k:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_k}")
     h_out = _conv_out_len(h, kh, stride, padding)
     w_out = _conv_out_len(w, kw, stride, padding)
-    cols = _im2col(_pad2d(inp, padding), kh, kw, stride, h_out, w_out)
-    out = kernels.reshape(cout, cin * kh * kw) @ cols
-    return out.reshape(cout, h_out, w_out)
+    return _unbatched_like(_correlate(_pad2d(x, padding), kernels, stride, h_out, w_out), inp)
 
 
 def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Exact adjoint of conv2d as a linear map in its input.
 
     Satisfies <conv2d(x, k), d> == <x, conv2d_adjoint_input(d, k)> for all x, d.
+    It is one correlation of the deltas, zero-inserted between positions
+    for stride > 1, with the flipped, channel-transposed kernels at
+    padding k-1-p.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
+    d = _batched(deltas, "deltas")
     kernels = np.asarray(kernels, dtype=np.float64)
-    if deltas.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(f"expected 3-D deltas and 4-D kernels, got {deltas.shape}, {kernels.shape}")
-    cout, h_out, w_out = deltas.shape
+    if kernels.ndim != 4:
+        raise ShapeError(f"expected 4-D kernels, got {kernels.shape}")
+    b, cout, h_out, w_out = d.shape
     cout_k, cin, kh, kw = kernels.shape
     if cout != cout_k:
         raise ShapeError(f"delta channels {cout} do not match kernel count {cout_k}")
@@ -93,57 +117,61 @@ def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, paddi
     wp = (w_out - 1) * stride + kw
     if hp <= 2 * padding or wp <= 2 * padding:
         raise ShapeError("padding exceeds reconstructed input size")
-    # one GEMM back to patch space, then scatter-add patches into place
-    gcols = (kernels.reshape(cout, cin * kh * kw).T @ deltas.reshape(cout, h_out * w_out)).reshape(
-        cin, kh, kw, h_out, w_out
-    )
-    grad_padded = np.zeros((cin, hp, wp))
-    for ki in range(kh):
-        for kj in range(kw):
-            grad_padded[:, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += gcols[
-                :, ki, kj
-            ]
-    if padding == 0:
-        return grad_padded
-    return grad_padded[:, padding:-padding, padding:-padding].copy()
+    # deltas placed at their strided positions in a buffer padded by k-1, then
+    # cropped by p: correlating that with the flipped kernels covers the input
+    full = np.zeros((b, cout, hp + kh - 1, wp + kw - 1))
+    full[:, :, kh - 1 : hp : stride, kw - 1 : wp : stride] = d
+    cropped = full[:, :, padding : full.shape[2] - padding, padding : full.shape[3] - padding]
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    out = _correlate(cropped, flipped, 1, hp - 2 * padding, wp - 2 * padding)
+    return _unbatched_like(out, deltas)
 
 
 def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Gradient of <conv2d(traces, kernels), deltas> with respect to the kernels.
 
     Each shared kernel element accumulates the delta/trace product over all
-    spatial positions it touches.
+    spatial positions it touches and, for batched arguments, over the batch.
     """
-    traces = np.asarray(traces, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if traces.ndim != 3 or deltas.ndim != 3:
-        raise ShapeError(f"expected 3-D traces and deltas, got {traces.shape}, {deltas.shape}")
-    cin, h, w = traces.shape
-    cout, h_out, w_out = deltas.shape
+    t = _batched(traces, "traces")
+    d = _batched(deltas, "deltas")
+    b, cin, h, w = t.shape
+    b_d, cout, h_out, w_out = d.shape
+    if b != b_d:
+        raise ShapeError(f"trace batch {b} does not match delta batch {b_d}")
     kh = h + 2 * padding - (h_out - 1) * stride
     kw = w + 2 * padding - (w_out - 1) * stride
     if kh < 1 or kw < 1:
-        raise ShapeError(f"inconsistent shapes for weight gradient: {traces.shape} vs {deltas.shape}")
-    cols = _im2col(_pad2d(traces, padding), kh, kw, stride, h_out, w_out)
-    grad = deltas.reshape(cout, h_out * w_out) @ cols.T
+        raise ShapeError(f"inconsistent shapes for weight gradient: {t.shape} vs {d.shape}")
+    cols = _im2col(_pad2d(t, padding), kh, kw, stride, h_out, w_out)
+    grad = d.transpose(1, 0, 2, 3).reshape(cout, b * h_out * w_out) @ cols.T
     return grad.reshape(cout, cin, kh, kw)
 
 
 def avgpool2d(inp: Tensor, window: int) -> Tensor:
-    """Non-overlapping window mean over each (H,W) map."""
+    """Non-overlapping window mean over each (H,W) map of a (C,H,W) or (B,C,H,W) input."""
     inp = np.asarray(inp, dtype=np.float64)
-    if inp.ndim != 3:
-        raise ShapeError(f"avgpool2d expects a 3-D input, got {inp.shape}")
-    c, h, w = inp.shape
+    if inp.ndim not in (3, 4):
+        raise ShapeError(f"avgpool2d expects a 3-D or 4-D input, got {inp.shape}")
+    h, w = inp.shape[-2:]
     if window < 1 or h % window != 0 or w % window != 0:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
-    return inp.reshape(c, h // window, window, w // window, window).mean(axis=(2, 4))
+    # one strided add per window offset is several times faster than a mean over reshaped axes
+    total = np.zeros(inp.shape[:-2] + (h // window, w // window))
+    for i in range(window):
+        for j in range(window):
+            total += inp[..., i::window, j::window]
+    return total / float(window * window)
 
 
 def avgpool2d_adjoint(deltas: Tensor, window: int) -> Tensor:
     """Adjoint of avgpool2d: spreads each delta uniformly as delta/window^2."""
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim != 3:
-        raise ShapeError(f"avgpool2d_adjoint expects a 3-D input, got {deltas.shape}")
-    spread = np.repeat(np.repeat(deltas, window, axis=1), window, axis=2)
-    return spread / float(window * window)
+    if deltas.ndim not in (3, 4):
+        raise ShapeError(f"avgpool2d_adjoint expects a 3-D or 4-D input, got {deltas.shape}")
+    share = deltas / float(window * window)
+    spread = np.empty(deltas.shape[:-2] + (deltas.shape[-2] * window, deltas.shape[-1] * window))
+    for i in range(window):
+        for j in range(window):
+            spread[..., i::window, j::window] = share
+    return spread

@@ -8,12 +8,16 @@ kernel (stride 1, padding k//2), "P<w>" is average pooling with window w,
 and a bare "<n>" is a dense layer of n neurons (a flatten is inserted
 implicitly before the first dense layer). The last layer must be dense
 with one neuron per class.
+
+Activity may carry a leading batch axis: the forward sweep advances a
+whole (B, ...) batch of samples per time-step, and an array without one
+is a single sample.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -66,11 +70,14 @@ class LayerSpec:
 
     @property
     def num_thresholds(self) -> int:
-        if self.kind is LayerKind.DENSE:
-            return self.out_shape[0]
+        return self.out_shape[0] if self.is_lif else 0
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """(fan_out, fan_in) for dense, (Cout, Cin, k, k) for conv."""
         if self.kind is LayerKind.CONV:
-            return self.out_shape[0]  # one per output channel
-        return 0
+            return (self.out_shape[0], self.in_shape[0], self.kernel, self.kernel)
+        return (self.fan_out, self.fan_in)
 
 
 def dense_layer(fan_in: int, fan_out: int) -> LayerSpec:
@@ -126,12 +133,6 @@ class NetworkSpec:
     @property
     def lif_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.is_lif]
-
-    def with_time_steps(self, time_steps: int) -> "NetworkSpec":
-        return replace(self, time_steps=time_steps)
-
-    def with_surrogate(self, surrogate: SurrogateKind) -> "NetworkSpec":
-        return replace(self, surrogate=surrogate)
 
 
 @dataclass
@@ -234,13 +235,8 @@ def init_params(spec: NetworkSpec, seed: int, init_mode: InitMode = InitMode.FAN
             params.append(None)
             continue
         rng = np.random.default_rng(stream)
-        if layer.kind is LayerKind.DENSE:
-            shape = (layer.fan_out, layer.fan_in)
-            fan_in = layer.fan_in
-        else:
-            cin = layer.in_shape[0]
-            shape = (layer.out_shape[0], cin, layer.kernel, layer.kernel)
-            fan_in = cin * layer.kernel * layer.kernel
+        shape = layer.weight_shape
+        fan_in = int(np.prod(shape[1:]))
         sigma = 1.0 if init_mode is InitMode.UNIT_GAUSSIAN else math.sqrt(2.0 / fan_in)
         params.append(
             LayerParams(
@@ -259,18 +255,29 @@ def broadcast_thresholds(layer: LayerSpec, thresholds: Tensor) -> Tensor:
     return thresholds
 
 
+def batch_shape(batch: int | None, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """shape with a leading batch axis, or unchanged for a single sample (batch None)."""
+    return shape if batch is None else (batch, *shape)
+
+
 def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Tensor:
     """Weighted drive a layer receives from its presynaptic activity."""
     if layer.kind is LayerKind.DENSE:
-        return numerics.matmul(params.weights, presyn)
+        # samples are the columns of presyn.T, so one GEMM drives the whole batch
+        return numerics.matmul(params.weights, presyn.T).T
     return numerics.conv2d(presyn, params.weights, stride=layer.stride, padding=layer.padding)
+
+
+def _lead(value: Tensor, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The batch axes of value in front of a per-sample shape."""
+    return value.shape[: value.ndim - len(shape)]
 
 
 def passthrough(layer: LayerSpec, value: Tensor) -> Tensor:
     if layer.kind is LayerKind.AVGPOOL:
         return numerics.avgpool2d(value, layer.window)
     if layer.kind is LayerKind.FLATTEN:
-        return np.ascontiguousarray(value).reshape(layer.out_shape)
+        return np.ascontiguousarray(value).reshape(_lead(value, layer.in_shape) + layer.out_shape)
     raise ShapeError(f"layer kind {layer.kind} has no pass-through semantics")
 
 
@@ -278,18 +285,18 @@ def passthrough_adjoint(layer: LayerSpec, delta: Tensor) -> Tensor:
     if layer.kind is LayerKind.AVGPOOL:
         return numerics.avgpool2d_adjoint(delta, layer.window)
     if layer.kind is LayerKind.FLATTEN:
-        return np.asarray(delta).reshape(layer.in_shape)
+        delta = np.asarray(delta)
+        return delta.reshape(_lead(delta, layer.out_shape) + layer.in_shape)
     raise ShapeError(f"layer kind {layer.kind} has no pass-through semantics")
 
 
-def reset_network(spec: NetworkSpec) -> list[LifState]:
-    """Zeroed dynamic state for every layer."""
+def reset_network(spec: NetworkSpec, batch: int | None = None) -> list[LifState]:
+    """Zeroed dynamic state for every layer, for a single sample or a batch."""
     states = []
     for layer in spec.layers:
-        if layer.is_lif:
-            states.append(LifState(potentials=np.zeros(layer.out_shape), spikes=np.zeros(layer.out_shape)))
-        else:
-            states.append(LifState(potentials=None, spikes=np.zeros(layer.out_shape)))
+        shape = batch_shape(batch, layer.out_shape)
+        potentials = np.zeros(shape) if layer.is_lif else None
+        states.append(LifState(potentials=potentials, spikes=np.zeros(shape)))
     return states
 
 
@@ -303,11 +310,13 @@ def forward_timestep(
     """Advance every layer one time-step, bottom-up.
 
     Neuron layers integrate their synaptic input and fire; pooling and
-    flatten layers forward their input unchanged. Returns the new state
-    list and the output layer's spikes.
+    flatten layers forward their input unchanged. The frame is one sample
+    of spec.input_shape or a (B, ...) batch matching the states. Returns
+    the new state list and the output layer's spikes.
     """
     input_frame = np.asarray(input_frame, dtype=np.float64)
-    if input_frame.shape != spec.input_shape:
+    lead = input_frame.ndim - len(spec.input_shape)
+    if lead not in (0, 1) or input_frame.shape[lead:] != spec.input_shape:
         raise ShapeError(f"input frame {input_frame.shape} does not match {spec.input_shape}")
     new_states: list[LifState] = []
     current = input_frame

@@ -1,11 +1,13 @@
 """Training loop, evaluation, checkpointing, and metrics emission.
 
-The loop follows the streaming rule sample by sample: accumulators are
-merged over each batch in index order, weights take an SGD-with-momentum
-step, thresholds and leakages take plain truncated steps (switchable to
-momentum via momentum_scope="all"), and all three learning rates follow
-one cosine annealing schedule. Metrics go to a JSON-lines file with a CSV
-mirror; a checkpoint is written after every epoch, atomically.
+The loop follows the streaming rule one mini-batch at a time: a single
+batched learn call per batch accumulates the batch's summed gradients,
+weights take an SGD-with-momentum step, thresholds and leakages take
+plain truncated steps (switchable to momentum via momentum_scope="all"),
+and all three learning rates follow one cosine annealing schedule.
+Evaluation runs the same batched forward sweep over slices of the set.
+Metrics go to a JSON-lines file with a CSV mirror; a checkpoint is
+written after every epoch, atomically.
 """
 from __future__ import annotations
 
@@ -22,15 +24,15 @@ import numpy as np
 from . import datasets as ds
 from .config import TrainConfig
 from .errors import ConfigError, DataError, NumericError
-from .learning import (
-    GradAccumulator,
+from .learning import (  # noqa: F401 -- learn_sample stays importable here for tools that wrap it
     LossKind,
     SynergyMode,
     apply_updates,
+    learn_batch,
     learn_sample,
     loss_value,
 )
-from .lif import SpikeMode, SurrogateKind, decode_prediction
+from .lif import SpikeMode, SurrogateKind
 from .topology import (
     InitMode,
     LayerParams,
@@ -125,20 +127,31 @@ def build_network(config: TrainConfig) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# evaluation runs the forward sweep over slices of at most this many samples,
+# which bounds its memory whatever the size of the set
+EVAL_BATCH = 32
+
+
 def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -> tuple[float, float]:
-    """(accuracy, mean total loss) of hard-mode inference over a dataset."""
+    """(accuracy, mean total loss) of hard-mode inference over a dataset.
+
+    The prediction is the class with the most output spikes over the
+    window, ties going to the lowest index.
+    """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
     hits = 0
     total_loss = 0.0
-    for sample in dataset:
-        states = reset_network(spec)
-        outputs = []
-        for frame in sample.frames:
+    for start in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[start : start + EVAL_BATCH]
+        targets = ds.batch_targets(chunk)
+        states = reset_network(spec, len(chunk))
+        counts = np.zeros(targets.shape)
+        for frame in ds.batch_frames(chunk):
             states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)
-            outputs.append(out)
-            total_loss += loss_value(out, sample.target, loss)
-        hits += decode_prediction(outputs) == sample.label
+            counts += out
+            total_loss += loss_value(out, targets, loss)
+        hits += int(np.count_nonzero(counts.argmax(axis=1) == [s.label for s in chunk]))
     return hits / len(dataset), total_loss / len(dataset)
 
 
@@ -278,11 +291,11 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
     """Run the configured training job start to finish (or resume it).
 
     Deterministic given the config and seed in single-threaded execution;
-    wall-clock timing enters only through the injectable clock. A NaN loss
-    aborts with a NumericError, leaving the last finite epoch's checkpoint
-    in place. stop_after_epoch interrupts the run after that epoch's
-    checkpoint (the schedule still spans config.epochs); a later run with
-    resume=True continues it.
+    wall-clock timing enters only through the injectable clock. A
+    non-finite gradient, parameter or loss aborts with a NumericError,
+    leaving the last finite epoch's checkpoint in place. stop_after_epoch
+    interrupts the run after that epoch's checkpoint (the schedule still
+    spans config.epochs); a later run with resume=True continues it.
     """
     spec = build_network(config)
     mode = SynergyMode(config.mode)
@@ -316,19 +329,16 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
         epoch_loss = 0.0
         epoch_hits = 0
         for batch in ds.batch_iter(train_set, config.batch_size, _epoch_shuffle_seed(config.seed, epoch)):
-            merged = GradAccumulator.zeros(spec)
-            for sample in batch:
-                audit: dict = {}
-                acc = learn_sample(
-                    spec, params, sample.frames, sample.target, mode=mode, loss=loss, audit=audit
-                )
-                merged.merge(acc)
-                epoch_loss += audit["loss"]
-                epoch_hits += audit["prediction"] == sample.label
+            audit: dict = {}
+            grads = learn_batch(
+                spec, params, ds.batch_frames(batch), ds.batch_targets(batch), mode=mode, loss=loss, audit=audit
+            )
+            epoch_loss += audit["loss"]
+            epoch_hits += sum(p == s.label for p, s in zip(audit["prediction"], batch))
             apply_updates(
-                params, merged, spec,
+                params, grads, spec,
                 eta_w=lr_w, eta_theta=lr_theta, eta_alpha=lr_alpha,
-                mode=mode, batch_size=merged.samples,
+                mode=mode, batch_size=grads.samples,
                 weight_decay=config.weight_decay, epsilon=config.epsilon,
                 momentum=config.momentum,
                 weight_velocities=optimizer.weight_velocities,

@@ -218,17 +218,17 @@ class TestTrain:
 
     def test_nan_aborts_and_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         config = teacher_config(tmp_path, epochs=5)
-        real = trainer.learn_sample
+        real = trainer.learn_batch
         state = {"epoch_calls": 0}
 
         def poisoned(spec, params, frames, target, mode, loss, audit=None):
             acc = real(spec, params, frames, target, mode=mode, loss=loss, audit=audit)
             state["epoch_calls"] += 1
-            if state["epoch_calls"] > 80 and audit is not None:  # into the third epoch
+            if state["epoch_calls"] > 10 and audit is not None:  # into the third epoch (5 batches each)
                 audit["loss"] = float("nan")
             return acc
 
-        monkeypatch.setattr(trainer, "learn_sample", poisoned)
+        monkeypatch.setattr(trainer, "learn_batch", poisoned)
         with pytest.raises(NumericError):
             train(config)
         _, _, epoch, _ = checkpoint_load(config.checkpoint_path)
