@@ -4,11 +4,16 @@ IDX is the classic big-endian binary container (magic 0x00000803 for
 image tensors, 0x00000801 for label vectors, unsigned-byte payload).
 Event streams use a plain text format: a header line "H W" followed by
 one event per line as "timestamp x y polarity" with non-decreasing
-microsecond timestamps. Event streams are cut into equal-event-count
-slices and histogrammed per pixel and polarity into pseudo-frames.
+microsecond timestamps. Every field is a whitespace-separated decimal
+integer (ASCII digits, optional sign, within int64); the header has two
+of them and each event line exactly four. Blank lines between events and
+comments are not allowed; leading and trailing whitespace of the file is
+ignored. Event streams are cut into equal-event-count slices and
+histogrammed per pixel and polarity into pseudo-frames.
 """
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +39,8 @@ class Sample:
 
     @classmethod
     def from_frames(cls, frames, label: int, num_classes: int) -> "Sample":
+        if not 0 <= label < num_classes:
+            raise DataError(f"label {label} is outside the {num_classes} classes 0..{num_classes - 1}")
         target = np.zeros(num_classes)
         target[label] = 1.0
         return cls(frames=list(frames), label=int(label), target=target)
@@ -120,22 +127,58 @@ class EventStream:
         return len(self.timestamps)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = range(-(2**63), 2**63)
+
+
+def _int_fields(line: str) -> list[int] | None:
+    """The line's whitespace-separated fields as int64 values, or None if one is not."""
+    fields = line.split()
+    if not all(_INTEGER.fullmatch(f) for f in fields):
+        return None
+    values = [int(f) for f in fields]
+    return values if all(v in _INT64 for v in values) else None
+
+
+def _bad_event_line(path, rows: list[str], first_line: int) -> DataError:
+    """The error naming the first of rows that is not four int64 fields."""
+    for ln, line in enumerate(rows, start=first_line):
+        fields = _int_fields(line)
+        if fields is None or len(fields) != 4:
+            return DataError(f"bad event line {ln} in {path}: {line!r}")
+    return DataError(f"unparseable event lines in {path}")
+
+
 def load_event_stream(path) -> EventStream:
-    """Read the text event format: header "H W", then "t x y p" lines."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Read the text event format: header "H W", then "t x y p" lines.
+
+    The body is parsed in one C-level pass; only when that fails, or
+    yields fewer rows than there are lines (a blank line), are the lines
+    scanned one by one to name the first bad one.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read event file {path}: {exc}") from exc
+    lines = text.strip().splitlines()
     if not lines:
         raise DataError(f"empty event file {path}")
-    try:
-        height, width = (int(v) for v in lines[0].split())
-    except ValueError as exc:
-        raise DataError(f"bad event header {lines[0]!r} in {path}") from exc
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 4:
-            raise DataError(f"bad event line {ln} in {path}: {line!r}")
-        rows.append([int(p) for p in parts])
-    data = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    lead = text[: len(text) - len(text.lstrip())]
+    first = len((lead + ".").splitlines())  # file line number of lines[0]
+    header = _int_fields(lines[0])
+    if header is None or len(header) != 2:
+        raise DataError(f"bad event header on line {first} in {path}: {lines[0]!r}")
+    height, width = header
+    rows = lines[1:]
+    data = np.empty((0, 4), dtype=np.int64)
+    if rows:
+        try:
+            data = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        # loadtxt skips blank lines, so a row count short of the line count means one
+        if data.shape != (len(rows), 4):
+            raise _bad_event_line(path, rows, first + 1)
     return EventStream(
         timestamps=data[:, 0], xs=data[:, 1], ys=data[:, 2], polarities=data[:, 3],
         width=width, height=height,
@@ -161,18 +204,14 @@ def slice_events(stream: EventStream, time_steps: int, normalize: bool = True) -
     count = len(stream)
     if time_steps < 1 or count < time_steps:
         raise DataError(f"stream has {count} events, need at least {time_steps}")
-    base = count // time_steps
-    frames = []
-    for s in range(time_steps):
-        lo = s * base
-        hi = (s + 1) * base if s < time_steps - 1 else count
-        frame = np.zeros((2, stream.height, stream.width))
-        np.add.at(frame, (stream.polarities[lo:hi], stream.ys[lo:hi], stream.xs[lo:hi]), 1.0)
-        frames.append(frame)
+    height, width = stream.height, stream.width
+    steps = np.minimum(np.arange(count) // (count // time_steps), time_steps - 1)
+    flat = ((steps * 2 + stream.polarities) * height + stream.ys) * width + stream.xs
+    counts = np.bincount(flat, minlength=time_steps * 2 * height * width)
+    frames = counts.reshape(time_steps, 2, height, width).astype(np.float64)
     if normalize:
-        peak = max(f.max() for f in frames)
-        frames = [f / peak for f in frames]
-    return frames
+        frames /= frames.max()
+    return list(frames)
 
 
 def synthetic_event_stream(seed: int, n_events: int, width: int = 8, height: int = 8) -> EventStream:

@@ -57,13 +57,19 @@ def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
 # dataset assembly
 
 def _load_manifest(path) -> list[tuple[Path, int]]:
+    """(event file, label) pairs, one "relative/path label" per line."""
     base = Path(path).parent
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
     entries = []
-    for ln, line in enumerate(Path(path).read_text().strip().splitlines(), start=1):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"bad manifest line {ln} in {path}: {line!r}")
-        entries.append((base / parts[0], int(parts[1])))
+    for ln, line in enumerate(text.strip().splitlines(), start=1):
+        try:
+            name, label = line.split()
+            entries.append((base / name, int(label)))
+        except ValueError:
+            raise DataError(f"bad manifest line {ln} in {path}: {line!r}") from None
     if not entries:
         raise DataError(f"empty manifest {path}")
     return entries
@@ -222,30 +228,37 @@ def checkpoint_load(path, expected_digest: str | None = None):
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"corrupt checkpoint {path}: not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
-    if expected_digest is not None and payload["digest"] != expected_digest:
-        raise DataError("checkpoint digest does not match the requested configuration")
-    params = [
-        None if entry is None else LayerParams(
-            weights=_decode_array(entry["weights"]),
-            thresholds=_decode_array(entry["thresholds"]),
-            leak=float(entry["leak"]),
+    try:
+        digest = payload["digest"]
+        params = [
+            None if entry is None else LayerParams(
+                weights=_decode_array(entry["weights"]),
+                thresholds=_decode_array(entry["thresholds"]),
+                leak=float(entry["leak"]),
+            )
+            for entry in payload["params"]
+        ]
+        opt_blob = payload["optimizer"]
+        optimizer = OptimizerState(
+            weight_velocities=[None if v is None else _decode_array(v) for v in opt_blob["weight_velocities"]],
+            threshold_velocities=None if opt_blob["threshold_velocities"] is None else [
+                None if v is None else _decode_array(v) for v in opt_blob["threshold_velocities"]
+            ],
+            leak_velocities=opt_blob["leak_velocities"],
+            epoch=opt_blob["epoch"],
         )
-        for entry in payload["params"]
-    ]
-    opt_blob = payload["optimizer"]
-    optimizer = OptimizerState(
-        weight_velocities=[None if v is None else _decode_array(v) for v in opt_blob["weight_velocities"]],
-        threshold_velocities=None if opt_blob["threshold_velocities"] is None else [
-            None if v is None else _decode_array(v) for v in opt_blob["threshold_velocities"]
-        ],
-        leak_velocities=opt_blob["leak_velocities"],
-        epoch=opt_blob["epoch"],
-    )
-    return params, optimizer, payload["epoch"], payload["config"]
+        epoch, config = payload["epoch"], payload["config"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__} {exc}") from exc
+    if expected_digest is not None and digest != expected_digest:
+        raise DataError("checkpoint digest does not match the requested configuration")
+    return params, optimizer, epoch, config
 
 
 # ---------------------------------------------------------------------------

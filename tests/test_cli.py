@@ -5,6 +5,7 @@ import pytest
 from stopsnn import cli
 from stopsnn.checks import CheckResult
 from stopsnn.config import TrainConfig
+from stopsnn.datasets import save_event_stream, synthetic_event_stream
 
 
 def write_config(tmp_path, **overrides):
@@ -138,3 +139,48 @@ class TestTrainEval:
     def test_invalid_config_value(self, tmp_path, capsys):
         config_path = write_config(tmp_path, momentum=2.0)
         assert cli.main(["train", "--config", str(config_path)]) == 1
+
+
+def write_event_config(tmp_path, bad_event=None, bad_label=None):
+    """An events-kind config over four small streams; optionally one bad event line or label."""
+    lines = []
+    for i in range(4):
+        save_event_stream(tmp_path / f"ev{i}.txt", synthetic_event_stream(seed=i, n_events=40, width=4, height=4))
+        lines.append(f"ev{i}.txt {i % 2}")
+    if bad_event is not None:
+        with open(tmp_path / "ev2.txt", "a") as f:
+            f.write(bad_event + "\n")
+    if bad_label is not None:
+        lines[1] = f"ev1.txt {bad_label}"
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    manifest = str(tmp_path / "manifest.txt")
+    return write_config(
+        tmp_path, arch="6-2", input_shape=[2, 4, 4], epochs=1, batch_size=4,
+        dataset={"kind": "events", "train_manifest": manifest, "test_manifest": manifest},
+    )
+
+
+class TestBadInputExitsData:
+    def test_valid_event_dataset_trains(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write_event_config(tmp_path))]) == 0
+
+    def test_non_integer_event_field(self, tmp_path, capsys):
+        code = cli.main(["train", "--config", str(write_event_config(tmp_path, bad_event="2000 1 x 1"))])
+        assert code == 2
+        assert "line 42" in capsys.readouterr().err
+
+    def test_non_integer_manifest_label(self, tmp_path, capsys):
+        code = cli.main(["train", "--config", str(write_event_config(tmp_path, bad_label="one"))])
+        assert code == 2
+        assert "manifest line 2" in capsys.readouterr().err
+
+    def test_manifest_label_outside_classes(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write_event_config(tmp_path, bad_label="2"))]) == 2
+
+    def test_checkpoint_missing_params(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, epochs=1))]) == 0
+        path = tmp_path / "ck.json"
+        payload = json.loads(path.read_text())
+        del payload["params"]
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2

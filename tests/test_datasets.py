@@ -89,6 +89,52 @@ class TestEventStreams:
         np.testing.assert_array_equal(loaded.ys, stream.ys)
         np.testing.assert_array_equal(loaded.polarities, stream.polarities)
 
+    def test_header_only_file_is_an_empty_stream(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("5 6\n")
+        loaded = load_event_stream(path)
+        assert (loaded.height, loaded.width, len(loaded)) == (5, 6, 0)
+        assert loaded.timestamps.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0 1 2 1\n0 1 x 1\n", 3),  # non-integer field
+            ("0 1 2 1\n1 1 2\n", 3),  # three fields
+            ("0 1 2 1 0\n", 2),  # five fields
+            ("0 1 2 1\n\n1 1 2 0\n", 3),  # blank interior line
+            ("0 1 2 1\n# a comment\n", 3),
+            ("0 1 2 1  # trailing comment\n", 2),
+            ("0 1.0 2 1\n", 2),
+            ("99999999999999999999 1 2 1\n", 2),  # beyond int64
+        ],
+    )
+    def test_bad_event_line_is_data_error_naming_the_line(self, tmp_path, body, line):
+        path = tmp_path / "events.txt"
+        path.write_text("4 4\n" + body)
+        with pytest.raises(DataError, match=f"line {line} in .*events.txt"):
+            load_event_stream(path)
+
+    def test_line_numbers_count_leading_blank_lines(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("\n\n4 4\n0 1 x 1\n")
+        with pytest.raises(DataError, match="line 4 in"):
+            load_event_stream(path)
+
+    @pytest.mark.parametrize("header", ["4", "4 4 4", "4 x", "#4 4"])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "events.txt"
+        path.write_text(f"{header}\n0 1 2 1\n")
+        with pytest.raises(DataError, match="header on line 1"):
+            load_event_stream(path)
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_event_stream(tmp_path / "missing.txt")
+        (tmp_path / "latin.txt").write_bytes(b"4 4\n0 1 2 \xff\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_event_stream(tmp_path / "latin.txt")
+
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(DataError, match="non-decreasing"):
             EventStream(
@@ -203,6 +249,18 @@ class TestGlyphs:
         loaded, lab = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         np.testing.assert_array_equal(lab, labels)
         assert np.abs(loaded - images).max() <= 0.5  # byte rounding only
+
+
+class TestSampleLabels:
+    @pytest.mark.parametrize("label", [-1, 3, 255])
+    def test_label_outside_classes_is_data_error(self, label):
+        with pytest.raises(DataError, match="outside the 3 classes"):
+            Sample.from_frames([np.zeros(2)], label, 3)
+
+    def test_idx_label_beyond_classes_is_data_error(self):
+        images = np.zeros((2, 4, 4))
+        with pytest.raises(DataError, match="label 7"):
+            dataset_from_images(images, [1, 7], time_steps=2, num_classes=5)
 
 
 class TestBatching:

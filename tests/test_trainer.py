@@ -142,6 +142,24 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="version"):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("missing", ["params", "digest", "optimizer", "epoch"])
+    def test_missing_section_is_data_error(self, tmp_path, missing):
+        config, params, optimizer = self._setup(tmp_path)
+        path = tmp_path / "a.json"
+        checkpoint_save(path, params, optimizer, 0, config)
+        payload = json.loads(path.read_text())
+        del payload[missing]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}'])
+    def test_wrong_structure_is_data_error(self, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            checkpoint_load(path)
+
 
 class TestTrain:
     def test_zero_epochs_is_identity(self, tmp_path):
@@ -302,6 +320,20 @@ class TestLoadDataset:
         assert len(train_set) == 4
         assert train_set[0].frames[0].shape == (2, 5, 5)
         assert len(train_set[0].frames) == 3
+
+    @pytest.mark.parametrize("line", ["ev0.txt one", "ev0.txt", "ev0.txt 1 2", "ev0.txt 4", "ev0.txt -1"])
+    def test_bad_manifest_line_is_data_error(self, tmp_path, line):
+        from stopsnn.datasets import save_event_stream, synthetic_event_stream
+
+        save_event_stream(tmp_path / "ev0.txt", synthetic_event_stream(seed=0, n_events=40, width=5, height=5))
+        (tmp_path / "m.txt").write_text(f"ev0.txt 0\n{line}\n")
+        config = teacher_config(
+            tmp_path, arch="4", input_shape=(2, 5, 5), num_classes=4,
+            dataset={"kind": "events", "train_manifest": str(tmp_path / "m.txt"),
+                     "test_manifest": str(tmp_path / "m.txt")},
+        )
+        with pytest.raises(DataError):
+            load_dataset(config)
 
     def test_unknown_kind(self, tmp_path):
         config = teacher_config(tmp_path)
