@@ -4,8 +4,9 @@ temporally-backward baseline.
 Trains the same task under the weights-only and fully synergistic modes of
 the streaming rule, plus a weights-only baseline whose gradients come from
 the fully unrolled temporal backpropagation sweep (reset feedback
-included). Reports final training accuracies per seed; the baseline is
-reported for direction, not gated.
+included). All three arms run through trainer.train and differ only in the
+gradient engine; each reports its last epoch's running train accuracy.
+The baseline is reported for direction, not gated.
 """
 from __future__ import annotations
 
@@ -13,30 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datasets as ds
 from .config import TrainConfig
-from .learning import SynergyMode
-from .lif import SpikeMode
-from .oracle import unrolled_stbp_gradients
-from .topology import InitMode, init_params
-from .trainer import _epoch_shuffle_seed, build_network, cosine_lr, evaluate, load_dataset, train
+from .learning import GradAccumulator, LossKind, SynergyMode, loss_value
+from .oracle import record_tape, unrolled_stbp_gradients
+from .topology import NetworkSpec
+from .trainer import train
 
 
 @dataclass
 class AblationOutcome:
     per_seed: dict  # seed -> {"W": acc, "WTL": acc, "STBP": acc}
 
-    @property
-    def mean_w(self) -> float:
-        return float(np.mean([row["W"] for row in self.per_seed.values()]))
+    def _mean(self, arm: str) -> float:
+        return float(np.mean([row[arm] for row in self.per_seed.values()]))
 
-    @property
-    def mean_wtl(self) -> float:
-        return float(np.mean([row["WTL"] for row in self.per_seed.values()]))
-
-    @property
-    def mean_stbp(self) -> float:
-        return float(np.mean([row["STBP"] for row in self.per_seed.values()]))
+    mean_w = property(lambda self: self._mean("W"))
+    mean_wtl = property(lambda self: self._mean("WTL"))
+    mean_stbp = property(lambda self: self._mean("STBP"))
 
     def summary(self) -> str:
         lines = [f"seed {seed}: " + ", ".join(f"{k}={v:.3f}" for k, v in row.items())
@@ -47,49 +41,45 @@ class AblationOutcome:
         return "\n".join(lines)
 
 
-def train_stbp_baseline(config: TrainConfig) -> float:
-    """Weights-only training driven by unrolled temporal backprop gradients.
+def unrolled_learn_batch(spec: NetworkSpec, params, frames, targets, mode: SynergyMode = SynergyMode.W,
+                         loss: LossKind = LossKind.CE, audit: dict | None = None) -> GradAccumulator:
+    """The baseline's gradient engine, with learn_batch's contract.
 
-    Same data, batching, momentum, and cosine schedule as the streaming
-    runs; only the gradient engine differs. Returns final train accuracy.
+    Each sample of the batch is recorded on a full-history tape and swept
+    backward through layers and time, reset feedback included; only weights
+    learn, whatever the mode. The audit's loss and predictions come from
+    the tape's output spikes.
     """
-    spec = build_network(config)
-    params = init_params(spec, seed=config.seed, init_mode=InitMode(config.init_mode))
-    train_set, _ = load_dataset(config)
-    velocities = [None if p is None else np.zeros_like(p.weights) for p in params]
-    final_acc = 0.0
-    for epoch in range(config.epochs):
-        lr = cosine_lr(config.eta_w, epoch, config.epochs)
-        for batch in ds.batch_iter(train_set, config.batch_size, _epoch_shuffle_seed(config.seed, epoch)):
-            grads = [None if p is None else np.zeros_like(p.weights) for p in params]
-            for sample in batch:
-                ref = unrolled_stbp_gradients(
-                    spec, params, sample.frames, sample.target,
-                    mode=SynergyMode.W, loss=config.loss,
-                    include_illusory=True, spike_mode=SpikeMode.HARD,
-                )
-                for i, g in enumerate(ref.dw):
-                    if g is not None:
-                        grads[i] += g
-            for i, p in enumerate(params):
-                if p is None:
-                    continue
-                step = grads[i] / len(batch) + config.weight_decay * p.weights
-                velocities[i] = config.momentum * velocities[i] + step
-                p.weights = p.weights - lr * velocities[i]
-        final_acc, _ = evaluate(spec, params, train_set)
-    return final_acc
+    steps = list(frames)
+    acc = GradAccumulator.zeros(spec, SynergyMode.W)
+    top = spec.lif_indices[-1]
+    total_loss, prediction = 0.0, []
+    for b, target in enumerate(targets):
+        sample = [step[b] for step in steps]
+        tape = record_tape(spec, params, sample)
+        grads = unrolled_stbp_gradients(
+            spec, params, sample, target, mode=SynergyMode.W, loss=loss, include_illusory=True, tape=tape
+        )
+        for i in spec.lif_indices:
+            acc.dw[i] += grads.dw[i]
+        outputs = [spikes[top] for spikes in tape.spikes]
+        total_loss += sum(loss_value(out, target, loss) for out in outputs)
+        prediction.append(int(np.argmax(np.sum(outputs, axis=0))))
+    acc.samples = len(targets)
+    if audit is not None:
+        audit["loss"] = total_loss
+        audit["prediction"] = prediction
+    return acc
 
 
 def run_ablation(base_config: TrainConfig, seeds=(0, 1, 2), include_baseline: bool = True) -> AblationOutcome:
+    arms = [("W", "W", None), ("WTL", "WTL", None)]
+    if include_baseline:
+        arms.append(("STBP", "W", unrolled_learn_batch))
     per_seed = {}
     for seed in seeds:
-        row = {}
-        for mode in ("W", "WTL"):
-            config = base_config.with_overrides(seed=seed, mode=mode)
-            result = train(config)
-            row[mode] = result.metrics[-1]["train_acc"]
-        if include_baseline:
-            row["STBP"] = train_stbp_baseline(base_config.with_overrides(seed=seed, mode="W"))
-        per_seed[seed] = row
+        per_seed[seed] = {
+            name: train(base_config.with_overrides(seed=seed, mode=mode), learn=learn).metrics[-1]["train_acc"]
+            for name, mode, learn in arms
+        }
     return AblationOutcome(per_seed=per_seed)

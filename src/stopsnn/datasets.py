@@ -13,6 +13,7 @@ histogrammed per pixel and polarity into pseudo-frames.
 """
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -46,41 +47,39 @@ class Sample:
         return cls(frames=list(frames), label=int(label), target=target)
 
 
-def _read_exact(handle, count: int, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise DataError(f"truncated IDX file while reading {what}")
-    return data
+def _read_idx(path: Path, magic: int, dims: int, what: str) -> tuple[list[int], np.ndarray]:
+    """The header's sizes and the byte payload of one IDX file, checked against each other."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read IDX {what} file {path}: {exc}") from exc
+    header = 4 * (1 + dims)
+    if len(data) < header:
+        raise DataError(f"truncated IDX file while reading {what} header in {path}")
+    found, *sizes = struct.unpack(f">{1 + dims}I", data[:header])
+    if found != magic:
+        raise DataError(f"bad {what} magic 0x{found:08x} in {path}")
+    declared = math.prod(sizes)
+    if len(data) - header < declared:
+        raise DataError(f"truncated IDX file: {what} payload of {declared} bytes declared in {path}")
+    if len(data) - header > declared:
+        raise DataError(f"trailing bytes after {what} payload in {path}")
+    return sizes, np.frombuffer(data, dtype=np.uint8, offset=header)
 
 
 def load_idx(images_path, labels_path) -> tuple[Tensor, np.ndarray]:
     """Load an IDX image/label file pair as (images, labels).
 
     Images come back as float64 arrays of the raw byte values; labels as an
-    int vector. Fails closed on bad magic, truncation, or a count mismatch.
+    int vector. Fails closed with a DataError on an unreadable file, bad
+    magic, a payload shorter or longer than its header declares, or a
+    count mismatch.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
-        header = _read_exact(f, 16, "image header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataError(f"bad image magic 0x{magic:08x} in {images_path}")
-        payload = _read_exact(f, count * rows * cols, "image payload")
-        if f.read(1):
-            raise DataError(f"trailing bytes after image payload in {images_path}")
-    images = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(count, rows, cols)
-    with open(labels_path, "rb") as f:
-        header = _read_exact(f, 8, "label header")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataError(f"bad label magic 0x{magic:08x} in {labels_path}")
-        label_payload = _read_exact(f, label_count, "label payload")
-        if f.read(1):
-            raise DataError(f"trailing bytes after label payload in {labels_path}")
-    labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, 3, "image")
+    (label_count,), label_bytes = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, 1, "label")
     if label_count != count:
         raise DataError(f"image count {count} does not match label count {label_count}")
-    return images, labels
+    return pixels.astype(np.float64).reshape(count, rows, cols), label_bytes.astype(np.int64)
 
 
 def write_idx(images_path, labels_path, images: Tensor, labels) -> None:

@@ -14,10 +14,6 @@ class ShapeError(StopSnnError, ValueError):
     """Tensor shapes do not satisfy an operation's contract."""
 
 
-class ParameterError(StopSnnError, ValueError):
-    """A neuron or layer parameter is outside its legal range."""
-
-
 class EncodingError(StopSnnError, ValueError):
     """Raw input values cannot be encoded into spike frames."""
 

@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import NumericError, ShapeError, TargetError
+from .errors import ConfigError, NumericError, ShapeError, TargetError
 from .lif import SpikeMode, SurrogateKind, firing_derivative
 from .numerics import Tensor
 from .topology import (
@@ -414,8 +414,11 @@ def apply_updates(
 
     Fails closed: a non-finite gradient of a trained family, checked before
     any parameter moves, or a non-finite updated parameter raises
-    NumericError naming the layer and the family (w, theta or alpha).
+    NumericError naming the layer and the family (w, theta or alpha). A
+    floor epsilon <= 0 is refused, so thresholds stay positive.
     """
+    if not epsilon > 0:
+        raise ConfigError(f"threshold floor epsilon must be positive, got {epsilon}")
     for i in spec.lif_indices:
         _require_finite(acc.dw[i], "w gradient", i)
         if mode.trains_thresholds:

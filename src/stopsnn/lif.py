@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DecodingError, EncodingError, ParameterError, ShapeError
+from .errors import DecodingError, EncodingError, ShapeError
 from .numerics import Tensor
 
 
@@ -108,16 +108,12 @@ def lif_step(
 
     New potential: leakage * (old potential - threshold * old spike) + input,
     i.e. exponential leak with reset-by-subtraction. New spike: step (hard)
-    or smooth (soft) function of potential minus threshold.
+    or smooth (soft) function of potential minus threshold. Parameter ranges
+    are checked where values enter or change, not on every step.
     """
     synaptic_input = np.asarray(synaptic_input, dtype=np.float64)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
     if state.potentials is None or state.potentials.shape != synaptic_input.shape:
         raise ShapeError("state and synaptic input shapes disagree")
-    if (thresholds <= 0.0).any():
-        raise ParameterError("thresholds must be strictly positive")
-    if not 0.0 <= leakage <= 1.0:
-        raise ParameterError(f"leakage must lie in [0, 1], got {leakage}")
     potentials = leakage * (state.potentials - thresholds * state.spikes) + synaptic_input
     spikes = fire(potentials, thresholds, surrogate, mode)
     return LifState(potentials=potentials, spikes=spikes)

@@ -1,10 +1,11 @@
 """Training loop, evaluation, checkpointing, and metrics emission.
 
-The loop follows the streaming rule one mini-batch at a time: a single
-batched learn call per batch accumulates the batch's summed gradients,
-weights take an SGD-with-momentum step, thresholds and leakages take
-plain truncated steps (switchable to momentum via momentum_scope="all"),
-and all three learning rates follow one cosine annealing schedule.
+The loop runs one mini-batch at a time: one call of the gradient engine
+(the streaming rule's batched learn by default) accumulates the batch's
+summed gradients, weights take an SGD-with-momentum step, thresholds and
+leakages take plain truncated steps (switchable to momentum via
+momentum_scope="all"), and all three learning rates follow one cosine
+annealing schedule.
 Evaluation runs the same batched forward sweep over slices of the set.
 Metrics go to a JSON-lines file with a CSV mirror; a checkpoint is
 written after every epoch, atomically.
@@ -223,11 +224,12 @@ def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config:
 
 
 def checkpoint_load(path, expected_digest: str | None = None):
-    """Load (params, optimizer, epoch, config_dict); refuse foreign digests."""
+    """Load (params, optimizer, epoch, config_dict); refuse foreign digests,
+    unreadable or malformed files and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"checkpoint not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -256,6 +258,13 @@ def checkpoint_load(path, expected_digest: str | None = None):
         epoch, config = payload["epoch"], payload["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__} {exc}") from exc
+    for i, p in enumerate(params):
+        if p is None:
+            continue
+        if not all(np.isfinite(v).all() for v in (p.weights, p.thresholds, p.leak)):
+            raise DataError(f"non-finite parameter at layer {i} in checkpoint {path}")
+        if (p.thresholds <= 0.0).any() or not 0.0 <= p.leak <= 1.0:
+            raise DataError(f"threshold <= 0 or leak outside [0, 1] at layer {i} in checkpoint {path}")
     if expected_digest is not None and digest != expected_digest:
         raise DataError("checkpoint digest does not match the requested configuration")
     return params, optimizer, epoch, config
@@ -300,7 +309,7 @@ class TrainResult:
 # the loop
 
 def train(config: TrainConfig, clock=time.perf_counter, log=None,
-          stop_after_epoch: int | None = None) -> TrainResult:
+          stop_after_epoch: int | None = None, learn=None) -> TrainResult:
     """Run the configured training job start to finish (or resume it).
 
     Deterministic given the config and seed in single-threaded execution;
@@ -309,7 +318,10 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
     leaving the last finite epoch's checkpoint in place. stop_after_epoch
     interrupts the run after that epoch's checkpoint (the schedule still
     spans config.epochs); a later run with resume=True continues it.
+    learn is the gradient engine, called once per mini-batch with
+    learn_batch's contract; the default is the streaming rule, learn_batch.
     """
+    learn = learn_batch if learn is None else learn
     spec = build_network(config)
     mode = SynergyMode(config.mode)
     loss = LossKind(config.loss)
@@ -343,7 +355,7 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
         epoch_hits = 0
         for batch in ds.batch_iter(train_set, config.batch_size, _epoch_shuffle_seed(config.seed, epoch)):
             audit: dict = {}
-            grads = learn_batch(
+            grads = learn(
                 spec, params, ds.batch_frames(batch), ds.batch_targets(batch), mode=mode, loss=loss, audit=audit
             )
             epoch_loss += audit["loss"]

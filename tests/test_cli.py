@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from stopsnn import cli
 from stopsnn.checks import CheckResult
 from stopsnn.config import TrainConfig
 from stopsnn.datasets import save_event_stream, synthetic_event_stream
+from stopsnn.trainer import _decode_array, _encode_array
 
 
 def write_config(tmp_path, **overrides):
@@ -184,3 +186,27 @@ class TestBadInputExitsData:
         del payload["params"]
         path.write_text(json.dumps(payload))
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_checkpoint_bad_thresholds(self, tmp_path, capsys, threshold):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, epochs=1))]) == 0
+        path = tmp_path / "ck.json"
+        payload = json.loads(path.read_text())
+        for entry in payload["params"]:
+            if entry is not None:
+                shape = _decode_array(entry["thresholds"]).shape
+                entry["thresholds"] = _encode_array(np.full(shape, threshold))
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_path_is_a_directory(self, tmp_path, capsys):
+        assert cli.main(["eval", "--checkpoint", str(tmp_path)]) == 2
+
+    def test_missing_idx_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.idx")
+        dataset = {"kind": "idx", "train_images": missing, "train_labels": missing,
+                   "test_images": missing, "test_labels": missing}
+        config = write_config(tmp_path, arch="4-2", input_shape=[1, 2, 2], dataset=dataset)
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert "cannot read IDX image file" in capsys.readouterr().err

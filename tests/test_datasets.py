@@ -61,6 +61,23 @@ class TestIdx:
         with pytest.raises(DataError, match="magic"):
             load_idx(ip, lp)
 
+    def test_huge_declared_size_is_truncation(self, tmp_path):
+        ip, lp = self._write_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        ip.write_bytes(struct.pack(">IIII", 0x00000803, 2**27, 2**27, 2**26) + bytes(8))
+        with pytest.raises(DataError, match="truncated"):
+            load_idx(ip, lp)
+
+    def test_trailing_bytes(self, tmp_path):
+        ip, lp = self._write_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        lp.write_bytes(lp.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="trailing bytes after label payload"):
+            load_idx(ip, lp)
+
+    def test_missing_file(self, tmp_path):
+        ip, _ = self._write_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        with pytest.raises(DataError, match="cannot read IDX label file"):
+            load_idx(ip, tmp_path / "absent.idx")
+
     def test_empty_file(self, tmp_path):
         ip = tmp_path / "empty.idx"
         ip.write_bytes(b"")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stopsnn import lif
-from stopsnn.errors import DecodingError, EncodingError, ParameterError, ShapeError
+from stopsnn.errors import DecodingError, EncodingError, ShapeError
 from stopsnn.lif import LifState, SpikeMode, SurrogateKind
 
 
@@ -123,14 +123,6 @@ class TestLifStep:
             SurrogateKind.EXP_ABS, SpikeMode.SOFT,
         )
         assert np.all(state.spikes > 0.0) and np.all(state.spikes < 1.0)
-
-    def test_bad_threshold_raises(self):
-        with pytest.raises(ParameterError):
-            lif.lif_step(zeros_state(1), np.zeros(1), np.array([0.0]), 0.5, SurrogateKind.EXP_ABS)
-
-    def test_bad_leak_raises(self):
-        with pytest.raises(ParameterError):
-            lif.lif_step(zeros_state(1), np.zeros(1), np.ones(1), 1.5, SurrogateKind.EXP_ABS)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):

@@ -1,13 +1,17 @@
-"""Property tests of event-stream ingestion: text round trip, slicing against a
-per-slice reference, and byte-fuzzed event files and manifests."""
+"""Property tests: event-stream ingestion (text round trip, slicing against a
+per-slice reference), the dot-product identities of the convolution and pooling
+adjoints over random shapes, and byte-fuzzed event files, manifests, IDX pairs
+and checkpoints raising only DataError."""
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stopsnn import numerics
 from stopsnn.config import TrainConfig
-from stopsnn.datasets import EventStream, load_event_stream, save_event_stream, slice_events
+from stopsnn.datasets import EventStream, load_event_stream, load_idx, save_event_stream, slice_events, write_idx
 from stopsnn.errors import DataError
-from stopsnn.trainer import load_dataset
+from stopsnn.topology import init_params
+from stopsnn.trainer import OptimizerState, build_network, checkpoint_load, checkpoint_save, load_dataset
 
 SETTINGS = settings(
     max_examples=150, deadline=None, database=None,
@@ -123,3 +127,95 @@ def test_fuzzed_manifest_raises_only_data_error(tmp_path, data):
     except DataError:
         pass
 
+
+
+def _batch_shape(batch, shape):
+    return shape if batch is None else (batch,) + shape
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, kernels, d, stride, padding) with d shaped like conv2d(x, kernels)."""
+    batch = draw(st.one_of(st.none(), st.integers(1, 3)))
+    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kernel, stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    h_out, w_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # every input size (o-1)*stride + k - 2p >= 1 is valid; cap the padding accordingly
+    reach = (min(h_out, w_out) - 1) * stride + kernel - 1
+    padding = draw(st.integers(0, min(kernel - 1, reach // 2)))
+    h, w = ((n - 1) * stride + kernel - 2 * padding for n in (h_out, w_out))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=_batch_shape(batch, (cin, h, w)))
+    kernels = rng.normal(size=(cout, cin, kernel, kernel))
+    d = rng.normal(size=_batch_shape(batch, (cout, h_out, w_out)))
+    return x, kernels, d, stride, padding
+
+
+@SETTINGS
+@given(case=conv_cases())
+def test_conv_adjoints_satisfy_dot_product_identities(case):
+    x, kernels, d, stride, padding = case
+    y = numerics.conv2d(x, kernels, stride=stride, padding=padding)
+    assert y.shape == d.shape
+    forward = np.vdot(y, d)
+    back_input = numerics.conv2d_adjoint_input(d, kernels, stride=stride, padding=padding)
+    back_weight = numerics.conv2d_weight_grad(x, d, stride=stride, padding=padding)
+    assert back_input.shape == x.shape and back_weight.shape == kernels.shape
+    assert abs(forward - np.vdot(x, back_input)) <= 1e-10 * max(1.0, abs(forward))
+    assert abs(forward - np.vdot(kernels, back_weight)) <= 1e-10 * max(1.0, abs(forward))
+
+
+@SETTINGS
+@given(
+    batch=st.one_of(st.none(), st.integers(1, 3)), channels=st.integers(1, 3), window=st.integers(1, 3),
+    h_out=st.integers(1, 4), w_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+)
+def test_avgpool_adjoint_satisfies_dot_product_identity(batch, channels, window, h_out, w_out, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=_batch_shape(batch, (channels, h_out * window, w_out * window)))
+    d = rng.normal(size=_batch_shape(batch, (channels, h_out, w_out)))
+    back = numerics.avgpool2d_adjoint(d, window)
+    assert back.shape == x.shape
+    forward = np.vdot(numerics.avgpool2d(x, window), d)
+    assert abs(forward - np.vdot(x, back)) <= 1e-10 * max(1.0, abs(forward))
+
+
+def _valid_idx_pair(tmp_path):
+    images = np.arange(2 * 3 * 2).reshape(2, 3, 2)
+    write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", images, [1, 0])
+    return (tmp_path / "img.idx").read_bytes(), (tmp_path / "lbl.idx").read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), which=st.sampled_from(["images", "labels"]))
+def test_fuzzed_idx_pair_raises_only_data_error(tmp_path, data, which):
+    images, labels = _valid_idx_pair(tmp_path)
+    if which == "images":
+        images = data.draw(mutations(images))
+    else:
+        labels = data.draw(mutations(labels))
+    (tmp_path / "img.idx").write_bytes(images)
+    (tmp_path / "lbl.idx").write_bytes(labels)
+    try:
+        load_idx(tmp_path / "img.idx", tmp_path / "lbl.idx")
+    except DataError:
+        pass
+
+
+def _valid_checkpoint(tmp_path) -> bytes:
+    config = TrainConfig(arch="3-2", input_shape=(2,), num_classes=2, time_steps=2)
+    params = init_params(build_network(config), seed=0)
+    path = tmp_path / "ck.json"
+    checkpoint_save(path, params, OptimizerState.fresh(params, "all"), 0, config)
+    return path.read_bytes()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_only_data_error(tmp_path, data):
+    path = tmp_path / "fuzzed.json"
+    path.write_bytes(data.draw(mutations(_valid_checkpoint(tmp_path))))
+    try:
+        checkpoint_load(path)
+    except DataError:
+        pass

@@ -153,6 +153,38 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="malformed checkpoint"):
             checkpoint_load(path)
 
+    def _load_with(self, tmp_path, **values):
+        """Save a checkpoint whose first neuron layer carries the given values, then load it."""
+        config, params, optimizer = self._setup(tmp_path)
+        for name, value in values.items():
+            current = getattr(params[0], name)
+            setattr(params[0], name, value if np.isscalar(current) else np.full_like(current, value))
+        path = tmp_path / "a.json"
+        checkpoint_save(path, params, optimizer, 0, config)
+        return checkpoint_load(path)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_bad_threshold_raises(self, tmp_path, threshold):
+        with pytest.raises(DataError, match="threshold <= 0"):
+            self._load_with(tmp_path, thresholds=threshold)
+
+    @pytest.mark.parametrize("leak", [1.5, -0.1])
+    def test_bad_leak_raises(self, tmp_path, leak):
+        with pytest.raises(DataError, match=r"leak outside \[0, 1\]"):
+            self._load_with(tmp_path, leak=leak)
+
+    @pytest.mark.parametrize("family", ["weights", "thresholds", "leak"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_raises(self, tmp_path, family, value):
+        with pytest.raises(DataError, match="non-finite parameter at layer 0"):
+            self._load_with(tmp_path, **{family: value})
+
+    def test_unreadable_path_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            checkpoint_load(tmp_path)
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            checkpoint_load(tmp_path / "missing.json")
+
     @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}'])
     def test_wrong_structure_is_data_error(self, tmp_path, text):
         path = tmp_path / "a.json"
