@@ -7,7 +7,7 @@ flatten inserted automatically before the first dense layer.
 """
 import numpy as np
 
-from stopsnn.lif import decode_prediction
+from stopsnn.learning import infer_batch
 from stopsnn.topology import forward_timestep, init_params, parse_architecture, reset_network
 
 spec = parse_architecture("8C3-P2-16C3-P2-32-10", (1, 16, 16), 10, time_steps=6)
@@ -29,7 +29,8 @@ for t in range(6):
     print(f"  t={t + 1}: spikes per neuron layer {spikes_per_layer}, output counts so far "
           f"{np.sum(outputs, axis=0).astype(int)}")
 
-print(f"\ndecoded class (most output spikes, ties to lowest index): {decode_prediction(outputs)}")
+prediction, _ = infer_batch(spec, params, [frame] * 6)
+print(f"\ndecoded class (most output spikes, ties to lowest index): {prediction}")
 
 print("\nmalformed strings report the offending token:")
 for bad in ("8C3-P5-10", "8Q3-10", "12"):

@@ -18,7 +18,7 @@ from .learning import (
     learn_batch,
     learn_sample,
 )
-from .lif import LifState, SpikeMode, SurrogateKind, decode_prediction, encode_direct, lif_step, surrogate_eval
+from .lif import LifState, SpikeMode, SurrogateKind, encode_direct, lif_step, surrogate_eval
 from .topology import (
     InitMode,
     LayerKind,
@@ -46,7 +46,6 @@ __all__ = [
     "LifState",
     "SpikeMode",
     "SurrogateKind",
-    "decode_prediction",
     "encode_direct",
     "lif_step",
     "surrogate_eval",

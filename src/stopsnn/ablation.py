@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .learning import GradAccumulator, LossKind, SynergyMode, loss_value
-from .oracle import record_tape, unrolled_stbp_gradients
+from .learning import GradAccumulator, LossKind, SynergyMode, infer_batch, validate_one_hot
+from .oracle import unrolled_stbp_gradients
 from .topology import NetworkSpec
 from .trainer import train
 
@@ -48,27 +48,20 @@ def unrolled_learn_batch(spec: NetworkSpec, params, frames, targets, mode: Syner
     Each sample of the batch is recorded on a full-history tape and swept
     backward through layers and time, reset feedback included; only weights
     learn, whatever the mode. The audit's loss and predictions come from
-    the tape's output spikes.
+    infer_batch over the same window.
     """
     steps = list(frames)
+    targets = validate_one_hot(targets)
     acc = GradAccumulator.zeros(spec, SynergyMode.W)
-    top = spec.lif_indices[-1]
-    total_loss, prediction = 0.0, []
     for b, target in enumerate(targets):
-        sample = [step[b] for step in steps]
-        tape = record_tape(spec, params, sample)
         grads = unrolled_stbp_gradients(
-            spec, params, sample, target, mode=SynergyMode.W, loss=loss, include_illusory=True, tape=tape
+            spec, params, [step[b] for step in steps], target, mode=SynergyMode.W, loss=loss, include_illusory=True
         )
         for i in spec.lif_indices:
             acc.dw[i] += grads.dw[i]
-        outputs = [spikes[top] for spikes in tape.spikes]
-        total_loss += sum(loss_value(out, target, loss) for out in outputs)
-        prediction.append(int(np.argmax(np.sum(outputs, axis=0))))
     acc.samples = len(targets)
     if audit is not None:
-        audit["loss"] = total_loss
-        audit["prediction"] = prediction
+        audit["prediction"], audit["loss"] = infer_batch(spec, params, steps, targets, loss)
     return acc
 
 

@@ -9,14 +9,12 @@ environment variable overrides the config file's seed; an explicit
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
 from .ablation import run_ablation
 from .checks import run_all
-from .config import TrainConfig
+from .config import TrainConfig, read_json
 from .errors import ConfigError, DataError, NumericError, ParseError, StopSnnError
 from .learning import LossKind, complexity_estimate, learn_sample
 from .topology import parse_architecture
@@ -112,7 +110,7 @@ def _cmd_eval(args) -> int:
     params, _, epoch, config_dict = checkpoint_load(args.checkpoint)
     config = TrainConfig.from_dict(config_dict)
     if args.data:
-        config = config.with_overrides(dataset=json.loads(Path(args.data).read_text()))
+        config = config.with_overrides(dataset=read_json(args.data, "dataset"))
     spec = build_network(config)
     _, test_set = load_dataset(config)
     accuracy, mean_loss = evaluate(spec, params, test_set, LossKind(config.loss))

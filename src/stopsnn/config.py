@@ -12,6 +12,16 @@ from .lif import SurrogateKind
 from .topology import InitMode
 
 
+def read_json(path, what: str):
+    """The JSON value in a user-named file; an unreadable or invalid file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 @dataclass
 class TrainConfig:
     """Everything a training run needs; all fields map 1:1 onto config JSON
@@ -41,10 +51,15 @@ class TrainConfig:
     resume: bool = False
 
     def __post_init__(self):
-        self.input_shape = tuple(int(d) for d in (
-            (self.input_shape,) if isinstance(self.input_shape, int) else self.input_shape
-        ))
-        self.validate()
+        try:
+            self.input_shape = tuple(int(d) for d in (
+                (self.input_shape,) if isinstance(self.input_shape, int) else self.input_shape
+            ))
+            self.validate()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # a field of the wrong type
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     def validate(self):
         try:
@@ -72,6 +87,8 @@ class TrainConfig:
             raise ConfigError("threshold floor epsilon must be positive")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a mapping with a 'kind' entry")
+        if not isinstance(self.arch, str):
+            raise ConfigError("arch must be an architecture string")
 
     # -- serialization ------------------------------------------------------
 
@@ -82,6 +99,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         merged = dict(data)
         merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}
@@ -92,13 +111,7 @@ class TrainConfig:
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "TrainConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data, overrides)
+        return cls.from_dict(read_json(path, "config"), overrides)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -9,7 +9,8 @@ integer (ASCII digits, optional sign, within int64); the header has two
 of them and each event line exactly four. Blank lines between events and
 comments are not allowed; leading and trailing whitespace of the file is
 ignored. Event streams are cut into equal-event-count slices and
-histogrammed per pixel and polarity into pseudo-frames.
+histogrammed per pixel and polarity into pseudo-frames. The synthetic
+teacher labels its inputs through learning.infer_batch.
 """
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .lif import SpikeMode, decode_prediction, encode_direct
+from .learning import infer_batch
+from .lif import encode_direct
 from .numerics import Tensor
-from .topology import NetworkSpec, forward_timestep, init_params, reset_network
+from .topology import NetworkSpec, init_params
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -231,12 +233,8 @@ def synthetic_event_stream(seed: int, n_events: int, width: int = 8, height: int
 # synthetic tasks
 
 def teacher_predict(spec: NetworkSpec, params, frames) -> int:
-    states = reset_network(spec)
-    outputs = []
-    for frame in frames:
-        states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)
-        outputs.append(out)
-    return decode_prediction(outputs)
+    """The network's prediction for one sample's window (learning.infer_batch)."""
+    return infer_batch(spec, params, frames)[0]
 
 
 def _teacher_params(spec: NetworkSpec, seed: int, gain: float):
@@ -252,6 +250,9 @@ def _teacher_params(spec: NetworkSpec, seed: int, gain: float):
     return params
 
 
+TEACHER_CHUNK = 256  # draws labelled per infer_batch call
+
+
 def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int, max_attempts: int = 100,
                       gain: float = 2.0):
     """A frozen random network labels random inputs by its own prediction.
@@ -260,28 +261,30 @@ def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int, max_attempts
     n_samples are collected, which pins every class count between
     floor(n/C) and ceil(n/C) (well within 20% balance). A teacher whose
     predictions are too lopsided to fill the quotas within its draw budget
-    is discarded and redrawn; after max_attempts teachers the generation
-    fails.
+    of 50 per sample is discarded and redrawn; after max_attempts teachers
+    the generation fails. Draws are labelled in chunks (one infer_batch
+    call each) that use up exactly that budget, so the generator advances
+    as it would with single draws.
 
     Returns (samples, teacher_params).
     """
     rng = np.random.default_rng(seed)
     quota = -(-n_samples // spec.num_classes)  # ceil
+    budget = 50 * n_samples
     for _ in range(max_attempts):
         params = _teacher_params(spec, seed=int(rng.integers(0, 2**31)), gain=gain)
         counts = np.zeros(spec.num_classes, dtype=int)
         samples: list[Sample] = []
-        budget = 50 * n_samples
-        for _ in range(budget):
-            raw = rng.uniform(0.0, 1.0, size=spec.input_shape)
-            frames = [raw] * spec.time_steps
-            label = teacher_predict(spec, params, frames)
-            if counts[label] >= quota:
-                continue
-            counts[label] += 1
-            samples.append(Sample.from_frames(frames, label, spec.num_classes))
-            if len(samples) == n_samples:
-                return samples, params
+        for start in range(0, budget, TEACHER_CHUNK):
+            raws = rng.uniform(0.0, 1.0, size=(min(TEACHER_CHUNK, budget - start), *spec.input_shape))
+            labels, _ = infer_batch(spec, params, [raws] * spec.time_steps)
+            for raw, label in zip(raws, labels):
+                if counts[label] >= quota:
+                    continue
+                counts[label] += 1
+                samples.append(Sample.from_frames([raw.copy()] * spec.time_steps, label, spec.num_classes))
+                if len(samples) == n_samples:
+                    return samples, params
     raise DataError(
         f"no teacher produced {n_samples} class-balanced samples in {max_attempts} attempts"
     )

@@ -18,10 +18,6 @@ class EncodingError(StopSnnError, ValueError):
     """Raw input values cannot be encoded into spike frames."""
 
 
-class DecodingError(StopSnnError, ValueError):
-    """Output spike record cannot be decoded into a prediction."""
-
-
 class TargetError(StopSnnError, ValueError):
     """Desired output vector is not a valid one-hot target."""
 

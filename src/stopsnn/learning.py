@@ -32,10 +32,14 @@ gradient is one GEMM over the batch (delta^T @ traces), a convolution's
 one batched-im2col GEMM. Memory stays constant in the window length and
 grows linearly in the batch. Unbatched arguments are the batch-of-one
 case.
+
+infer_batch is the one inference rollout (evaluation and teacher
+labelling go through it), and apply_updates(params, grads, optimizer,
+rates) the one update step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -101,8 +105,7 @@ def validate_one_hot(target: Tensor) -> Tensor:
 
 
 def loss_value(output_spikes: Tensor, target: Tensor, kind: LossKind) -> float:
-    """Instantaneous loss at one time-step, summed over a batch."""
-    target = validate_one_hot(target)
+    """Instantaneous loss at one time-step, summed over a batch; targets are validated by the callers."""
     if kind is LossKind.CE:
         probs = softmax(output_spikes)
         return float(-np.sum(target * np.log(np.maximum(probs, 1e-300))))
@@ -110,7 +113,6 @@ def loss_value(output_spikes: Tensor, target: Tensor, kind: LossKind) -> float:
 
 
 def loss_derivative(output_spikes: Tensor, target: Tensor, kind: LossKind) -> Tensor:
-    target = validate_one_hot(target)
     if kind is LossKind.CE:
         return softmax(output_spikes) - target
     return output_spikes - target
@@ -185,12 +187,15 @@ class GradAccumulator:
     for convolution layers); channel and layer averaging happen at update
     time, so these raw sums are directly comparable with the reference
     oracles. Only the families the mode trains are allocated; the others
-    are read-only zero views that take no memory.
+    are read-only zero views that take no memory. apply_updates reads the
+    spec, mode and sample count from here.
     """
 
     dw: list[Tensor | None]
     dtheta: list[Tensor | None]
     dalpha: list[Tensor | None]
+    spec: NetworkSpec
+    mode: SynergyMode
     samples: int = 0
 
     @classmethod
@@ -204,7 +209,7 @@ class GradAccumulator:
             dw.append(np.zeros(layer.weight_shape) if lif else None)
             dtheta.append(family(mode.trains_thresholds, layer) if lif else None)
             dalpha.append(family(mode.trains_leakages, layer) if lif else None)
-        return cls(dw=dw, dtheta=dtheta, dalpha=dalpha)
+        return cls(dw=dw, dtheta=dtheta, dalpha=dalpha, spec=spec, mode=mode)
 
     def merge(self, other: "GradAccumulator") -> None:
         """Add another accumulator in place (deterministic, index-ordered).
@@ -383,74 +388,128 @@ learn_sample = learn_batch
 
 
 # ---------------------------------------------------------------------------
+# inference over a window
+
+def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, targets: Tensor | None = None,
+                loss: LossKind = LossKind.CE) -> tuple[list[int] | int, float]:
+    """(predictions, total loss) of a hard-mode window run from rest.
+
+    frames yields one input per time-step, a (B, ...) batch (a list of B
+    predictions) or one sample (one prediction). The prediction is the
+    class with the most output spikes, ties going to the lowest index; the
+    loss, 0 without targets, is the instantaneous loss summed over steps.
+    """
+    if targets is not None:
+        targets = validate_one_hot(targets)
+    states = counts = None
+    total_loss = 0.0
+    for frame in frames:
+        if states is None:  # the first frame tells a batch from a single sample
+            batch = len(frame) if np.ndim(frame) > len(spec.input_shape) else None
+            states = reset_network(spec, batch)
+            counts = np.zeros(batch_shape(batch, (spec.num_classes,)))
+            if targets is not None and targets.shape != counts.shape:
+                raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
+        states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)
+        counts += out
+        if targets is not None:
+            total_loss += loss_value(out, targets, loss)
+    return np.argmax(counts, axis=-1).tolist(), total_loss
+
+
+# ---------------------------------------------------------------------------
 # parameter updates
 
 THRESHOLD_FLOOR = 0.01
 
 
+@dataclass
+class OptimizerState:
+    """Momentum buffers mirroring the learnable tensors, plus the epoch clock.
+
+    Threshold and leak velocities exist only under momentum_scope "all".
+    """
+
+    weight_velocities: list = field(default_factory=list)
+    threshold_velocities: list | None = None
+    leak_velocities: list | None = None
+    epoch: int = 0
+
+    @classmethod
+    def fresh(cls, params, scope: str) -> "OptimizerState":
+        state = cls(weight_velocities=[None if p is None else np.zeros_like(p.weights) for p in params])
+        if scope == "all":
+            state.threshold_velocities = [None if p is None else np.zeros_like(p.thresholds) for p in params]
+            state.leak_velocities = [None if p is None else 0.0 for p in params]
+        return state
+
+
+@dataclass(frozen=True)
+class UpdateRates:
+    """One epoch's learning rates plus momentum, weight decay and the threshold floor epsilon."""
+
+    eta_w: float
+    eta_theta: float
+    eta_alpha: float
+    momentum: float = 0.0
+    weight_decay: float = 0.0
+    epsilon: float = THRESHOLD_FLOOR
+
+    def __post_init__(self):
+        if not self.epsilon > 0:
+            raise ConfigError(f"threshold floor epsilon must be positive, got {self.epsilon}")
+
+
 def apply_updates(
     params: list[LayerParams | None],
-    acc: GradAccumulator,
-    spec: NetworkSpec,
-    eta_w: float,
-    eta_theta: float,
-    eta_alpha: float,
-    mode: SynergyMode = SynergyMode.WTL,
-    batch_size: int = 1,
-    weight_decay: float = 0.0,
-    epsilon: float = THRESHOLD_FLOOR,
-    momentum: float = 0.0,
-    weight_velocities: list[Tensor | None] | None = None,
-    threshold_velocities: list[Tensor | None] | None = None,
-    leak_velocities: list[float] | None = None,
+    grads: GradAccumulator,
+    optimizer: OptimizerState,
+    rates: UpdateRates,
 ) -> list[LayerParams | None]:
     """Apply accumulated gradients to the parameters, in place.
 
-    Gradients are divided by batch_size. Weights take an L2-decayed step,
-    optionally through momentum velocity buffers. Convolution threshold
-    changes are averaged over each channel's neurons (the channel shares
-    one threshold), then truncated at the floor epsilon; leakage changes
-    are averaged over the layer's neurons and the result clamped to [0, 1].
+    Gradients are divided by grads.samples; only the families grads.mode
+    trains move. Weights take an L2-decayed momentum step (momentum 0 is
+    plain SGD). Convolution threshold changes are averaged over each
+    channel's neurons (the channel shares one threshold), then truncated
+    at the floor epsilon; leakage changes are averaged over the layer's
+    neurons and the result clamped to [0, 1]. Both take momentum only
+    when the optimizer holds their velocities.
 
     Fails closed: a non-finite gradient of a trained family, checked before
     any parameter moves, or a non-finite updated parameter raises
     NumericError naming the layer and the family (w, theta or alpha). A
-    floor epsilon <= 0 is refused, so thresholds stay positive.
+    floor epsilon <= 0 is refused when the rates are made.
     """
-    if not epsilon > 0:
-        raise ConfigError(f"threshold floor epsilon must be positive, got {epsilon}")
+    spec, mode, momentum = grads.spec, grads.mode, rates.momentum
     for i in spec.lif_indices:
-        _require_finite(acc.dw[i], "w gradient", i)
+        _require_finite(grads.dw[i], "w gradient", i)
         if mode.trains_thresholds:
-            _require_finite(acc.dtheta[i], "theta gradient", i)
+            _require_finite(grads.dtheta[i], "theta gradient", i)
         if mode.trains_leakages:
-            _require_finite(acc.dalpha[i], "alpha gradient", i)
-    scale = 1.0 / float(batch_size)
-    for i, layer in enumerate(spec.layers):
-        if not layer.is_lif:
-            continue
-        p = params[i]
-        grad_w = acc.dw[i] * scale + weight_decay * p.weights
-        if weight_velocities is not None:
-            weight_velocities[i] = momentum * weight_velocities[i] + grad_w
-            grad_w = weight_velocities[i]
-        p.weights = p.weights - eta_w * grad_w
+            _require_finite(grads.dalpha[i], "alpha gradient", i)
+    scale = 1.0 / float(grads.samples)
+    weight_v, theta_v, leak_v = optimizer.weight_velocities, optimizer.threshold_velocities, optimizer.leak_velocities
+    for i in spec.lif_indices:
+        layer, p = spec.layers[i], params[i]
+        weight_v[i] = momentum * weight_v[i] + (grads.dw[i] * scale + rates.weight_decay * p.weights)
+        p.weights = p.weights - rates.eta_w * weight_v[i]
 
         if mode.trains_thresholds:
-            dtheta = acc.dtheta[i] * scale
+            dtheta = grads.dtheta[i] * scale
             if layer.kind is LayerKind.CONV:
                 dtheta = dtheta.mean(axis=(1, 2))
-            if threshold_velocities is not None:
-                threshold_velocities[i] = momentum * threshold_velocities[i] + dtheta
-                dtheta = threshold_velocities[i]
-            p.thresholds = np.maximum(epsilon, p.thresholds - eta_theta * dtheta)
+            if theta_v is not None:
+                theta_v[i] = momentum * theta_v[i] + dtheta
+                dtheta = theta_v[i]
+            p.thresholds = np.maximum(rates.epsilon, p.thresholds - rates.eta_theta * dtheta)
 
         if mode.trains_leakages:
-            dalpha = float(np.mean(acc.dalpha[i])) * scale
-            if leak_velocities is not None:
-                leak_velocities[i] = momentum * leak_velocities[i] + dalpha
-                dalpha = leak_velocities[i]
-            p.leak = float(min(1.0, max(0.0, p.leak - eta_alpha * dalpha)))
+            dalpha = float(np.mean(grads.dalpha[i])) * scale
+            if leak_v is not None:
+                leak_v[i] = momentum * leak_v[i] + dalpha
+                dalpha = leak_v[i]
+            p.leak = float(min(1.0, max(0.0, p.leak - rates.eta_alpha * dalpha)))
         _require_finite(p.weights, "w", i)
         _require_finite(p.thresholds, "theta", i)
         _require_finite(p.leak, "alpha", i)

@@ -1,4 +1,4 @@
-"""Leaky integrate-and-fire dynamics, surrogate gradients, coding.
+"""Leaky integrate-and-fire dynamics, surrogate gradients, input coding.
 
 A neuron integrates weighted input onto its membrane potential, leaks it
 multiplicatively by the layer's leakage factor each step, fires when the
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DecodingError, EncodingError, ShapeError
+from .errors import EncodingError, ShapeError
 from .numerics import Tensor
 
 
@@ -135,11 +135,3 @@ def encode_direct(raw: Tensor, max_value: float, time_steps: int) -> list[Tensor
     frame = raw / float(max_value)
     return [frame] * time_steps
 
-
-def decode_prediction(output_spikes) -> int:
-    """Class with the highest total spike count; ties go to the lowest index."""
-    frames = list(output_spikes)
-    if not frames:
-        raise DecodingError("empty output spike sequence")
-    counts = np.sum([np.asarray(f, dtype=np.float64).ravel() for f in frames], axis=0)
-    return int(np.argmax(counts))

@@ -25,8 +25,11 @@ class UnrolledTape:
 
     potentials/spikes are keyed [t][lif_layer_index]; inputs holds the
     vector each layer consumed, drives the synaptic input of lif layers.
+    network is the materialized network that ran, so a reverse sweep over
+    the tape reuses its matrices.
     """
 
+    network: FlatNetwork
     potentials: list = field(default_factory=list)
     spikes: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
@@ -64,7 +67,7 @@ class TrueGradients:
 def record_tape(spec: NetworkSpec, params, frames, spike_mode: SpikeMode = SpikeMode.HARD) -> UnrolledTape:
     net = FlatNetwork(spec, params)
     potentials, spikes = net.zero_state()
-    tape = UnrolledTape()
+    tape = UnrolledTape(network=net)
     for frame in frames:
         potentials, spikes, inputs, drives = net.step(potentials, spikes, frame, spike_mode)
         tape.potentials.append({i: potentials[i].copy() for i in net.lif_indices})
@@ -105,18 +108,20 @@ def unrolled_stbp_gradients(
     recurrence: when set, the error at a step inherits
     leak * (1 - threshold * slope) times the next step's error; when clear
     only the plain leak * next-step term survives (detached reset). The
-    synergy mode only masks which gradient families are reported.
+    synergy mode only masks which gradient families are reported. A
+    given tape must come from record_tape with the same parameters and
+    frames; its network's matrices are the ones swept.
     """
     loss = getattr(loss, "value", loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
-    net = FlatNetwork(spec, params)
+    if tape is None:
+        tape = record_tape(spec, params, frames, spike_mode)
+    net = tape.network
     layers = spec.layers
     lif_set = set(net.lif_indices)
     top = net.lif_indices[-1]
     steps = len(frames)
-    if tape is None:
-        tape = record_tape(spec, params, frames, spike_mode)
 
     gw_flat = {i: np.zeros_like(net.matrices[i]) for i in lif_set}
     gtheta = {i: np.zeros(layers[i].fan_out) for i in lif_set}

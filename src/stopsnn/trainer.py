@@ -2,13 +2,13 @@
 
 The loop runs one mini-batch at a time: one call of the gradient engine
 (the streaming rule's batched learn by default) accumulates the batch's
-summed gradients, weights take an SGD-with-momentum step, thresholds and
-leakages take plain truncated steps (switchable to momentum via
-momentum_scope="all"), and all three learning rates follow one cosine
-annealing schedule.
-Evaluation runs the same batched forward sweep over slices of the set.
-Metrics go to a JSON-lines file with a CSV mirror; a checkpoint is
-written after every epoch, atomically.
+summed gradients, and one apply_updates call steps weights with SGD and
+momentum, thresholds and leakages with plain truncated steps (switchable
+to momentum via momentum_scope="all"), all three learning rates following
+one cosine annealing schedule. Evaluation runs learning.infer_batch over
+slices of the set. Metrics go to a JSON-lines file with a CSV mirror; a
+checkpoint is written after every epoch, atomically, and loading one
+checks its tensors against the architecture of its stored config.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +25,25 @@ import numpy as np
 from . import datasets as ds
 from .config import TrainConfig
 from .errors import ConfigError, DataError, NumericError
-from .learning import (  # noqa: F401 -- learn_sample stays importable here for tools that wrap it
+from .learning import (  # noqa: F401 -- learn_sample and loss_value stay importable here for tools that wrap them
     LossKind,
+    OptimizerState,
     SynergyMode,
+    UpdateRates,
     apply_updates,
+    infer_batch,
     learn_batch,
     learn_sample,
     loss_value,
 )
-from .lif import SpikeMode, SurrogateKind
-from .topology import (
+from .lif import SurrogateKind
+from .topology import (  # noqa: F401 -- forward_timestep stays importable here for tools that wrap it
     InitMode,
     LayerParams,
     NetworkSpec,
     forward_timestep,
     init_params,
     parse_architecture,
-    reset_network,
 )
 
 CHECKPOINT_VERSION = 1
@@ -140,25 +142,15 @@ EVAL_BATCH = 32
 
 
 def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -> tuple[float, float]:
-    """(accuracy, mean total loss) of hard-mode inference over a dataset.
-
-    The prediction is the class with the most output spikes over the
-    window, ties going to the lowest index.
-    """
+    """(accuracy, mean total loss) of hard-mode inference over a dataset, one infer_batch call per slice."""
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
-    hits = 0
-    total_loss = 0.0
+    hits, total_loss = 0, 0.0
     for start in range(0, len(dataset), EVAL_BATCH):
         chunk = dataset[start : start + EVAL_BATCH]
-        targets = ds.batch_targets(chunk)
-        states = reset_network(spec, len(chunk))
-        counts = np.zeros(targets.shape)
-        for frame in ds.batch_frames(chunk):
-            states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)
-            counts += out
-            total_loss += loss_value(out, targets, loss)
-        hits += int(np.count_nonzero(counts.argmax(axis=1) == [s.label for s in chunk]))
+        predictions, chunk_loss = infer_batch(spec, params, ds.batch_frames(chunk), ds.batch_targets(chunk), loss)
+        hits += sum(p == s.label for p, s in zip(predictions, chunk))
+        total_loss += chunk_loss
     return hits / len(dataset), total_loss / len(dataset)
 
 
@@ -173,24 +165,6 @@ def _encode_array(arr: np.ndarray) -> dict:
 def _decode_array(blob: dict) -> np.ndarray:
     data = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8")
     return data.reshape(blob["shape"]).copy()
-
-
-@dataclass
-class OptimizerState:
-    """Momentum buffers mirroring the learnable tensors, plus the epoch clock."""
-
-    weight_velocities: list = field(default_factory=list)
-    threshold_velocities: list | None = None
-    leak_velocities: list | None = None
-    epoch: int = 0
-
-    @classmethod
-    def fresh(cls, params, scope: str) -> "OptimizerState":
-        state = cls(weight_velocities=[None if p is None else np.zeros_like(p.weights) for p in params])
-        if scope == "all":
-            state.threshold_velocities = [None if p is None else np.zeros_like(p.thresholds) for p in params]
-            state.leak_velocities = [None if p is None else 0.0 for p in params]
-        return state
 
 
 def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config: TrainConfig) -> None:
@@ -223,9 +197,33 @@ def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config:
     os.replace(tmp, path)
 
 
+def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
+    """How a checkpoint's tensors disagree with the network its config describes, or None."""
+    if len(params) != len(spec.layers):
+        return f"{len(params)} parameter entries for {len(spec.layers)} layers"
+    for i, (layer, p) in enumerate(zip(spec.layers, params)):
+        if (p is not None) != layer.is_lif:
+            return f"layer {i} {'has' if p is not None else 'lacks'} parameters"
+        expected = (layer.weight_shape, (layer.num_thresholds,))
+        if p is not None and (p.weights.shape, p.thresholds.shape) != expected:
+            return f"layer {i} weights, thresholds {(p.weights.shape, p.thresholds.shape)}, expected {expected}"
+    buffers = {"weights": optimizer.weight_velocities, "thresholds": optimizer.threshold_velocities,
+               "leak": optimizer.leak_velocities}
+    for family, velocities in buffers.items():
+        if velocities is None:  # threshold and leak buffers exist only under momentum_scope "all"
+            continue
+        if len(velocities) != len(params):
+            return f"{family} velocities do not cover the {len(params)} layers"
+        for i, (v, p) in enumerate(zip(velocities, params)):
+            if (v is None) != (p is None) or (p is not None and np.shape(v) != np.shape(getattr(p, family))):
+                return f"layer {i} {family} velocity of shape {np.shape(v)} does not match its parameter"
+    return None
+
+
 def checkpoint_load(path, expected_digest: str | None = None):
     """Load (params, optimizer, epoch, config_dict); refuse foreign digests,
-    unreadable or malformed files and out-of-range parameter values."""
+    unreadable or malformed files, tensors whose shapes disagree with the
+    architecture of the stored config, and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -252,12 +250,21 @@ def checkpoint_load(path, expected_digest: str | None = None):
             threshold_velocities=None if opt_blob["threshold_velocities"] is None else [
                 None if v is None else _decode_array(v) for v in opt_blob["threshold_velocities"]
             ],
-            leak_velocities=opt_blob["leak_velocities"],
+            leak_velocities=None if opt_blob["leak_velocities"] is None else [
+                None if v is None else float(v) for v in opt_blob["leak_velocities"]
+            ],
             epoch=opt_blob["epoch"],
         )
         epoch, config = payload["epoch"], payload["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__} {exc}") from exc
+    try:
+        spec = build_network(TrainConfig.from_dict(config))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} holds an unusable config: {exc}") from exc
+    misfit = _misfit(spec, params, optimizer)
+    if misfit is not None:
+        raise DataError(f"checkpoint {path} does not fit its architecture: {misfit}")
     for i, p in enumerate(params):
         if p is None:
             continue
@@ -339,17 +346,21 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
         )
         start_epoch = saved_epoch + 1
         if Path(config.metrics_path).exists():
-            for line in Path(config.metrics_path).read_text().splitlines():
-                row = json.loads(line)
-                if row["epoch"] <= saved_epoch:
-                    metrics.append(row)
+            try:
+                rows = [json.loads(line) for line in Path(config.metrics_path).read_text().splitlines()]
+                metrics = [{k: row[k] for k in METRIC_FIELDS} for row in rows if row["epoch"] <= saved_epoch]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"corrupt metrics file {config.metrics_path}: {type(exc).__name__} {exc}") from exc
         say(f"resuming from epoch {start_epoch}")
 
     for epoch in range(start_epoch, config.epochs):
         tick = clock()
-        lr_w = cosine_lr(config.eta_w, epoch, config.epochs)
-        lr_theta = cosine_lr(config.eta_theta, epoch, config.epochs)
-        lr_alpha = cosine_lr(config.eta_alpha, epoch, config.epochs)
+        rates = UpdateRates(
+            eta_w=cosine_lr(config.eta_w, epoch, config.epochs),
+            eta_theta=cosine_lr(config.eta_theta, epoch, config.epochs),
+            eta_alpha=cosine_lr(config.eta_alpha, epoch, config.epochs),
+            momentum=config.momentum, weight_decay=config.weight_decay, epsilon=config.epsilon,
+        )
 
         epoch_loss = 0.0
         epoch_hits = 0
@@ -360,16 +371,7 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
             )
             epoch_loss += audit["loss"]
             epoch_hits += sum(p == s.label for p, s in zip(audit["prediction"], batch))
-            apply_updates(
-                params, grads, spec,
-                eta_w=lr_w, eta_theta=lr_theta, eta_alpha=lr_alpha,
-                mode=mode, batch_size=grads.samples,
-                weight_decay=config.weight_decay, epsilon=config.epsilon,
-                momentum=config.momentum,
-                weight_velocities=optimizer.weight_velocities,
-                threshold_velocities=optimizer.threshold_velocities,
-                leak_velocities=optimizer.leak_velocities,
-            )
+            apply_updates(params, grads, optimizer, rates)
 
         train_loss = epoch_loss / len(train_set)
         train_acc = epoch_hits / len(train_set)
@@ -380,9 +382,9 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
             "train_acc": train_acc,
             "test_acc": test_acc,
             "wall_seconds": clock() - tick,
-            "lr_w": lr_w,
-            "lr_theta": lr_theta,
-            "lr_alpha": lr_alpha,
+            "lr_w": rates.eta_w,
+            "lr_theta": rates.eta_theta,
+            "lr_alpha": rates.eta_alpha,
         }
         if not all(np.isfinite(v) for v in (train_loss, train_acc, test_acc, test_loss)):
             raise NumericError(

@@ -21,7 +21,15 @@ from stopsnn.datasets import (
     synthetic_glyphs,
     write_idx,
 )
-from stopsnn.learning import GradAccumulator, SynergyMode, apply_updates, complexity_estimate, learn_sample
+from stopsnn.learning import (
+    GradAccumulator,
+    OptimizerState,
+    SynergyMode,
+    UpdateRates,
+    apply_updates,
+    complexity_estimate,
+    learn_sample,
+)
 from stopsnn.oracle import record_tape
 from stopsnn.topology import init_params, parse_architecture
 from stopsnn.trainer import train
@@ -133,10 +141,11 @@ class TestCriterion6TruncationInvariants:
                     acc.dw[i] = rng.standard_cauchy(acc.dw[i].shape) * scale
                     acc.dtheta[i] = rng.standard_cauchy(acc.dtheta[i].shape) * scale
                     acc.dalpha[i] = rng.standard_cauchy(acc.dalpha[i].shape) * scale
+            acc.samples = 1
             apply_updates(
-                params, acc, spec,
-                eta_w=float(rng.uniform(0, 0.5)), eta_theta=float(rng.uniform(0, 0.5)),
-                eta_alpha=float(rng.uniform(0, 0.5)), mode=SynergyMode.WTL, batch_size=1,
+                params, acc, OptimizerState.fresh(params, "weights"),
+                UpdateRates(eta_w=float(rng.uniform(0, 0.5)), eta_theta=float(rng.uniform(0, 0.5)),
+                            eta_alpha=float(rng.uniform(0, 0.5))),
             )
             for i, layer in enumerate(spec.layers):
                 if layer.is_lif:

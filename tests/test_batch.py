@@ -14,7 +14,16 @@ from stopsnn.checks import STREAMING_VS_NAIVE_TOL
 from stopsnn.config import TrainConfig
 from stopsnn.datasets import Sample, batch_frames, batch_targets
 from stopsnn.errors import NumericError
-from stopsnn.learning import GradAccumulator, LossKind, SynergyMode, apply_updates, learn_batch, learn_sample
+from stopsnn.learning import (
+    GradAccumulator,
+    LossKind,
+    OptimizerState,
+    SynergyMode,
+    UpdateRates,
+    apply_updates,
+    learn_batch,
+    learn_sample,
+)
 from stopsnn.oracle import compare_gradients, naive_stop_gradients, unrolled_stbp_gradients
 from stopsnn.topology import init_params, parse_architecture
 
@@ -161,6 +170,25 @@ class TestBatchedMemory:
         peaks = [unrolled(t) for t in (2, 8, 32)]
         assert peaks[0] < peaks[1] < peaks[2], peaks
 
+    def test_one_sample_memory_is_flat_over_a_long_window(self):
+        spec = parse_architecture("64-64-64-4", (64,), 4)
+        params = init_params(spec, seed=0)
+        frame = np.random.default_rng(0).uniform(size=64)
+        target = np.eye(4)[0]
+
+        def learn(steps):
+            return _peak_bytes(lambda: learn_sample(spec, params, [frame] * steps, target, mode=SynergyMode.WTL))
+
+        short, long = learn(2), learn(128)
+        assert long <= 1.05 * short, (short, long)
+
+        def unrolled(steps):
+            return _peak_bytes(lambda: unrolled_stbp_gradients(spec, params, [frame] * steps, target,
+                                                               mode=SynergyMode.WTL, loss="ce"))
+
+        peaks = [unrolled(t) for t in (2, 8, 32, 128)]
+        assert peaks[0] < peaks[1] < peaks[2] < peaks[3], peaks
+
 
 class TestBatchedEvaluation:
     def test_slices_agree_with_one_sample_at_a_time(self, monkeypatch):
@@ -179,6 +207,10 @@ class TestFailClosed:
         spec = parse_architecture("16-4", (8,), 4)
         return spec, init_params(spec, seed=0)
 
+    def _step(self, params, acc, rates):
+        acc.samples = 1
+        apply_updates(params, acc, OptimizerState.fresh(params, "weights"), rates)
+
     @pytest.mark.parametrize("family,name", [("dw", "w"), ("dtheta", "theta"), ("dalpha", "alpha")])
     def test_non_finite_gradient_names_layer_and_family(self, family, name):
         spec, params = self._net()
@@ -186,15 +218,15 @@ class TestFailClosed:
         acc = GradAccumulator.zeros(spec)
         getattr(acc, family)[1].flat[0] = np.nan
         with pytest.raises(NumericError, match=f"non-finite {name} gradient at layer 1"):
-            apply_updates(params, acc, spec, eta_w=0.1, eta_theta=0.1, eta_alpha=0.1)
+            self._step(params, acc, UpdateRates(eta_w=0.1, eta_theta=0.1, eta_alpha=0.1))
         for p, q in zip(params, before):  # checked before any parameter moved
             assert np.array_equal(p.weights, q.weights) and np.array_equal(p.thresholds, q.thresholds)
 
     def test_untrained_family_is_not_checked(self):
         spec, params = self._net()
-        acc = GradAccumulator.zeros(spec)
+        acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dtheta[0] = np.full(16, np.nan)
-        apply_updates(params, acc, spec, eta_w=0.1, eta_theta=0.1, eta_alpha=0.1, mode=SynergyMode.W)
+        self._step(params, acc, UpdateRates(eta_w=0.1, eta_theta=0.1, eta_alpha=0.1))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_update_names_the_parameter(self):
@@ -202,7 +234,7 @@ class TestFailClosed:
         acc = GradAccumulator.zeros(spec)
         acc.dw[0][0, 0] = 1e308
         with pytest.raises(NumericError, match="non-finite w at layer 0"):
-            apply_updates(params, acc, spec, eta_w=-10.0, eta_theta=0.0, eta_alpha=0.0)
+            self._step(params, acc, UpdateRates(eta_w=-10.0, eta_theta=0.0, eta_alpha=0.0))
 
     def test_one_nan_weight_aborts_training(self, tmp_path, monkeypatch):
         # NaN potentials never fire, so without the update-time check this

@@ -142,6 +142,26 @@ class TestTrainEval:
         config_path = write_config(tmp_path, momentum=2.0)
         assert cli.main(["train", "--config", str(config_path)]) == 1
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(tmp_path)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "{oops"])
+    def test_unreadable_data_file_is_usage(self, tmp_path, capsys, text):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, epochs=1))]) == 0
+        data = tmp_path / "data.json"
+        if text is not None:
+            data.write_text(text)
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "ck.json"), "--data", str(data)]) == 1
+        assert "dataset file" in capsys.readouterr().err
+
+    def test_corrupt_metrics_on_resume_is_data_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(config_path), "--epochs", "1"]) == 0
+        (tmp_path / "metrics.jsonl").write_text('{"epoch": 0, "train_loss"\n')
+        assert cli.main(["train", "--config", str(config_path), "--resume"]) == 2
+        assert "corrupt metrics file" in capsys.readouterr().err
+
 
 def write_event_config(tmp_path, bad_event=None, bad_label=None):
     """An events-kind config over four small streams; optionally one bad event line or label."""
@@ -199,6 +219,25 @@ class TestBadInputExitsData:
         path.write_text(json.dumps(payload))
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def _trained_checkpoint(self, tmp_path):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, arch="6-2", input_shape=[4], epochs=1))]) == 0
+        path = tmp_path / "ck.json"
+        return path, json.loads(path.read_text())
+
+    def test_checkpoint_weights_of_the_wrong_shape(self, tmp_path, capsys):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload["params"][0]["weights"]["shape"].reverse()  # (6, 4) -> (4, 6)
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        assert "does not fit its architecture" in capsys.readouterr().err
+
+    def test_checkpoint_threshold_count_differs(self, tmp_path, capsys):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload["params"][1]["thresholds"] = _encode_array(np.ones(1))  # two output neurons, one threshold
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        assert "does not fit its architecture" in capsys.readouterr().err
 
     def test_checkpoint_path_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["eval", "--checkpoint", str(tmp_path)]) == 2

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from stopsnn import learning
-from stopsnn.errors import ShapeError, TargetError
+from stopsnn.datasets import Sample
+from stopsnn.errors import ConfigError, ShapeError, TargetError
 from stopsnn.learning import (
     GradAccumulator,
     LossKind,
+    OptimizerState,
     SynergyMode,
     TraceSet,
+    UpdateRates,
     accumulate_gradients,
     apply_updates,
     complexity_estimate,
     hidden_error,
+    infer_batch,
     learn_sample,
     loss_derivative,
     loss_value,
@@ -23,6 +27,7 @@ from stopsnn.learning import (
 )
 from stopsnn.lif import SpikeMode, SurrogateKind
 from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture
+from stopsnn.trainer import evaluate
 
 
 class TestWeightTraces:
@@ -153,11 +158,43 @@ class TestLossAndErrors:
         delta = hidden_error(np.zeros(4), np.ones(4), np.ones(4), SurrogateKind.INV_QUAD)
         assert np.array_equal(delta, np.zeros(4))
 
-    def test_malformed_target(self):
+
+class TestInferBatch:
+    def _copying_net(self):
+        # one dense layer that fires exactly where its input reaches 1: identity weights, threshold 1, leak 0
+        spec = parse_architecture("3", (3,), 3, time_steps=3)
+        params = init_params(spec, seed=0)
+        params[0].weights = np.eye(3)
+        params[0].leak = 0.0
+        return spec, params
+
+    def test_argmax(self):
+        spec, params = self._copying_net()
+        frames = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
+        assert infer_batch(spec, params, frames) == (1, 0.0)
+
+    def test_tie_breaks_low(self):
+        spec, params = self._copying_net()
+        tie = [np.array([0.0, 1.0, 1.0])] * 2
+        assert infer_batch(spec, params, tie)[0] == 1
+        batch = [np.stack([f, f[::-1]]) for f in tie]  # counts (0, 2, 2) and (2, 2, 0)
+        assert infer_batch(spec, params, batch)[0] == [1, 0]
+
+    @pytest.mark.parametrize("target,loss", [([1.0, 1.0, 0.0], LossKind.CE), ([0.5, 0.0, 0.0], LossKind.MSE)])
+    def test_malformed_target(self, target, loss):
+        spec, params = self._copying_net()
+        frames, target = [np.ones(3)] * 2, np.array(target)
         with pytest.raises(TargetError):
-            loss_derivative(np.zeros(3), np.array([1.0, 1.0, 0.0]), LossKind.CE)
+            learn_sample(spec, params, frames, target, loss=loss)
         with pytest.raises(TargetError):
-            loss_derivative(np.zeros(3), np.array([0.5, 0.0, 0.0]), LossKind.MSE)
+            infer_batch(spec, params, frames, target, loss)
+        with pytest.raises(TargetError):
+            evaluate(spec, params, [Sample(frames=frames, label=0, target=target)], loss)
+
+    def test_targets_must_match_the_batch(self):
+        spec, params = self._copying_net()
+        with pytest.raises(TargetError):
+            infer_batch(spec, params, [np.ones(3)] * 2, np.eye(3)[:2])
 
 
 class TestTraceStorage:
@@ -206,6 +243,12 @@ class TestAccumulate:
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
 
+def _apply(params, acc, rates, samples=1):
+    """One update of a freshly made optimizer (plain SGD at momentum 0) over a given sample count."""
+    acc.samples = samples
+    return apply_updates(params, acc, OptimizerState.fresh(params, "weights"), rates)
+
+
 class TestApplyUpdates:
     def _one_layer(self):
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 2),), num_classes=2)
@@ -216,7 +259,7 @@ class TestApplyUpdates:
         spec, params = self._one_layer()
         before = params[0].copy()
         acc = GradAccumulator.zeros(spec)
-        apply_updates(params, acc, spec, eta_w=0.1, eta_theta=0.1, eta_alpha=0.1, batch_size=4)
+        _apply(params, acc, UpdateRates(eta_w=0.1, eta_theta=0.1, eta_alpha=0.1), samples=4)
         assert np.array_equal(params[0].weights, before.weights)
         assert np.array_equal(params[0].thresholds, before.thresholds)
         assert params[0].leak == before.leak
@@ -226,24 +269,29 @@ class TestApplyUpdates:
         params[0].thresholds = np.array([0.05, 0.05])
         acc = GradAccumulator.zeros(spec)
         acc.dtheta[0] = np.array([1.0, -1.0])
-        apply_updates(params, acc, spec, eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, batch_size=1, epsilon=0.01)
+        _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, epsilon=0.01))
         assert params[0].thresholds[0] == 0.01  # 0.05 - 0.1 clamps up to the floor
         assert params[0].thresholds[1] == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.01])
+    def test_non_positive_floor_refused(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, epsilon=epsilon)
 
     def test_leak_clamps_to_unit_interval(self):
         spec, params = self._one_layer()
         params[0].leak = 0.9
         acc = GradAccumulator.zeros(spec)
         acc.dalpha[0] = np.array([-3.0, -3.0])
-        apply_updates(params, acc, spec, eta_w=0.0, eta_theta=0.0, eta_alpha=0.1, batch_size=1)
+        _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.0, eta_alpha=0.1))
         assert params[0].leak == 1.0
 
     def test_mode_w_freezes_theta_and_leak(self):
         spec, params = self._one_layer()
-        acc = GradAccumulator.zeros(spec)
+        acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dtheta[0] = np.ones(2)
         acc.dalpha[0] = np.ones(2)
-        apply_updates(params, acc, spec, eta_w=0.1, eta_theta=0.1, eta_alpha=0.1, mode=SynergyMode.W, batch_size=1)
+        _apply(params, acc, UpdateRates(eta_w=0.1, eta_theta=0.1, eta_alpha=0.1))
         assert np.array_equal(params[0].thresholds, np.ones(2))
         assert params[0].leak == pytest.approx(np.exp(-1.0))
 
@@ -252,7 +300,7 @@ class TestApplyUpdates:
         params[0].weights = np.ones((2, 2))
         acc = GradAccumulator.zeros(spec)
         acc.dw[0] = np.full((2, 2), 4.0)
-        apply_updates(params, acc, spec, eta_w=0.5, eta_theta=0.0, eta_alpha=0.0, batch_size=2, weight_decay=0.1)
+        _apply(params, acc, UpdateRates(eta_w=0.5, eta_theta=0.0, eta_alpha=0.0, weight_decay=0.1), samples=2)
         # step = 0.5 * (4/2 + 0.1*1) = 1.05
         np.testing.assert_allclose(params[0].weights, np.full((2, 2), 1.0 - 1.05), rtol=1e-15)
 
@@ -261,7 +309,7 @@ class TestApplyUpdates:
         params = init_params(spec, seed=0)
         acc = GradAccumulator.zeros(spec)
         acc.dtheta[0] = np.arange(8.0).reshape(2, 2, 2)  # channel means 1.5 and 5.5
-        apply_updates(params, acc, spec, eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, batch_size=1)
+        _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0))
         np.testing.assert_allclose(params[0].thresholds, [1.0 - 0.15, 1.0 - 0.55], rtol=1e-15)
 
     def test_randomized_truncation_safety(self):
@@ -275,7 +323,7 @@ class TestApplyUpdates:
                     acc.dw[i] = rng.normal(scale=100.0, size=acc.dw[i].shape)
                     acc.dtheta[i] = rng.normal(scale=100.0, size=acc.dtheta[i].shape)
                     acc.dalpha[i] = rng.normal(scale=100.0, size=acc.dalpha[i].shape)
-            apply_updates(params, acc, spec, eta_w=0.0, eta_theta=1.0, eta_alpha=1.0, batch_size=1)
+            _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=1.0, eta_alpha=1.0))
             for i, layer in enumerate(spec.layers):
                 if layer.is_lif:
                     assert np.all(params[i].thresholds >= 0.01)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stopsnn import lif
-from stopsnn.errors import DecodingError, EncodingError, ShapeError
+from stopsnn.errors import EncodingError, ShapeError
 from stopsnn.lif import LifState, SpikeMode, SurrogateKind
 
 
@@ -156,25 +156,3 @@ class TestEncodeDirect:
         with pytest.raises(EncodingError):
             lif.encode_direct(np.array([1.0]), 255.0, 0)
 
-
-class TestDecodePrediction:
-    def test_argmax(self):
-        frames = [np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0]), np.array([1.0, 3.0, 1.0])]
-        assert lif.decode_prediction(frames) == 1
-
-    def test_tie_breaks_low(self):
-        frames = [np.array([2.0, 2.0, 1.0]), np.array([2.0, 2.0, 0.0])]
-        assert lif.decode_prediction(frames) == 0
-
-    def test_single_class(self):
-        assert lif.decode_prediction([np.array([0.0])]) == 0
-
-    def test_rescaling_invariance(self):
-        rng = np.random.default_rng(2)
-        frames = [rng.uniform(0, 1, size=6) for _ in range(5)]
-        base = lif.decode_prediction(frames)
-        assert lif.decode_prediction([7.5 * f for f in frames]) == base
-
-    def test_empty_raises(self):
-        with pytest.raises(DecodingError):
-            lif.decode_prediction([])

@@ -185,6 +185,29 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="cannot read checkpoint"):
             checkpoint_load(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("params", 2, None, "3 parameter entries for 2 layers"),
+        ("params", 0, None, "layer 0 lacks parameters"),
+        ("optimizer", "weight_velocities", [trainer._encode_array(np.zeros((2, 2))), None], "layer 0 weights velocity"),
+        ("optimizer", "threshold_velocities", [None, None], "layer 0 thresholds velocity"),
+        ("optimizer", "leak_velocities", [0.0], "leak velocities do not cover"),
+        ("config", "arch", "12Q-2", "unusable config"),
+        ("config", "arch", "10-2", "layer 0 weights, thresholds"),
+        ("config", "epochs", "3", "unusable config"),
+    ])
+    def test_tensors_must_fit_the_stored_architecture(self, tmp_path, section, key, value, message):
+        config, params, _ = self._setup(tmp_path)
+        path = tmp_path / "a.json"
+        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), 0, config)
+        payload = json.loads(path.read_text())
+        if section == "params" and key == len(payload["params"]):
+            payload["params"].append(value)
+        else:
+            payload[section][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            checkpoint_load(path)
+
     @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}'])
     def test_wrong_structure_is_data_error(self, tmp_path, text):
         path = tmp_path / "a.json"
