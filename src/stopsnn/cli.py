@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tracemalloc
 
 from .ablation import run_ablation
 from .checks import run_all
 from .config import TrainConfig, read_json
 from .errors import ConfigError, DataError, NumericError, ParseError, StopSnnError
-from .learning import LossKind, complexity_estimate, learn_sample
+from .learning import LossKind, SynergyMode, complexity_estimate, learn_sample
 from .topology import parse_architecture
 
 EXIT_OK = 0
@@ -130,6 +131,17 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _learn_peak_bytes(spec, params, frames, target) -> int:
+    """Traced peak of the bytes one WTL learn_sample call allocates above what existed before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        learn_sample(spec, params, frames, target, mode=SynergyMode.WTL)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def _cmd_profile(args) -> int:
     l, n, t = args.layers, args.width, args.timesteps
     print(f"analytic cost model for depth {l}, width {n}, window {t}:")
@@ -143,7 +155,6 @@ def _cmd_profile(args) -> int:
 
     import numpy as np
 
-    from .learning import SynergyMode
     from .oracle import record_tape
     from .topology import init_params
 
@@ -160,9 +171,11 @@ def _cmd_profile(args) -> int:
         audit: dict = {}
         learn_sample(spec, params, frames, target, mode=mode, audit=audit)
         audits[mode.value] = audit["retained_time_indexed_tensors"]
+    peaks = {len(window): _learn_peak_bytes(spec, params, window, target) for window in (frames, frames * 4)}
     tape = record_tape(spec, params, frames)
     print(f"measured on a {arch} probe network:")
     print(f"  streaming retained step-carried tensors: W={audits['W']}, WTL={audits['WTL']} (constant in T)")
+    print("  WTL learn_sample tracemalloc peak: " + ", ".join(f"T={k}: {v} bytes" for k, v in peaks.items()))
     print(f"  unrolled tape length: {tape.length} (equals T); recorded tensors: {tape.retained_tensor_count()}")
     return EXIT_OK
 

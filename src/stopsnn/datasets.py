@@ -53,7 +53,7 @@ def _read_idx(path: Path, magic: int, dims: int, what: str) -> tuple[list[int], 
     """The header's sizes and the byte payload of one IDX file, checked against each other."""
     try:
         data = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read IDX {what} file {path}: {exc}") from exc
     header = 4 * (1 + dims)
     if len(data) < header:

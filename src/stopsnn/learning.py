@@ -29,9 +29,10 @@ do keep full history live in the oracle subpackage.
 States, traces and errors may carry a leading batch axis, so one call
 learns a whole mini-batch: per layer and time-step the dense weight
 gradient is one GEMM over the batch (delta^T @ traces), a convolution's
-one batched-im2col GEMM. Memory stays constant in the window length and
-grows linearly in the batch. Unbatched arguments are the batch-of-one
-case.
+one im2col GEMM per batch slice of numerics.COLUMN_BUDGET bytes. Traces
+are updated in place. Memory stays constant in the window length; states,
+traces and errors grow linearly in the batch, the convolutions' patch
+scratch does not. Unbatched arguments are the batch-of-one case.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it), and apply_updates(params, grads, optimizer,
@@ -122,29 +123,46 @@ def loss_derivative(output_spikes: Tensor, target: Tensor, kind: LossKind) -> Te
 # trace recurrences
 
 def update_weight_traces(traces: Tensor, presyn_spikes: Tensor, leak: float) -> Tensor:
-    """Leaky accumulation of presynaptic spikes; shape follows the presynaptic side."""
+    """Leaky accumulation of presynaptic spikes; shape follows the presynaptic side.
+
+    Updates traces in place and returns that array.
+    """
     presyn_spikes = np.asarray(presyn_spikes, dtype=np.float64)
     if traces.shape != presyn_spikes.shape:
         raise ShapeError(f"trace shape {traces.shape} does not match presynaptic {presyn_spikes.shape}")
-    return leak * traces + presyn_spikes
+    traces *= leak
+    traces += presyn_spikes
+    return traces
 
 
 def update_threshold_traces(traces: Tensor, prev_own_spikes: Tensor, leak: float) -> Tensor:
-    """Leaky accumulation of the neuron's own past firing, negated."""
+    """Leaky accumulation of the neuron's own past firing, negated.
+
+    Updates traces in place and returns that array.
+    """
     prev_own_spikes = np.asarray(prev_own_spikes, dtype=np.float64)
     if traces.shape != prev_own_spikes.shape:
         raise ShapeError(f"trace shape {traces.shape} does not match spikes {prev_own_spikes.shape}")
-    return leak * (traces - prev_own_spikes)
+    np.subtract(traces, prev_own_spikes, out=traces)
+    traces *= leak
+    return traces
 
 
 def update_leakage_traces(
     traces: Tensor, prev_potentials: Tensor, prev_own_spikes: Tensor, thresholds: Tensor, leak: float
 ) -> Tensor:
-    """Leaky accumulation of the post-reset membrane residual."""
+    """Leaky accumulation of the post-reset membrane residual.
+
+    Updates traces in place and returns that array.
+    """
     prev_potentials = np.asarray(prev_potentials, dtype=np.float64)
     if traces.shape != prev_potentials.shape:
         raise ShapeError(f"trace shape {traces.shape} does not match potentials {prev_potentials.shape}")
-    return leak * traces + (prev_potentials - thresholds * prev_own_spikes)
+    residual = thresholds * prev_own_spikes
+    np.subtract(prev_potentials, residual, out=residual)
+    traces *= leak
+    traces += residual
+    return traces
 
 
 @dataclass
@@ -339,13 +357,11 @@ def learn_batch(
             if layer.is_lif:
                 p = params[i]
                 theta = broadcast_thresholds(layer, p.thresholds)
-                traces.weight[i] = update_weight_traces(traces.weight[i], current, p.leak)
+                update_weight_traces(traces.weight[i], current, p.leak)
                 if mode.trains_thresholds:
-                    traces.threshold[i] = update_threshold_traces(
-                        traces.threshold[i], prev_states[i].spikes, p.leak
-                    )
+                    update_threshold_traces(traces.threshold[i], prev_states[i].spikes, p.leak)
                 if mode.trains_leakages:
-                    traces.leakage[i] = update_leakage_traces(
+                    update_leakage_traces(
                         traces.leakage[i], prev_states[i].potentials, prev_states[i].spikes, theta, p.leak
                     )
             current = states[i].spikes

@@ -6,8 +6,10 @@ these. All kernels are pure functions over float64 arrays. Convolution is
 cross-correlation (no kernel flip) with zero padding.
 
 Spatial kernels take one (C,H,W) map or a (B,C,H,W) batch of them and
-return the same rank; the convolutions lay a whole batch's patches side
-by side (batched im2col), so each call is one GEMM.
+return the same rank. The convolutions are unrolled into GEMMs over
+im2col patch matrices (Chellapilla et al., 2006), built for one slice of
+whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
+patches, so a kernel's scratch is bounded whatever the batch size.
 """
 from __future__ import annotations
 
@@ -16,6 +18,10 @@ import numpy as np
 from .errors import ShapeError
 
 Tensor = np.ndarray
+
+# bytes of one im2col patch matrix; slices this size also stay cache-resident,
+# which made the chunked GEMMs faster than one batch-wide GEMM
+COLUMN_BUDGET = 2 * 1024 * 1024
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -61,25 +67,40 @@ def _pad2d(x: Tensor, padding: int) -> Tensor:
     return out
 
 
-def _im2col(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> Tensor:
-    """Patch matrix of shape (C*kh*kw, B*h_out*w_out) from a padded (B,C,Hp,Wp) batch."""
-    b, c = padded.shape[:2]
+def _batch_slices(batch: int, sample_bytes: int) -> list[slice]:
+    """Consecutive slices of whole samples whose patch matrices fit COLUMN_BUDGET.
+
+    A sample whose patches alone exceed the budget is a slice of its own.
+    """
+    step = max(1, COLUMN_BUDGET // sample_bytes)
+    return [slice(start, min(start + step, batch)) for start in range(0, batch, step)]
+
+
+def _patches(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> Tensor:
+    """Every patch of a padded (B,C,Hp,Wp) batch as a (B,C,kh,kw,h_out,w_out) strided view (no copy)."""
     sb, sc, sh, sw = padded.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         padded,
-        shape=(c, kh, kw, b, h_out, w_out),
-        strides=(sc, sh, sw, sb, stride * sh, stride * sw),
+        shape=padded.shape[:2] + (kh, kw, h_out, w_out),
+        strides=(sb, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    return view.reshape(c * kh * kw, b * h_out * w_out)
 
 
 def _correlate(padded: Tensor, kernels: Tensor, stride: int, h_out: int, w_out: int) -> Tensor:
-    """One GEMM of the kernels against every patch of a padded batch; (B,Cout,h_out,w_out)."""
+    """The kernels against every patch of a padded batch; (B,Cout,h_out,w_out).
+
+    Per batch slice, one (n, Cin*kh*kw, h_out*w_out) patch matrix and one
+    stacked GEMM that writes straight into the output.
+    """
     cout, cin, kh, kw = kernels.shape
-    cols = _im2col(padded, kh, kw, stride, h_out, w_out)
-    out = kernels.reshape(cout, cin * kh * kw) @ cols
-    return np.ascontiguousarray(out.reshape(cout, padded.shape[0], h_out, w_out).transpose(1, 0, 2, 3))
+    b = padded.shape[0]
+    flat = kernels.reshape(cout, cin * kh * kw)
+    out = np.empty((b, cout, h_out, w_out))
+    for part in _batch_slices(b, 8 * cin * kh * kw * h_out * w_out):
+        cols = _patches(padded[part], kh, kw, stride, h_out, w_out).reshape(-1, cin * kh * kw, h_out * w_out)
+        np.matmul(flat, cols, out=out[part].reshape(-1, cout, h_out * w_out))
+    return out
 
 
 def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -131,7 +152,8 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
     """Gradient of <conv2d(traces, kernels), deltas> with respect to the kernels.
 
     Each shared kernel element accumulates the delta/trace product over all
-    spatial positions it touches and, for batched arguments, over the batch.
+    spatial positions it touches and, for batched arguments, over the batch
+    (one GEMM per batch slice, the slices summed in order).
     """
     t = _batched(traces, "traces")
     d = _batched(deltas, "deltas")
@@ -143,8 +165,12 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
     kw = w + 2 * padding - (w_out - 1) * stride
     if kh < 1 or kw < 1:
         raise ShapeError(f"inconsistent shapes for weight gradient: {t.shape} vs {d.shape}")
-    cols = _im2col(_pad2d(t, padding), kh, kw, stride, h_out, w_out)
-    grad = d.transpose(1, 0, 2, 3).reshape(cout, b * h_out * w_out) @ cols.T
+    padded = _pad2d(t, padding)
+    grad = None
+    for part in _batch_slices(b, 8 * cin * kh * kw * h_out * w_out):
+        cols = _patches(padded[part], kh, kw, stride, h_out, w_out).transpose(1, 2, 3, 0, 4, 5)
+        product = d[part].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.reshape(cin * kh * kw, -1).T
+        grad = product if grad is None else grad + product
     return grad.reshape(cout, cin, kh, kw)
 
 

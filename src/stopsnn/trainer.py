@@ -78,48 +78,90 @@ def _load_manifest(path) -> list[tuple[Path, int]]:
     return entries
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _option(options: dict, key: str, kind, default=_REQUIRED, low=None):
+    """A dataset option of the JSON type kind, at least low if given.
+
+    A missing required key, a value of another type (a bool is not a
+    number) or one below low is a ConfigError.
+    """
+    value = options.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"dataset option {key!r} is required")
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
+        raise ConfigError(f"dataset option {key!r} has the wrong type: {value!r}")
+    if low is not None and not low <= value < math.inf:
+        raise ConfigError(f"dataset option {key!r} must be finite and at least {low}, got {value!r}")
+    return value
+
+
+def _split_per_class(samples: list, n_train: int) -> tuple[list, list]:
+    """(train, test) in draw order, each class's earliest draws in train.
+
+    Samples are ranked by their draw count within their class, and the
+    n_train of lowest rank (earlier draws first among equals) form the
+    training split, so every class is split in the same proportion.
+    """
+    seen: dict[int, int] = {}
+    rank = []
+    for s in samples:
+        rank.append(seen.get(s.label, 0))
+        seen[s.label] = rank[-1] + 1
+    train = set(sorted(range(len(samples)), key=lambda j: (rank[j], j))[:n_train])
+    return ([s for j, s in enumerate(samples) if j in train],
+            [s for j, s in enumerate(samples) if j not in train])
+
+
 def load_dataset(config: TrainConfig) -> tuple[list, list]:
-    """Materialize (train, test) sample lists for the configured source."""
+    """Materialize (train, test) sample lists for the configured source.
+
+    Malformed options (a missing required one, a wrong type, a count below
+    one, a negative seed or noise) raise ConfigError; unreadable or
+    malformed files raise DataError. The teacher kind splits each class's
+    draws between train and test.
+    """
     options = dict(config.dataset)
     kind = options.pop("kind")
     steps = config.time_steps
     if kind == "idx":
-        train = ds.dataset_from_images(
-            *ds.load_idx(options["train_images"], options["train_labels"]),
-            time_steps=steps, num_classes=config.num_classes,
-            max_value=options.get("max_value", 255.0),
-        )
-        test = ds.dataset_from_images(
-            *ds.load_idx(options["test_images"], options["test_labels"]),
-            time_steps=steps, num_classes=config.num_classes,
-            max_value=options.get("max_value", 255.0),
-        )
-        return train, test
+        max_value = _option(options, "max_value", _NUMBER, 255.0, low=0)
+        splits = []
+        for split in ("train", "test"):
+            images, labels = ds.load_idx(_option(options, f"{split}_images", str),
+                                         _option(options, f"{split}_labels", str))
+            splits.append(ds.dataset_from_images(images, labels, time_steps=steps,
+                                                 num_classes=config.num_classes, max_value=max_value))
+        return splits[0], splits[1]
     if kind == "glyphs":
-        n_train, n_test = int(options.get("n_train", 1000)), int(options.get("n_test", 300))
-        side = int(options.get("side", 28))
-        noise = float(options.get("noise", 12.0))
-        seed = int(options.get("seed", config.seed))
+        n_train = _option(options, "n_train", int, 1000, low=1)
+        n_test = _option(options, "n_test", int, 300, low=1)
+        seed = _option(options, "seed", int, config.seed, low=0)
+        side = _option(options, "side", int, 28, low=1)
+        noise = _option(options, "noise", _NUMBER, 12.0, low=0)
         images, labels = ds.synthetic_glyphs(seed, n_train + n_test, side=side, noise=noise)
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
     if kind == "teacher":
-        n_train, n_test = int(options.get("n_train", 200)), int(options.get("n_test", 100))
-        seed = int(options.get("seed", config.seed))
-        arch = options.get("arch", config.arch)
+        n_train = _option(options, "n_train", int, 200, low=1)
+        n_test = _option(options, "n_test", int, 100, low=1)
+        seed = _option(options, "seed", int, config.seed, low=0)
         teacher_spec = parse_architecture(
-            arch, config.input_shape, config.num_classes,
+            _option(options, "arch", str, config.arch), config.input_shape, config.num_classes,
             time_steps=steps, surrogate=SurrogateKind(config.surrogate),
         )
         samples, _ = ds.synthetic_teacher(seed, teacher_spec, n_train + n_test)
-        return samples[:n_train], samples[n_train:]
+        return _split_per_class(samples, n_train)
     if kind == "events":
+        normalize = _option(options, "normalize", bool, True)
         out = []
         for key in ("train_manifest", "test_manifest"):
             samples = []
-            for path, label in _load_manifest(options[key]):
+            for path, label in _load_manifest(_option(options, key, str)):
                 stream = ds.load_event_stream(path)
-                frames = ds.slice_events(stream, steps, normalize=options.get("normalize", True))
+                frames = ds.slice_events(stream, steps, normalize=normalize)
                 samples.append(ds.Sample.from_frames(frames, label, config.num_classes))
             out.append(samples)
         return out[0], out[1]

@@ -170,6 +170,22 @@ class TestBatchedMemory:
         peaks = [unrolled(t) for t in (2, 8, 32)]
         assert peaks[0] < peaks[1] < peaks[2], peaks
 
+    def test_conv_batch_memory_is_bounded_and_flat_in_time(self):
+        # the W1 image network at a batch of 32: states, traces and errors are ~20 MiB, and the
+        # convolutions' patch scratch stays within numerics.COLUMN_BUDGET per call
+        spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+        params = init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        frame = rng.uniform(size=(32, 1, 28, 28))
+        targets = np.eye(10)[rng.integers(0, 10, size=32)]
+
+        def learn(steps):
+            return _peak_bytes(lambda: learn_batch(spec, params, [frame] * steps, targets, mode=SynergyMode.WTL))
+
+        short, long = learn(2), learn(6)
+        assert long <= 1.05 * short, (short, long)
+        assert long <= 55 * 2**20, long / 2**20
+
     def test_one_sample_memory_is_flat_over_a_long_window(self):
         spec = parse_architecture("64-64-64-4", (64,), 4)
         params = init_params(spec, seed=0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestProfile:
         assert "4.00" in out  # 2T/3 at T=6
         assert "STOP-WTL" in out
         assert "tape length: 6" in out
+
+    def test_measured_learning_peak_is_flat_in_the_window(self, capsys):
+        code = cli.main(["profile", "--layers", "3", "--width", "16", "--timesteps", "8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        (line,) = [ln for ln in out.splitlines() if "tracemalloc peak" in ln]
+        peaks = dict(re.findall(r"T=(\d+): (\d+) bytes", line))
+        assert set(peaks) == {"8", "32"}
+        short, long = int(peaks["8"]), int(peaks["32"])
+        assert 0 < long <= 1.05 * short and short <= 1.05 * long, line
 
 
 class TestGradcheck:
@@ -141,6 +152,11 @@ class TestTrainEval:
     def test_invalid_config_value(self, tmp_path, capsys):
         config_path = write_config(tmp_path, momentum=2.0)
         assert cli.main(["train", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("dataset", [{"kind": "teacher", "n_train": "x"}, {"kind": "idx"}])
+    def test_bad_dataset_option_is_usage(self, tmp_path, capsys, dataset):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, dataset=dataset))]) == 1
+        assert "error: dataset option" in capsys.readouterr().err
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path)]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stopsnn import learning
-from stopsnn.datasets import Sample
+from stopsnn.datasets import Sample, batch_frames, batch_targets, dataset_from_images
 from stopsnn.errors import ConfigError, ShapeError, TargetError
 from stopsnn.learning import (
     GradAccumulator,
@@ -16,6 +16,7 @@ from stopsnn.learning import (
     complexity_estimate,
     hidden_error,
     infer_batch,
+    learn_batch,
     learn_sample,
     loss_derivative,
     loss_value,
@@ -195,6 +196,41 @@ class TestInferBatch:
         spec, params = self._copying_net()
         with pytest.raises(TargetError):
             infer_batch(spec, params, [np.ones(3)] * 2, np.eye(3)[:2])
+
+
+class TestInPlaceTraces:
+    def test_helpers_return_the_array_they_update(self):
+        rng = np.random.default_rng(0)
+        spikes, potentials = (rng.uniform(size=(2, 3)) for _ in range(2))
+        for update, args in (
+            (update_weight_traces, (spikes, 0.5)),
+            (update_threshold_traces, (spikes, 0.5)),
+            (update_leakage_traces, (potentials, spikes, np.ones(3), 0.5)),
+        ):
+            traces = rng.uniform(size=(2, 3))
+            before = traces.copy()
+            assert update(traces, *args) is traces
+            assert not np.array_equal(traces, before)
+
+    def test_learning_leaves_frames_untouched_and_repeats_exactly(self):
+        # direct-coded frames are one shared array, repeated over the window
+        spec = parse_architecture("2C3-P2-6-3", (1, 6, 6), 3, time_steps=4)
+        params = init_params(spec, seed=2)
+        rng = np.random.default_rng(3)
+        data = dataset_from_images(rng.uniform(0, 255, size=(3, 6, 6)), [0, 2, 1], 4, 3)
+        assert all(f is data[0].frames[0] for f in data[0].frames)
+        originals = [s.frames[0].copy() for s in data]
+        batch = next(batch_frames(data))
+        batch_copy = batch.copy()
+        runs = [learn_batch(spec, params, [batch] * 4, batch_targets(data), mode=SynergyMode.WTL)
+                for _ in range(2)]
+        learn_sample(spec, params, data[0].frames, data[0].target, mode=SynergyMode.WTL)
+        assert all(np.array_equal(s.frames[0], o) for s, o in zip(data, originals))
+        assert np.array_equal(batch, batch_copy)
+        for family in ("dw", "dtheta", "dalpha"):
+            for a, b in zip(getattr(runs[0], family), getattr(runs[1], family)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        assert any(np.any(g) for g in runs[0].dw if g is not None)
 
 
 class TestTraceStorage:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,71 @@ class TestConvWeightGrad:
         d = rng.normal(size=y.shape)
         g = numerics.conv2d_weight_grad(traces, d, padding=1)
         assert abs(inner(y, d) - inner(kernels, g)) <= 1e-12 * max(1.0, abs(inner(y, d)))
+
+
+def _patch_bytes(channels, kernel, h_out, w_out):
+    """Bytes of one sample's float64 im2col patch matrix."""
+    return 8 * channels * kernel * kernel * h_out * w_out
+
+
+class TestBoundedScratch:
+    """Batches are convolved in slices whose patch matrices fit numerics.COLUMN_BUDGET."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("split", ["2+2+1", "one sample over budget"])
+    def test_slices_equal_a_per_sample_loop(self, monkeypatch, stride, split):
+        rng = np.random.default_rng(stride)
+        cin, cout, k, size, padding = 2, 3, 3, 7, 1
+        x = rng.normal(size=(5, cin, size, size))
+        kernels = rng.normal(size=(cout, cin, k, k))
+        h_out = (size + 2 * padding - k) // stride + 1
+        d = rng.normal(size=(5, cout, h_out, h_out))
+        slice_sizes = []
+        real_patches = numerics._patches
+
+        def spy(padded, *args):
+            slice_sizes.append(len(padded))
+            return real_patches(padded, *args)
+
+        monkeypatch.setattr(numerics, "_patches", spy)
+        # forward and weight gradient patch the input (cin rows per kernel cell, one column per
+        # output pixel); the adjoint patches the deltas (cout rows, one column per input pixel)
+        forward_sample = _patch_bytes(cin, k, h_out, h_out)
+        adjoint_sample = _patch_bytes(cout, k, size, size)
+        samples_per_budget, want = (2.5, [2, 2, 1]) if split == "2+2+1" else (0.9, [1] * 5)
+
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", int(samples_per_budget * forward_sample))
+        y = numerics.conv2d(x, kernels, stride, padding)
+        g = numerics.conv2d_weight_grad(x, d, stride, padding)
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", int(samples_per_budget * adjoint_sample))
+        back = numerics.conv2d_adjoint_input(d, kernels, stride, padding)
+        assert slice_sizes == want * 3
+
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", 2**40)  # one slice per call
+        np.testing.assert_allclose(y, [numerics.conv2d(xi, kernels, stride, padding) for xi in x],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, sum(numerics.conv2d_weight_grad(xi, di, stride, padding)
+                                          for xi, di in zip(x, d)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back, [numerics.conv2d_adjoint_input(di, kernels, stride, padding) for di in d],
+                                   rtol=0, atol=1e-12)
+        forward = inner(y, d)
+        assert abs(forward - inner(x, back)) <= 1e-10 * max(1.0, abs(forward))
+        assert abs(forward - inner(kernels, g)) <= 1e-10 * max(1.0, abs(forward))
+
+    def test_adjoint_scratch_is_bounded_at_batch_32(self):
+        # the W1 network's second convolution (32C5 at padding 2 on 16x14x14) at a batch of 32:
+        # one patch matrix of the whole batch would be 40 MB
+        rng = np.random.default_rng(0)
+        deltas = rng.normal(size=(32, 32, 14, 14))
+        kernels = rng.normal(size=(32, 16, 5, 5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            numerics.conv2d_adjoint_input(deltas, kernels, stride=1, padding=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak / 2**20
 
 
 class TestAvgPool:

@@ -1,15 +1,26 @@
 """Property tests: event-stream ingestion (text round trip, slicing against a
 per-slice reference), the dot-product identities of the convolution and pooling
-adjoints over random shapes, and byte-fuzzed event files, manifests, IDX pairs
-and checkpoints raising only DataError."""
+adjoints over random shapes, byte-fuzzed event files, manifests, IDX pairs
+and checkpoints raising only DataError, and fuzzed dataset options raising
+only the package's own errors."""
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stopsnn import numerics
 from stopsnn.config import TrainConfig
-from stopsnn.datasets import EventStream, load_event_stream, load_idx, save_event_stream, slice_events, write_idx
-from stopsnn.errors import DataError
+from stopsnn.datasets import (
+    EventStream,
+    load_event_stream,
+    load_idx,
+    save_event_stream,
+    slice_events,
+    synthetic_event_stream,
+    write_idx,
+)
+from stopsnn.errors import DataError, StopSnnError
 from stopsnn.topology import init_params
 from stopsnn.trainer import OptimizerState, build_network, checkpoint_load, checkpoint_save, load_dataset
 
@@ -219,3 +230,45 @@ def test_fuzzed_checkpoint_raises_only_data_error(tmp_path, data):
         checkpoint_load(path)
     except DataError:
         pass
+
+
+DATASET_OPTIONS = {
+    "idx": ("train_images", "train_labels", "test_images", "test_labels", "max_value"),
+    "glyphs": ("n_train", "n_test", "seed", "side", "noise"),
+    "teacher": ("n_train", "n_test", "seed", "arch"),
+    "events": ("train_manifest", "test_manifest", "normalize"),
+}
+
+
+def _dataset_files(tmp_path) -> dict:
+    """A valid file for every path option, by option name."""
+    _valid_idx_pair(tmp_path)
+    save_event_stream(tmp_path / "ev.txt", synthetic_event_stream(seed=0, n_events=20, width=3, height=3))
+    (tmp_path / "manifest.txt").write_text("ev.txt 1\n")
+    files = {f"{split}_images": tmp_path / "img.idx" for split in ("train", "test")}
+    files.update({f"{split}_labels": tmp_path / "lbl.idx" for split in ("train", "test")})
+    files.update({f"{split}_manifest": tmp_path / "manifest.txt" for split in ("train", "test")})
+    return {key: str(path) for key, path in files.items()}
+
+
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from(sorted(DATASET_OPTIONS)))
+def test_fuzzed_dataset_options_raise_only_package_errors(tmp_path, data, kind):
+    files = _dataset_files(tmp_path)
+    junk = st.one_of(
+        st.integers(-2, 12), st.floats(-2.0, 300.0), st.sampled_from([math.nan, math.inf]),
+        st.booleans(), st.none(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+        st.sampled_from([str(tmp_path / "missing"), "6-2", *files.values()]),
+    )
+    options = {"kind": kind}
+    for key in DATASET_OPTIONS[kind]:
+        if data.draw(st.booleans()):
+            options[key] = data.draw(st.one_of(st.just(files[key]), junk) if key in files else junk)
+    shape, classes = {"idx": ((1, 3, 2), 2), "glyphs": ((1, 28, 28), 10),
+                      "teacher": ((8,), 2), "events": ((2, 3, 3), 2)}[kind]
+    config = TrainConfig(arch=f"4-{classes}", input_shape=shape, num_classes=classes, time_steps=2, dataset=options)
+    try:
+        train, test = load_dataset(config)
+    except StopSnnError:
+        return
+    assert train and test

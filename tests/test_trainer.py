@@ -396,6 +396,34 @@ class TestLoadDataset:
         with pytest.raises(ConfigError):
             load_dataset(config)
 
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "teacher", "n_train": "x"},
+        {"kind": "glyphs", "n_test": 0},
+        {"kind": "glyphs", "seed": -1},
+        {"kind": "teacher", "arch": 6},
+        {"kind": "idx", "train_labels": "l", "test_images": "i", "test_labels": "l"},
+        {"kind": "events", "train_manifest": 3, "test_manifest": "m"},
+    ])
+    def test_bad_option_is_config_error(self, tmp_path, dataset):
+        config = teacher_config(tmp_path)
+        config.dataset = dataset
+        with pytest.raises(ConfigError, match="dataset option"):
+            load_dataset(config)
+
+    def test_teacher_splits_each_class(self, tmp_path):
+        # drawn in this order, the labels fill class 1's quota early and end in a run of 0s
+        config = teacher_config(tmp_path)
+        draws, _ = synthetic_teacher(5, parse_architecture("6-2", (8,), 2, time_steps=3), 60)
+        train_set, test_set = load_dataset(config)
+        assert [s.label for s in draws[-20:]] == [0] * 20
+        for split, per_class in ((train_set, 20), (test_set, 10)):
+            assert [sum(s.label == c for s in split) for c in (0, 1)] == [per_class, per_class]
+        # each split keeps draw order, and together they are the draws
+        order = {s.frames[0].tobytes(): j for j, s in enumerate(draws)}
+        drawn = [[order[s.frames[0].tobytes()] for s in split] for split in (train_set, test_set)]
+        assert sorted(drawn[0] + drawn[1]) == list(range(60))
+        assert all(d == sorted(d) for d in drawn)
+
 
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
