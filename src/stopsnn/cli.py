@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tracemalloc
+from dataclasses import fields
 
 from .ablation import run_ablation
 from .checks import run_all
@@ -26,6 +27,14 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+# the TrainConfig fields stopsnn train overrides by flag (--batch-size for batch_size)
+TRAIN_FLAGS = (
+    "arch", "mode", "loss", "epochs", "batch_size", "time_steps", "seed",
+    "eta_w", "eta_theta", "eta_alpha", "weight_decay", "momentum",
+    "checkpoint_path", "metrics_path", "resume",
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -38,21 +47,15 @@ def _build_parser() -> _Parser:
 
     train_p = sub.add_parser("train", help="run a training job from a config file")
     train_p.add_argument("--config", required=True, help="path to a JSON config")
-    train_p.add_argument("--arch")
-    train_p.add_argument("--mode", choices=["W", "WT", "WL", "WTL"])
-    train_p.add_argument("--loss", choices=["ce", "mse"])
-    train_p.add_argument("--epochs", type=int)
-    train_p.add_argument("--batch-size", dest="batch_size", type=int)
-    train_p.add_argument("--time-steps", dest="time_steps", type=int)
-    train_p.add_argument("--seed", type=int)
-    train_p.add_argument("--eta-w", dest="eta_w", type=float)
-    train_p.add_argument("--eta-theta", dest="eta_theta", type=float)
-    train_p.add_argument("--eta-alpha", dest="eta_alpha", type=float)
-    train_p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    train_p.add_argument("--momentum", type=float)
-    train_p.add_argument("--checkpoint-path", dest="checkpoint_path")
-    train_p.add_argument("--metrics-path", dest="metrics_path")
-    train_p.add_argument("--resume", action="store_const", const=True, default=None)
+    annotations = {f.name: f.type for f in fields(TrainConfig)}
+    for name in TRAIN_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        if annotations[name] is bool:
+            train_p.add_argument(flag, dest=name, action="store_const", const=True, default=None)
+        else:
+            train_p.add_argument(flag, dest=name, type=annotations[name])
+    # argparse converts a string default like a command-line value, so STOP_SEED takes --seed's type
+    train_p.set_defaults(seed=os.environ.get("STOP_SEED"))
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     eval_p.add_argument("--checkpoint", required=True)
@@ -79,18 +82,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_train(args) -> int:
-    overrides = {
-        k: getattr(args, k)
-        for k in (
-            "arch", "mode", "loss", "epochs", "batch_size", "time_steps", "seed",
-            "eta_w", "eta_theta", "eta_alpha", "weight_decay", "momentum",
-            "checkpoint_path", "metrics_path", "resume",
-        )
-    }
-    env_seed = os.environ.get("STOP_SEED")
-    if env_seed is not None and overrides["seed"] is None:
-        overrides["seed"] = int(env_seed)
-    config = TrainConfig.load(args.config, overrides)
+    config = TrainConfig.load(args.config, {name: getattr(args, name) for name in TRAIN_FLAGS})
     from .trainer import train
 
     result = train(config, log=print)

@@ -1,9 +1,11 @@
-"""Training configuration: JSON-backed, CLI-overridable, digestible."""
-from __future__ import annotations
-
+"""Training configuration: JSON-backed, CLI-overridable, digestible. Each
+field is checked once, when a TrainConfig is made: its JSON type against
+its annotation (a bool is not a number, an int is a float, floats are
+finite), then its value."""
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,10 +24,35 @@ def read_json(path, what: str):
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+# what a value of each JSON type is; input_shape is the one tuple field
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+             dict: "an object", tuple: "a positive integer or a list of them"}
+
+
+def _is(kind: type, value) -> bool:
+    """isinstance for JSON types: a bool is only a bool, and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_json(what: str, kind: type, value):
+    """value, as a field annotated kind holds it; a ConfigError naming what if its JSON type does not fit."""
+    if kind is tuple:
+        dims = [value] if _is(int, value) else value
+        if isinstance(dims, (list, tuple)) and dims and all(_is(int, d) and d >= 1 for d in dims):
+            return tuple(dims)
+    elif _is(kind, value) and (kind is not float or abs(value) <= sys.float_info.max):
+        return value
+    raise ConfigError(f"{what} must be {_EXPECTED[kind]}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
-    """Everything a training run needs; all fields map 1:1 onto config JSON
-    keys and CLI override flags of the same name."""
+    """Everything a training run needs; every field is a config JSON key of
+    the same name. stopsnn train overrides 15 of them by flag (cli.TRAIN_FLAGS);
+    input_shape, num_classes, dataset, surrogate, init_mode, epsilon and
+    momentum_scope come from the config file alone."""
 
     arch: str = "16-10"
     input_shape: tuple = (10,)
@@ -51,15 +78,9 @@ class TrainConfig:
     resume: bool = False
 
     def __post_init__(self):
-        try:
-            self.input_shape = tuple(int(d) for d in (
-                (self.input_shape,) if isinstance(self.input_shape, int) else self.input_shape
-            ))
-            self.validate()
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:  # a field of the wrong type
-            raise ConfigError(f"invalid config: {exc}") from exc
+        for f in fields(self):
+            setattr(self, f.name, check_json(f"config field {f.name!r}", f.type, getattr(self, f.name)))
+        self.validate()
 
     def validate(self):
         try:
@@ -83,19 +104,17 @@ class TrainConfig:
             raise ConfigError("momentum_scope must be 'weights' or 'all'")
         if self.epochs < 0 or self.batch_size < 1 or self.time_steps < 1:
             raise ConfigError("epochs must be >= 0; batch_size and time_steps >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.epsilon <= 0:
             raise ConfigError("threshold floor epsilon must be positive")
-        if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
-            raise ConfigError("dataset must be a mapping with a 'kind' entry")
-        if not isinstance(self.arch, str):
-            raise ConfigError("arch must be an architecture string")
+        if "kind" not in self.dataset:
+            raise ConfigError("dataset must have a 'kind' entry")
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["input_shape"] = list(self.input_shape)
-        return data
+        return {**asdict(self), "input_shape": list(self.input_shape)}
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "TrainConfig":
@@ -103,8 +122,7 @@ class TrainConfig:
             raise ConfigError("a config must be a JSON object")
         merged = dict(data)
         merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(merged) - known
+        unknown = set(merged) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**merged)
@@ -124,14 +142,7 @@ class TrainConfig:
     def model_digest(self) -> str:
         """Digest of the fields that define the parameter tensors; a
         checkpoint refuses to load under a different digest."""
-        essence = {
-            "arch": self.arch,
-            "input_shape": list(self.input_shape),
-            "num_classes": self.num_classes,
-            "time_steps": self.time_steps,
-            "surrogate": self.surrogate,
-            "init_mode": self.init_mode,
-            "seed": self.seed,
-        }
+        essence = {k: getattr(self, k) for k in (
+            "arch", "input_shape", "num_classes", "time_steps", "surrogate", "init_mode", "seed")}
         blob = json.dumps(essence, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, NumericError, ShapeError, TargetError
+from .errors import ConfigError, NumericError, TargetError
 from .lif import SpikeMode, SurrogateKind, firing_derivative
 from .numerics import Tensor
 from .topology import (
@@ -127,9 +127,6 @@ def update_weight_traces(traces: Tensor, presyn_spikes: Tensor, leak: float) -> 
 
     Updates traces in place and returns that array.
     """
-    presyn_spikes = np.asarray(presyn_spikes, dtype=np.float64)
-    if traces.shape != presyn_spikes.shape:
-        raise ShapeError(f"trace shape {traces.shape} does not match presynaptic {presyn_spikes.shape}")
     traces *= leak
     traces += presyn_spikes
     return traces
@@ -140,9 +137,6 @@ def update_threshold_traces(traces: Tensor, prev_own_spikes: Tensor, leak: float
 
     Updates traces in place and returns that array.
     """
-    prev_own_spikes = np.asarray(prev_own_spikes, dtype=np.float64)
-    if traces.shape != prev_own_spikes.shape:
-        raise ShapeError(f"trace shape {traces.shape} does not match spikes {prev_own_spikes.shape}")
     np.subtract(traces, prev_own_spikes, out=traces)
     traces *= leak
     return traces
@@ -155,9 +149,6 @@ def update_leakage_traces(
 
     Updates traces in place and returns that array.
     """
-    prev_potentials = np.asarray(prev_potentials, dtype=np.float64)
-    if traces.shape != prev_potentials.shape:
-        raise ShapeError(f"trace shape {traces.shape} does not match potentials {prev_potentials.shape}")
     residual = thresholds * prev_own_spikes
     np.subtract(prev_potentials, residual, out=residual)
     traces *= leak
@@ -271,9 +262,6 @@ def hidden_error(
     intervening weights (and any pooling/flatten adjoints, which carry no
     firing-derivative factor).
     """
-    weighted_delta = np.asarray(weighted_delta, dtype=np.float64)
-    if weighted_delta.shape != np.shape(potentials):
-        raise ShapeError(f"delta shape {weighted_delta.shape} does not match layer {np.shape(potentials)}")
     return weighted_delta * firing_derivative(potentials - thresholds, surrogate, mode)
 
 
@@ -337,6 +325,9 @@ def learn_batch(
     per-time-step history survives the step; pass an audit dict to receive
     the count of retained step-carried tensors plus the total loss over
     the batch and the decoded prediction (one per sample when batched).
+    A frame that does not fit the network input and the target's batch
+    raises ShapeError in forward_timestep; trace and error shapes are fixed
+    when the states and traces are allocated, so the helpers recheck none.
     """
     target = validate_one_hot(target)
     batch = target.shape[0] if target.ndim == 2 else None
@@ -352,7 +343,7 @@ def learn_batch(
         prev_states = states
         states, _ = forward_timestep(spec, params, states, frame, spike_mode)
 
-        current = np.asarray(frame, dtype=np.float64)
+        current = frame  # forward_timestep has checked it against the states
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
                 p = params[i]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets as ds
-from .config import TrainConfig
+from .config import TrainConfig, check_json
 from .errors import ConfigError, DataError, NumericError
 from .learning import (  # noqa: F401 -- learn_sample and loss_value stay importable here for tools that wrap them
     LossKind,
@@ -78,24 +78,47 @@ def _load_manifest(path) -> list[tuple[Path, int]]:
     return entries
 
 
-_REQUIRED = object()
-_NUMBER = (int, float)
+_REQUIRED, _FROM_CONFIG = object(), object()  # no default; the TrainConfig field of the same name
+_PATH = (str, _REQUIRED, None)
+
+# (JSON type as config.check_json reads it, default, lower bound or None) of every option each kind reads
+DATASET_OPTIONS = {
+    "idx": {"train_images": _PATH, "train_labels": _PATH, "test_images": _PATH, "test_labels": _PATH,
+            "max_value": (float, 255.0, 0)},
+    "glyphs": {"n_train": (int, 1000, 1), "n_test": (int, 300, 1), "seed": (int, _FROM_CONFIG, 0),
+               "side": (int, 28, 1), "noise": (float, 12.0, 0)},
+    "teacher": {"n_train": (int, 200, 1), "n_test": (int, 100, 1), "seed": (int, _FROM_CONFIG, 0),
+                "arch": (str, _FROM_CONFIG, None)},
+    "events": {"train_manifest": _PATH, "test_manifest": _PATH, "normalize": (bool, True, None)},
+}
 
 
-def _option(options: dict, key: str, kind, default=_REQUIRED, low=None):
-    """A dataset option of the JSON type kind, at least low if given.
+def _resolve_options(config: TrainConfig) -> tuple[str, dict]:
+    """(kind, every option of that kind, defaults filled in) from config.dataset.
 
-    A missing required key, a value of another type (a bool is not a
-    number) or one below low is a ConfigError.
+    An unknown kind or option, a missing required option, a value of another
+    JSON type (a bool is not a number, a float must be finite) or one below
+    its bound is a ConfigError.
     """
-    value = options.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigError(f"dataset option {key!r} is required")
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
-        raise ConfigError(f"dataset option {key!r} has the wrong type: {value!r}")
-    if low is not None and not low <= value < math.inf:
-        raise ConfigError(f"dataset option {key!r} must be finite and at least {low}, got {value!r}")
-    return value
+    options = dict(config.dataset)
+    kind = options.pop("kind", None)
+    if not isinstance(kind, str) or kind not in DATASET_OPTIONS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    table = DATASET_OPTIONS[kind]
+    unknown = sorted(str(key) for key in options if key not in table)
+    if unknown:
+        raise ConfigError(f"dataset option {unknown[0]!r} is unknown for kind {kind!r}; it takes {sorted(table)}")
+    resolved = {}
+    for key, (json_type, default, low) in table.items():
+        value = options.get(key, default)
+        if value is _FROM_CONFIG:
+            value = getattr(config, key)
+        if value is _REQUIRED:
+            raise ConfigError(f"dataset option {key!r} is required")
+        resolved[key] = check_json(f"dataset option {key!r}", json_type, value)
+        if low is not None and value < low:
+            raise ConfigError(f"dataset option {key!r} must be at least {low}, got {value!r}")
+    return kind, resolved
 
 
 def _split_per_class(samples: list, n_train: int) -> tuple[list, list]:
@@ -118,54 +141,40 @@ def _split_per_class(samples: list, n_train: int) -> tuple[list, list]:
 def load_dataset(config: TrainConfig) -> tuple[list, list]:
     """Materialize (train, test) sample lists for the configured source.
 
-    Malformed options (a missing required one, a wrong type, a count below
-    one, a negative seed or noise) raise ConfigError; unreadable or
-    malformed files raise DataError. The teacher kind splits each class's
-    draws between train and test.
+    Options are resolved by DATASET_OPTIONS: an unknown or malformed one
+    raises ConfigError; unreadable or malformed files raise DataError. The
+    teacher kind splits each class's draws between train and test.
     """
-    options = dict(config.dataset)
-    kind = options.pop("kind")
+    kind, opt = _resolve_options(config)
     steps = config.time_steps
     if kind == "idx":
-        max_value = _option(options, "max_value", _NUMBER, 255.0, low=0)
         splits = []
         for split in ("train", "test"):
-            images, labels = ds.load_idx(_option(options, f"{split}_images", str),
-                                         _option(options, f"{split}_labels", str))
+            images, labels = ds.load_idx(opt[f"{split}_images"], opt[f"{split}_labels"])
             splits.append(ds.dataset_from_images(images, labels, time_steps=steps,
-                                                 num_classes=config.num_classes, max_value=max_value))
+                                                 num_classes=config.num_classes, max_value=opt["max_value"]))
         return splits[0], splits[1]
     if kind == "glyphs":
-        n_train = _option(options, "n_train", int, 1000, low=1)
-        n_test = _option(options, "n_test", int, 300, low=1)
-        seed = _option(options, "seed", int, config.seed, low=0)
-        side = _option(options, "side", int, 28, low=1)
-        noise = _option(options, "noise", _NUMBER, 12.0, low=0)
-        images, labels = ds.synthetic_glyphs(seed, n_train + n_test, side=side, noise=noise)
+        n_train = opt["n_train"]
+        images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=opt["side"], noise=opt["noise"])
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
     if kind == "teacher":
-        n_train = _option(options, "n_train", int, 200, low=1)
-        n_test = _option(options, "n_test", int, 100, low=1)
-        seed = _option(options, "seed", int, config.seed, low=0)
         teacher_spec = parse_architecture(
-            _option(options, "arch", str, config.arch), config.input_shape, config.num_classes,
+            opt["arch"], config.input_shape, config.num_classes,
             time_steps=steps, surrogate=SurrogateKind(config.surrogate),
         )
-        samples, _ = ds.synthetic_teacher(seed, teacher_spec, n_train + n_test)
-        return _split_per_class(samples, n_train)
-    if kind == "events":
-        normalize = _option(options, "normalize", bool, True)
-        out = []
-        for key in ("train_manifest", "test_manifest"):
-            samples = []
-            for path, label in _load_manifest(_option(options, key, str)):
-                stream = ds.load_event_stream(path)
-                frames = ds.slice_events(stream, steps, normalize=normalize)
-                samples.append(ds.Sample.from_frames(frames, label, config.num_classes))
-            out.append(samples)
-        return out[0], out[1]
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+        samples, _ = ds.synthetic_teacher(opt["seed"], teacher_spec, opt["n_train"] + opt["n_test"])
+        return _split_per_class(samples, opt["n_train"])
+    out = []
+    for key in ("train_manifest", "test_manifest"):
+        samples = []
+        for path, label in _load_manifest(opt[key]):
+            stream = ds.load_event_stream(path)
+            frames = ds.slice_events(stream, steps, normalize=opt["normalize"])
+            samples.append(ds.Sample.from_frames(frames, label, config.num_classes))
+        out.append(samples)
+    return out[0], out[1]
 
 
 def build_network(config: TrainConfig) -> NetworkSpec:

@@ -158,6 +158,47 @@ class TestTrainEval:
         assert cli.main(["train", "--config", str(write_config(tmp_path, dataset=dataset))]) == 1
         assert "error: dataset option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, stop_seed, named", [
+        ({"time_steps": 2.5}, None, "time_steps"),
+        ({"epochs": 2.5}, None, "epochs"),
+        ({"batch_size": 2.5}, None, "batch_size"),
+        ({"num_classes": 2.0}, None, "num_classes"),
+        ({}, "x", "seed"),
+        ({"checkpoint_path": 5}, None, "checkpoint_path"),
+        ({"input_shape": "28"}, None, "input_shape"),
+        ({"input_shape": [8.9]}, None, "input_shape"),
+        ({"input_shape": [True]}, None, "input_shape"),
+        ({"resume": "no"}, None, "resume"),
+        ({"dataset": {"kind": "teacher", "n_train": 24, "n_test": 12, "arch": "6-2", "n_trian": 3}}, None, "n_trian"),
+    ], ids=["time_steps", "epochs", "batch_size", "num_classes", "STOP_SEED", "checkpoint_path",
+            "input_shape_string", "input_shape_float", "input_shape_bool", "resume_string", "misspelt_option"])
+    def test_malformed_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, stop_seed, named):
+        monkeypatch.chdir(tmp_path)
+        if stop_seed is not None:
+            monkeypatch.setenv("STOP_SEED", stop_seed)
+        assert cli.main(["train", "--config", str(write_config(tmp_path, **overrides))]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and named in errors[0]
+        assert "Traceback" not in err
+        # refused before any training: no metrics, no checkpoint, no temporary file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_help_lists_the_override_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        flags = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--arch", "--mode", "--loss", "--epochs", "--batch-size",
+                         "--time-steps", "--seed", "--eta-w", "--eta-theta", "--eta-alpha", "--weight-decay",
+                         "--momentum", "--checkpoint-path", "--metrics-path", "--resume"}
+
+    @pytest.mark.parametrize("argv", [["--epochs", "2.5"], ["--seed", "x"], ["--eta-w", "nan"], ["--mode", "XYZ"]],
+                             ids=["epochs", "seed", "eta_w", "mode"])
+    def test_malformed_flag_is_usage(self, tmp_path, capsys, argv):
+        assert cli.main(["train", "--config", str(write_config(tmp_path)), *argv]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.jsonl").exists()
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path)]) == 1
         assert "cannot read config file" in capsys.readouterr().err

@@ -62,10 +62,6 @@ class TestWeightTraces:
             b = update_weight_traces(b, 3.0 * d, 0.7)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-15)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            update_weight_traces(np.zeros(2), np.zeros(3), 0.5)
-
 
 class TestThresholdTraces:
     def test_never_fires_stays_zero(self):
@@ -367,6 +363,21 @@ class TestApplyUpdates:
 
 
 class TestLearnSample:
+    def test_wrong_shaped_frame_is_shape_error(self):
+        # the trace helpers check no shapes; every frame is checked once, in the forward step
+        spec = parse_architecture("6-2", (4,), 2, time_steps=2)
+        params = init_params(spec, seed=0)
+        batch_target = np.tile([1.0, 0.0], (3, 1))
+        cases = [
+            (np.ones((3, 5)), batch_target),  # per-sample shape differs from the input
+            (np.ones((2, 4)), batch_target),  # batch differs from the target's
+            (np.ones(4), batch_target),  # one sample for a batched target
+            (np.ones((3, 4)), batch_target[0]),  # a batch for one sample's target
+        ]
+        for frame, target in cases:
+            with pytest.raises(ShapeError):
+                learn_batch(spec, params, [frame, frame], target)
+
     def test_mode_w_gates_accumulators(self):
         spec = parse_architecture("6-3", (4,), 3, time_steps=4)
         params = init_params(spec, seed=1)

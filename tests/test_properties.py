@@ -1,8 +1,10 @@
 """Property tests: event-stream ingestion (text round trip, slicing against a
 per-slice reference), the dot-product identities of the convolution and pooling
 adjoints over random shapes, byte-fuzzed event files, manifests, IDX pairs
-and checkpoints raising only DataError, and fuzzed dataset options raising
-only the package's own errors."""
+and checkpoints raising only DataError, fuzzed dataset options raising
+only the package's own errors, and JSON junk in any config field giving a
+config or a ConfigError."""
+import json
 import math
 
 import numpy as np
@@ -20,9 +22,16 @@ from stopsnn.datasets import (
     synthetic_event_stream,
     write_idx,
 )
-from stopsnn.errors import DataError, StopSnnError
+from stopsnn.errors import ConfigError, DataError, StopSnnError
 from stopsnn.topology import init_params
-from stopsnn.trainer import OptimizerState, build_network, checkpoint_load, checkpoint_save, load_dataset
+from stopsnn.trainer import (
+    DATASET_OPTIONS,
+    OptimizerState,
+    build_network,
+    checkpoint_load,
+    checkpoint_save,
+    load_dataset,
+)
 
 SETTINGS = settings(
     max_examples=150, deadline=None, database=None,
@@ -232,14 +241,6 @@ def test_fuzzed_checkpoint_raises_only_data_error(tmp_path, data):
         pass
 
 
-DATASET_OPTIONS = {
-    "idx": ("train_images", "train_labels", "test_images", "test_labels", "max_value"),
-    "glyphs": ("n_train", "n_test", "seed", "side", "noise"),
-    "teacher": ("n_train", "n_test", "seed", "arch"),
-    "events": ("train_manifest", "test_manifest", "normalize"),
-}
-
-
 def _dataset_files(tmp_path) -> dict:
     """A valid file for every path option, by option name."""
     _valid_idx_pair(tmp_path)
@@ -264,11 +265,44 @@ def test_fuzzed_dataset_options_raise_only_package_errors(tmp_path, data, kind):
     for key in DATASET_OPTIONS[kind]:
         if data.draw(st.booleans()):
             options[key] = data.draw(st.one_of(st.just(files[key]), junk) if key in files else junk)
+    # now and then a key the kind does not take: a misspelling, or another kind's option
+    taken = set(DATASET_OPTIONS[kind])
+    for key in sorted({"n_trian", *(k for other in DATASET_OPTIONS.values() for k in other)} - taken):
+        if data.draw(st.integers(0, 9)) == 0:
+            options[key] = data.draw(st.one_of(st.just(files[key]), junk) if key in files else junk)
     shape, classes = {"idx": ((1, 3, 2), 2), "glyphs": ((1, 28, 28), 10),
                       "teacher": ((8,), 2), "events": ((2, 3, 3), 2)}[kind]
     config = TrainConfig(arch=f"4-{classes}", input_shape=shape, num_classes=classes, time_steps=2, dataset=options)
+    took_unknown = not set(options) <= {"kind", *taken}
     try:
         train, test = load_dataset(config)
-    except StopSnnError:
+    except StopSnnError as exc:
+        assert not took_unknown or (isinstance(exc, ConfigError) and "unknown" in str(exc))
         return
-    assert train and test
+    assert train and test and not took_unknown
+
+
+JSON_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.integers(-(2**80), 2**80), st.floats(),
+    st.text(max_size=4), st.sampled_from(["W", "ce", "all", "exp_abs", "unit_gaussian", "6-2"]),
+    st.lists(st.one_of(st.integers(-1, 30), st.floats(-1.0, 30.0), st.booleans(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "n_train", "x"]), st.one_of(st.integers(-1, 9), st.text(max_size=3)),
+                    max_size=2),
+)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(TrainConfig.__dataclass_fields__)), value=JSON_JUNK)
+def test_fuzzed_config_field_gives_a_config_or_config_error(name, value):
+    try:
+        config = TrainConfig.from_dict({name: value})
+    except ConfigError:
+        return
+    # an accepted value is held as given, in its annotation's JSON type (an int may stand for a float)
+    kind, held = TrainConfig.__dataclass_fields__[name].type, getattr(config, name)
+    if kind is tuple:
+        assert held == tuple(value if isinstance(value, list) else [value])
+        assert all(type(d) is int for d in held)
+    else:
+        assert held == value and type(held) in ((int, float) if kind is float else (kind,))
+    assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config

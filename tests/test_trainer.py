@@ -403,6 +403,7 @@ class TestLoadDataset:
         {"kind": "teacher", "arch": 6},
         {"kind": "idx", "train_labels": "l", "test_images": "i", "test_labels": "l"},
         {"kind": "events", "train_manifest": 3, "test_manifest": "m"},
+        {"kind": "glyphs", "n_trian": 3},
     ])
     def test_bad_option_is_config_error(self, tmp_path, dataset):
         config = teacher_config(tmp_path)
@@ -451,6 +452,14 @@ class TestConfig:
             teacher_config(tmp_path, mode="XYZ")
         with pytest.raises(ConfigError):
             teacher_config(tmp_path, eta_w=-0.1)
+
+    def test_json_types(self, tmp_path):
+        config = teacher_config(tmp_path, input_shape=8, eta_w=1)
+        assert config.input_shape == (8,) and config.eta_w == 1
+        for name, value in (("time_steps", 2.5), ("seed", True), ("momentum", float("nan")),
+                            ("input_shape", [0]), ("dataset", []), ("metrics_path", None)):
+            with pytest.raises(ConfigError, match=name):
+                teacher_config(tmp_path, **{name: value})
 
     def test_digest_tracks_model_fields_only(self, tmp_path):
         a = teacher_config(tmp_path)
