@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .learning import GradAccumulator, LossKind, SynergyMode, learn_sample
 from .lif import SpikeMode, SurrogateKind
 from .oracle import (
@@ -107,16 +108,23 @@ def random_sample(rng: np.random.Generator, spec: NetworkSpec, low: float = 0.1)
     return frames, target
 
 
-def _accumulator_leaves(acc: GradAccumulator):
-    return {"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha}
+def _battery(name: str, tolerance: float, trials: int, seed: int, trial_fn) -> CheckResult:
+    """Run trial_fn(rng, trial) -> (report, label) for each trial from one
+    seeded rng and keep the worst relative deviation; label tags the case."""
+    rng = np.random.default_rng(seed)
+    worst, worst_case = 0.0, ""
+    for trial in range(trials):
+        report, label = trial_fn(rng, trial)
+        if report.max_rel > worst:
+            worst, worst_case = report.max_rel, f"trial {trial}{label}: {report}"
+    return CheckResult(name, trials, worst, tolerance, worst_case)
 
 
 def check_streaming_vs_naive(trials: int = 100, seed: int = 0) -> CheckResult:
     """Streaming rule against the per-scalar brute-force restatement, hard spikes."""
-    rng = np.random.default_rng(seed)
     modes = list(SynergyMode)
-    worst, worst_case = 0.0, ""
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
         spec, params = random_network(rng)
         frames, target = random_sample(rng, spec, low=0.0)
         mode = modes[trial % len(modes)]
@@ -124,12 +132,12 @@ def check_streaming_vs_naive(trials: int = 100, seed: int = 0) -> CheckResult:
         acc = learn_sample(spec, params, frames, target, mode=mode, loss=loss)
         ref = naive_stop_gradients(spec, params, frames, target, mode, loss=loss.value)
         report = compare_gradients(
-            _accumulator_leaves(acc),
+            {"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
             {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha},
         )
-        if report.max_rel > worst:
-            worst, worst_case = report.max_rel, f"trial {trial} ({mode.value}, {loss.value}): {report}"
-    return CheckResult("streaming vs naive", trials, worst, STREAMING_VS_NAIVE_TOL, worst_case)
+        return report, f" ({mode.value}, {loss.value})"
+
+    return _battery("streaming vs naive", STREAMING_VS_NAIVE_TOL, trials, seed, trial_fn)
 
 
 def _fold_to_parameter_shapes(spec: NetworkSpec, acc: GradAccumulator):
@@ -150,9 +158,8 @@ def _fold_to_parameter_shapes(spec: NetworkSpec, acc: GradAccumulator):
 
 def check_t1_finite_diff(trials: int = 20, seed: int = 1) -> CheckResult:
     """Soft mode, single time-step: streaming gradients against central differences."""
-    rng = np.random.default_rng(seed)
-    worst, worst_case = 0.0, ""
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
         spec, params = random_network(rng, max_width=8, time_steps=1)
         frames, target = random_sample(rng, spec)
         acc = learn_sample(
@@ -164,17 +171,16 @@ def check_t1_finite_diff(trials: int = 20, seed: int = 1) -> CheckResult:
             {"dw": acc.dw, "dtheta": dtheta, "dleak": dleak},
             {"dw": numeric.dw, "dtheta": numeric.dtheta, "dleak": numeric.dleak},
         )
-        if report.max_rel > worst:
-            worst, worst_case = report.max_rel, f"trial {trial}: {report}"
-    return CheckResult("soft T=1 vs finite differences", trials, worst, FINITE_DIFF_TOL, worst_case)
+        return report, ""
+
+    return _battery("soft T=1 vs finite differences", FINITE_DIFF_TOL, trials, seed, trial_fn)
 
 
 def check_output_layer_detached(trials: int = 20, seed: int = 2, max_steps: int = 6) -> CheckResult:
     """Soft mode, any window: output-layer weight/threshold gradients against
     the detached-reset unrolled reverse sweep."""
-    rng = np.random.default_rng(seed)
-    worst, worst_case = 0.0, ""
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
         steps = int(rng.integers(1, max_steps + 1))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
         frames, target = random_sample(rng, spec)
@@ -189,16 +195,15 @@ def check_output_layer_detached(trials: int = 20, seed: int = 2, max_steps: int 
             {"dw": acc.dw[top], "dtheta": acc.dtheta[top]},
             {"dw": ref.dw[top], "dtheta": ref.dtheta[top]},
         )
-        if report.max_rel > worst:
-            worst, worst_case = report.max_rel, f"trial {trial} (T={steps}): {report}"
-    return CheckResult("output layer vs detached-reset reverse mode", trials, worst, OUTPUT_LAYER_TOL, worst_case)
+        return report, f" (T={steps})"
+
+    return _battery("output layer vs detached-reset reverse mode", OUTPUT_LAYER_TOL, trials, seed, trial_fn)
 
 
 def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3, max_steps: int = 5) -> CheckResult:
     """Unrolled sweep with reset feedback, soft mode, against central differences."""
-    rng = np.random.default_rng(seed)
-    worst, worst_case = 0.0, ""
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
         steps = int(rng.integers(1, max_steps + 1))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
         frames, target = random_sample(rng, spec)
@@ -210,19 +215,22 @@ def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3, max_steps: int = 
             {"dw": ref.dw, "dtheta": ref.dtheta, "dleak": ref.dleak},
             {"dw": numeric.dw, "dtheta": numeric.dtheta, "dleak": numeric.dleak},
         )
-        if report.max_rel > worst:
-            worst, worst_case = report.max_rel, f"trial {trial} (T={steps}): {report}"
-    return CheckResult("unrolled temporal backprop vs finite differences", trials, worst, FINITE_DIFF_TOL, worst_case)
+        return report, f" (T={steps})"
+
+    return _battery("unrolled temporal backprop vs finite differences", FINITE_DIFF_TOL, trials, seed, trial_fn)
 
 
 def run_all(trials: int | None = None, seed: int = 0) -> list[CheckResult]:
-    """The full check battery; trials scales every suite proportionally."""
+    """The full check battery: suite k runs at seed + k with `trials` trials
+    (the same count for every suite), or with its own default count when
+    trials is None. Zero trials gives an empty report; a negative count or
+    seed is a ConfigError."""
+    if trials is not None and trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if trials == 0:
         return []
-    scale = trials if trials is not None else None
-    return [
-        check_streaming_vs_naive(trials=scale or 100, seed=seed),
-        check_t1_finite_diff(trials=scale or 20, seed=seed + 1),
-        check_output_layer_detached(trials=scale or 20, seed=seed + 2),
-        check_stbp_vs_finite_diff(trials=scale or 10, seed=seed + 3),
-    ]
+    counts = {} if trials is None else {"trials": trials}
+    suites = (check_streaming_vs_naive, check_t1_finite_diff, check_output_layer_detached, check_stbp_vs_finite_diff)
+    return [suite(seed=seed + k, **counts) for k, suite in enumerate(suites)]

@@ -35,6 +35,14 @@ TRAIN_FLAGS = (
 )
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for a comma-separated list of integers, e.g. 1,28,28."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -62,7 +70,7 @@ def _build_parser() -> _Parser:
     eval_p.add_argument("--data", help="JSON file with a dataset description; defaults to the checkpoint's")
 
     grad_p = sub.add_parser("gradcheck", help="run the oracle comparison battery")
-    grad_p.add_argument("--trials", type=int, default=None, help="trials per suite (0 for an empty report)")
+    grad_p.add_argument("--trials", type=int, default=None, help="trials per suite, >= 0 (0 for an empty report)")
     grad_p.add_argument("--seed", type=int, default=0)
 
     prof_p = sub.add_parser("profile", help="cost model plus measured retained buffers")
@@ -72,12 +80,13 @@ def _build_parser() -> _Parser:
 
     arch_p = sub.add_parser("arch-check", help="parse an architecture string and print its layers")
     arch_p.add_argument("--arch", required=True)
-    arch_p.add_argument("--input-shape", default="1,28,28", help="comma-separated, e.g. 3,32,32 or 784")
+    arch_p.add_argument("--input-shape", type=_int_list, default="1,28,28",
+                        help="comma-separated, e.g. 3,32,32 or 784")
     arch_p.add_argument("--classes", type=int, default=10)
 
     abl_p = sub.add_parser("ablation", help="compare synergy modes and the unrolled baseline")
     abl_p.add_argument("--config", required=True)
-    abl_p.add_argument("--seeds", default="0,1,2")
+    abl_p.add_argument("--seeds", type=_int_list, default="0,1,2")
     return parser
 
 
@@ -136,14 +145,12 @@ def _learn_peak_bytes(spec, params, frames, target) -> int:
 
 def _cmd_profile(args) -> int:
     l, n, t = args.layers, args.width, args.timesteps
+    costs = {rule: complexity_estimate(l, n, t, rule) for rule in ("STBP", "STOP-W", "STOP-WTL")}
     print(f"analytic cost model for depth {l}, width {n}, window {t}:")
     print(f"  {'rule':<10} {'memory units':>14} {'multiplies':>16}")
-    for rule in ("STBP", "STOP-W", "STOP-WTL"):
-        mem, mul = complexity_estimate(l, n, t, rule)
+    for rule, (mem, mul) in costs.items():
         print(f"  {rule:<10} {mem:>14} {mul:>16}")
-    stbp_mem, _ = complexity_estimate(l, n, t, "STBP")
-    stop_mem, _ = complexity_estimate(l, n, t, "STOP-W")
-    print(f"  memory ratio STBP / STOP-W = {stbp_mem / stop_mem:.2f} (= 2T/3)")
+    print(f"  memory ratio STBP / STOP-W = {costs['STBP'][0] / costs['STOP-W'][0]:.2f} (= 2T/3)")
 
     import numpy as np
 
@@ -173,9 +180,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_arch_check(args) -> int:
-    shape = tuple(int(v) for v in args.input_shape.split(","))
-    spec = parse_architecture(args.arch, shape, args.classes)
-    print(f"{args.arch!r} on input {shape} -> {args.classes} classes:")
+    spec = parse_architecture(args.arch, args.input_shape, args.classes)
+    print(f"{args.arch!r} on input {args.input_shape} -> {args.classes} classes:")
     for i, layer in enumerate(spec.layers):
         detail = ""
         if layer.kernel:
@@ -188,8 +194,7 @@ def _cmd_arch_check(args) -> int:
 
 def _cmd_ablation(args) -> int:
     config = TrainConfig.load(args.config)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    outcome = run_ablation(config, seeds=seeds)
+    outcome = run_ablation(config, seeds=args.seeds)
     print(outcome.summary())
     return EXIT_OK
 

@@ -542,7 +542,7 @@ def complexity_estimate(depth: int, width: int, time_steps: int, rule: str) -> t
     five (full synergy) per neuron regardless of window length.
     """
     if depth < 1 or width < 1 or time_steps < 1:
-        raise ValueError("depth, width, and time_steps must be positive")
+        raise ConfigError("depth, width, and time_steps must be positive")
     l, n, t = depth, width, time_steps
     if rule == "STBP":
         return 2 * t * l * n, t * l * n * (2 * n + 7)
@@ -550,4 +550,4 @@ def complexity_estimate(depth: int, width: int, time_steps: int, rule: str) -> t
         return 3 * l * n, t * l * n * (2 * n + 2)
     if rule == "STOP-WTL":
         return 5 * l * n, t * l * n * (2 * n + 6)
-    raise ValueError(f"unknown rule {rule!r}; expected one of {COMPLEXITY_RULES}")
+    raise ConfigError(f"unknown rule {rule!r}; expected one of {COMPLEXITY_RULES}")

@@ -10,8 +10,8 @@ import numpy as np
 from ..errors import UnsupportedModeError
 from ..lif import SpikeMode
 from ..topology import NetworkSpec
-from .linearize import FlatNetwork, loss_of
-from .unrolled import TrueGradients
+from .linearize import loss_of
+from .unrolled import TrueGradients, record_tape
 
 DEFAULT_STEP = 1e-5
 
@@ -22,14 +22,9 @@ def total_relaxed_loss(
     """Sum of instantaneous losses over the presentation window."""
     loss = getattr(loss, "value", loss)
     target = np.asarray(target, dtype=np.float64)
-    net = FlatNetwork(spec, params)
-    potentials, spikes = net.zero_state()
-    top = net.lif_indices[-1]
-    total = 0.0
-    for frame in frames:
-        potentials, spikes, _, _ = net.step(potentials, spikes, frame, spike_mode)
-        total += loss_of(spikes[top], target, loss)
-    return total
+    tape = record_tape(spec, params, frames, spike_mode)
+    top = tape.network.lif_indices[-1]
+    return sum(loss_of(spikes[top], target, loss) for spikes in tape.spikes)
 
 
 def _perturbed(params, layer_index: int, kind: str, flat_index: int | None, amount: float):

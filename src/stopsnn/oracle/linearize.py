@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lif import SpikeMode, SurrogateKind, soft_spike, soft_spike_derivative, surrogate_eval
+from ..lif import SpikeMode, fire
 from ..topology import LayerKind, LayerParams, LayerSpec, NetworkSpec
 
 
@@ -70,18 +70,6 @@ def flat_thresholds(layer: LayerSpec, params: LayerParams) -> np.ndarray:
     return np.repeat(params.thresholds, h_out * w_out)
 
 
-def spike_fn(margin: np.ndarray, surrogate: SurrogateKind, mode: SpikeMode) -> np.ndarray:
-    if mode is SpikeMode.HARD:
-        return (margin >= 0.0).astype(np.float64)
-    return soft_spike(margin, surrogate)
-
-
-def spike_slope(margin: np.ndarray, surrogate: SurrogateKind, mode: SpikeMode) -> np.ndarray:
-    if mode is SpikeMode.HARD:
-        return surrogate_eval(margin, surrogate)
-    return soft_spike_derivative(margin, surrogate)
-
-
 def loss_of(spikes: np.ndarray, target: np.ndarray, loss: str) -> float:
     if loss == "ce":
         shifted = spikes - np.max(spikes)
@@ -127,7 +115,7 @@ class FlatNetwork:
                 v = self.matrices[i] @ x
                 theta = self.thresholds[i]
                 u = self.leaks[i] * (potentials[i] - theta * spikes[i]) + v
-                s = spike_fn(u - theta, spec.surrogate, mode)
+                s = fire(u, theta, spec.surrogate, mode)
                 drives[i] = v
                 new_u[i], new_s[i] = u, s
                 x = s

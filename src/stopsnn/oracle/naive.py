@@ -1,10 +1,10 @@
 """Brute-force restatement of the forward-trace rule, per scalar.
 
 Recomputes every neuron error and every trace by direct recursion over
-the recorded step-by-step history, then sums the error/trace products one
-parameter scalar at a time. Shares no code with the streaming
-implementation beyond elementary activation formulas; used to pin its
-gradients bit-for-bit at desk scale.
+the step-by-step history recorded by record_tape, then sums the
+error/trace products one parameter scalar at a time. Shares no code with
+the streaming implementation beyond elementary activation formulas; used
+to pin its gradients bit-for-bit at desk scale.
 """
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SizeGuardError
-from ..lif import SpikeMode
+from ..lif import SpikeMode, firing_derivative
 from ..topology import LayerKind, NetworkSpec
-from .linearize import FlatNetwork, conv_placements, loss_grad_of, parameter_count, spike_slope
+from .linearize import conv_placements, loss_grad_of, parameter_count
+from .unrolled import record_tape
 
 NAIVE_PARAMETER_GUARD = 10_000
 
@@ -50,26 +51,16 @@ def naive_stop_gradients(
     loss = getattr(loss, "value", loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
-    net = FlatNetwork(spec, params)
+    tape = record_tape(spec, params, frames, spike_mode)
+    net = tape.network
     layers = spec.layers
     lif_set = set(net.lif_indices)
     top = net.lif_indices[-1]
     trains_thresholds = mode.name in ("WT", "WTL")
     trains_leakages = mode.name in ("WL", "WTL")
 
-    # --- forward history by direct recursion -------------------------------
-    potentials, spikes = net.zero_state()
-    u_hist, s_hist, in_hist = [], [], []
-    prev_u_hist, prev_s_hist = [], []
-    for frame in frames:
-        prev_u_hist.append({i: potentials[i].copy() for i in lif_set})
-        prev_s_hist.append({i: spikes[i].copy() for i in lif_set})
-        potentials, spikes, inputs, _ = net.step(potentials, spikes, frame, spike_mode)
-        u_hist.append({i: potentials[i].copy() for i in lif_set})
-        s_hist.append({i: spikes[i].copy() for i in lif_set})
-        in_hist.append(inputs)
-
-    # --- traces by direct recursion ----------------------------------------
+    # --- traces by direct recursion over the recorded forward window ---------
+    zeros = {i: np.zeros(layers[i].fan_out) for i in lif_set}
     wtr_hist = {i: [] for i in lif_set}
     ttr_hist = {i: [] for i in lif_set}
     atr_hist = {i: [] for i in lif_set}
@@ -77,12 +68,14 @@ def naive_stop_gradients(
     ttr = {i: np.zeros(layers[i].fan_out) for i in lif_set}
     atr = {i: np.zeros(layers[i].fan_out) for i in lif_set}
     for t in range(len(frames)):
+        prev_u = tape.potentials[t - 1] if t > 0 else zeros
+        prev_s = tape.spikes[t - 1] if t > 0 else zeros
         for i in lif_set:
             leak = net.leaks[i]
             theta = net.thresholds[i]
-            wtr[i] = leak * wtr[i] + in_hist[t][i]
-            ttr[i] = leak * (ttr[i] - prev_s_hist[t][i])
-            atr[i] = leak * atr[i] + (prev_u_hist[t][i] - theta * prev_s_hist[t][i])
+            wtr[i] = leak * wtr[i] + tape.inputs[t][i]
+            ttr[i] = leak * (ttr[i] - prev_s[i])
+            atr[i] = leak * atr[i] + (prev_u[i] - theta * prev_s[i])
             wtr_hist[i].append(wtr[i].copy())
             ttr_hist[i].append(ttr[i].copy())
             atr_hist[i].append(atr[i].copy())
@@ -93,9 +86,9 @@ def naive_stop_gradients(
         d = None
         for i in reversed(range(len(layers))):
             if i in lif_set:
-                slope = spike_slope(u_hist[t][i] - net.thresholds[i], spec.surrogate, spike_mode)
+                slope = firing_derivative(tape.potentials[t][i] - net.thresholds[i], spec.surrogate, spike_mode)
                 if i == top:
-                    delta = loss_grad_of(s_hist[t][i], target, loss) * slope
+                    delta = loss_grad_of(tape.spikes[t][i], target, loss) * slope
                 else:
                     delta = d * slope
                 delta_hist[i].append(delta)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lif import SpikeMode
+from ..lif import SpikeMode, firing_derivative
 from ..topology import LayerKind, NetworkSpec
-from .linearize import FlatNetwork, conv_placements, loss_grad_of, spike_slope
+from .linearize import FlatNetwork, conv_placements, loss_grad_of
 
 
 @dataclass
@@ -25,8 +25,8 @@ class UnrolledTape:
 
     potentials/spikes are keyed [t][lif_layer_index]; inputs holds the
     vector each layer consumed, drives the synaptic input of lif layers.
-    network is the materialized network that ran, so a reverse sweep over
-    the tape reuses its matrices.
+    network is the materialized network that ran, so a sweep over the tape
+    reuses its matrices and thresholds.
     """
 
     network: FlatNetwork
@@ -100,7 +100,6 @@ def unrolled_stbp_gradients(
     loss: str = "ce",
     include_illusory: bool = True,
     spike_mode: SpikeMode = SpikeMode.HARD,
-    tape: UnrolledTape | None = None,
 ) -> TrueGradients:
     """Reverse sweep over the unrolled graph through layers and time.
 
@@ -108,15 +107,12 @@ def unrolled_stbp_gradients(
     recurrence: when set, the error at a step inherits
     leak * (1 - threshold * slope) times the next step's error; when clear
     only the plain leak * next-step term survives (detached reset). The
-    synergy mode only masks which gradient families are reported. A
-    given tape must come from record_tape with the same parameters and
-    frames; its network's matrices are the ones swept.
+    synergy mode only masks which gradient families are reported.
     """
     loss = getattr(loss, "value", loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
-    if tape is None:
-        tape = record_tape(spec, params, frames, spike_mode)
+    tape = record_tape(spec, params, frames, spike_mode)
     net = tape.network
     layers = spec.layers
     lif_set = set(net.lif_indices)
@@ -136,7 +132,7 @@ def unrolled_stbp_gradients(
                 leak = net.leaks[i]
                 theta = net.thresholds[i]
                 margin = tape.potentials[t][i] - theta
-                slope = spike_slope(margin, spec.surrogate, spike_mode)
+                slope = firing_derivative(margin, spec.surrogate, spike_mode)
                 gs = loss_grad_of(tape.spikes[t][i], target, loss) if i == top else d
                 if include_illusory:
                     gs = gs - leak * theta * gu_next[i]

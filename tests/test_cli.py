@@ -50,6 +50,24 @@ class TestArchCheck:
         assert cli.main([]) == 1
 
 
+def assert_one_error_line(err, named):
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["arch-check", "--arch", "8-2", "--input-shape", "a,b"], "--input-shape"),
+    (["arch-check", "--arch", "8-2", "--input-shape", ""], "--input-shape"),
+    (["ablation", "--config", "config.json", "--seeds", "x"], "--seeds"),
+], ids=["input_shape_letters", "input_shape_empty", "seeds_letter"])
+def test_malformed_integer_list_is_usage(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    assert cli.main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err, named)
+
+
 class TestProfile:
     def test_reports_table_and_ratio(self, capsys):
         code = cli.main(["profile", "--layers", "4", "--width", "100", "--timesteps", "6"])
@@ -69,6 +87,21 @@ class TestProfile:
         short, long = int(peaks["8"]), int(peaks["32"])
         assert 0 < long <= 1.05 * short and short <= 1.05 * long, line
 
+    @pytest.mark.parametrize("argv", [["--layers", "0", "--width", "4"], ["--layers", "2", "--width", "-3"]],
+                             ids=["layers", "width"])
+    def test_nonpositive_size_is_usage(self, capsys, argv):
+        assert cli.main(["profile", *argv, "--timesteps", "4"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "must be positive")
+
+
+class TestAblation:
+    def test_tiny_teacher_ablation(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, arch="8-2", epochs=1)
+        assert cli.main(["ablation", "--config", str(config_path), "--seeds", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("seed 0: W=")
+        assert re.search(r"^means: W=[\d.]+, WTL=[\d.]+, STBP baseline=[\d.]+$", out, re.MULTILINE), out
+
 
 class TestGradcheck:
     def test_zero_trials_empty_report(self, capsys):
@@ -81,6 +114,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[PASS]") == 4
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_negative_count_or_seed_is_usage(self, capsys, flag):
+        assert cli.main(["gradcheck", "--trials", "1", flag, "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert_one_error_line(captured.err, flag[2:])
 
     def test_breach_exits_numeric(self, capsys, monkeypatch):
         def fake_run_all(trials=None, seed=0):
@@ -177,10 +217,7 @@ class TestTrainEval:
         if stop_seed is not None:
             monkeypatch.setenv("STOP_SEED", stop_seed)
         assert cli.main(["train", "--config", str(write_config(tmp_path, **overrides))]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and named in errors[0]
-        assert "Traceback" not in err
+        assert_one_error_line(capsys.readouterr().err, named)
         # refused before any training: no metrics, no checkpoint, no temporary file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

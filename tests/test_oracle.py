@@ -11,7 +11,6 @@ from stopsnn.oracle import (
     naive_stop_gradients,
     record_tape,
     total_relaxed_loss,
-    unrolled,
     unrolled_stbp_gradients,
 )
 from stopsnn.oracle.linearize import FlatNetwork
@@ -99,25 +98,6 @@ class TestUnrolled:
         assert replay_matches(spec, params, frames, tape)
         params[0].weights[0, 0] += 0.5
         assert not replay_matches(spec, params, frames, tape)
-
-    def test_sweep_reuses_the_tapes_network(self, monkeypatch):
-        spec, params, frames, target = small_net("2C3-P2-3", (1, 4, 4))
-        for p in params:
-            if p is not None:
-                p.weights *= 4.0  # lively enough that every layer's gradient is nonzero
-        builds = []
-        real = unrolled.FlatNetwork
-        monkeypatch.setattr(unrolled, "FlatNetwork", lambda *args: builds.append(args) or real(*args))
-        tape = record_tape(spec, params, frames)
-        swept = unrolled_stbp_gradients(spec, params, frames, target, tape=tape)
-        assert len(builds) == 1
-        fresh = unrolled_stbp_gradients(spec, params, frames, target)
-        assert len(builds) == 2  # one build per call without a tape too
-        for i in spec.lif_indices:
-            assert np.any(swept.dw[i])
-            assert np.array_equal(swept.dw[i], fresh.dw[i])
-            assert np.array_equal(swept.dtheta[i], fresh.dtheta[i])
-            assert swept.dleak[i] == fresh.dleak[i]
 
     def test_illusory_flag_irrelevant_at_single_step(self):
         spec, params, frames, target = small_net(steps=1, seed=5)
