@@ -24,7 +24,7 @@ states = reset_network(spec)
 outputs = []
 for t in range(6):
     states, out = forward_timestep(spec, params, states, frame)
-    outputs.append(out)
+    outputs.append(out.copy())  # the next step overwrites out in place
     spikes_per_layer = [int(states[i].spikes.sum()) for i in spec.lif_indices]
     print(f"  t={t + 1}: spikes per neuron layer {spikes_per_layer}, output counts so far "
           f"{np.sum(outputs, axis=0).astype(int)}")

@@ -28,11 +28,14 @@ do keep full history live in the oracle subpackage.
 
 States, traces and errors may carry a leading batch axis, so one call
 learns a whole mini-batch: per layer and time-step the dense weight
-gradient is one GEMM over the batch (delta^T @ traces), a convolution's
-one im2col GEMM per batch slice of numerics.COLUMN_BUDGET bytes. Traces
-are updated in place. Memory stays constant in the window length; states,
-traces and errors grow linearly in the batch, the convolutions' patch
-scratch does not. Unbatched arguments are the batch-of-one case.
+gradient is a GEMM over the batch (delta^T @ traces) folded in row blocks
+of numerics.COLUMN_BUDGET bytes, a convolution's one im2col GEMM per
+batch slice of that budget. A step allocates no state: the forward sweep
+works in place, and errors and threshold/leakage products go into two
+scratch buffers the size of the largest neuron layer, allocated once per
+window. Memory stays constant in the window length; states, traces and
+errors grow linearly in the batch, the kernels' blocks do not. Unbatched
+arguments are the batch-of-one case.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it), and apply_updates(params, grads, optimizer,
@@ -40,6 +43,7 @@ rates) the one update step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -143,13 +147,15 @@ def update_threshold_traces(traces: Tensor, prev_own_spikes: Tensor, leak: float
 
 
 def update_leakage_traces(
-    traces: Tensor, prev_potentials: Tensor, prev_own_spikes: Tensor, thresholds: Tensor, leak: float
+    traces: Tensor, prev_potentials: Tensor, prev_own_spikes: Tensor, thresholds: Tensor, leak: float,
+    scratch: Tensor | None = None,
 ) -> Tensor:
     """Leaky accumulation of the post-reset membrane residual.
 
-    Updates traces in place and returns that array.
+    Updates traces in place and returns that array; the residual is formed
+    in scratch (of the traces' shape) when given.
     """
-    residual = thresholds * prev_own_spikes
+    residual = np.multiply(thresholds, prev_own_spikes, out=scratch)
     np.subtract(prev_potentials, residual, out=residual)
     traces *= leak
     traces += residual
@@ -163,11 +169,14 @@ class TraceSet:
     Weight traces are keyed by presynaptic unit (input shape of the layer),
     independent of the layer's own width; threshold and leakage traces are
     allocated only for the parameter families the synergy mode trains.
+    products is scratch, one view per neuron layer of a shared buffer, for
+    leakage residuals and threshold/leakage gradient products.
     """
 
     weight: list[Tensor | None]
     threshold: list[Tensor | None]
     leakage: list[Tensor | None]
+    products: list[Tensor | None]
 
     @classmethod
     def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int | None = None) -> "TraceSet":
@@ -182,7 +191,7 @@ class TraceSet:
                 weight.append(None)
                 threshold.append(None)
                 leakage.append(None)
-        return cls(weight=weight, threshold=threshold, leakage=leakage)
+        return cls(weight=weight, threshold=threshold, leakage=leakage, products=_layer_scratch(spec, batch))
 
     def live_tensor_count(self) -> int:
         return sum(t is not None for group in (self.weight, self.threshold, self.leakage) for t in group)
@@ -243,10 +252,11 @@ def output_error(
     loss: LossKind,
     surrogate: SurrogateKind,
     mode: SpikeMode = SpikeMode.HARD,
+    out: Tensor | None = None,
 ) -> Tensor:
-    """Neuron error of the output layer at the current time-step."""
+    """Neuron error of the output layer at the current time-step, written into out when given."""
     grad = loss_derivative(np.asarray(output_spikes, dtype=np.float64), target, loss)
-    return grad * firing_derivative(potentials - thresholds, surrogate, mode)
+    return _times_slope(grad, potentials, thresholds, surrogate, mode, out)
 
 
 def hidden_error(
@@ -255,14 +265,23 @@ def hidden_error(
     thresholds: Tensor,
     surrogate: SurrogateKind,
     mode: SpikeMode = SpikeMode.HARD,
+    out: Tensor | None = None,
 ) -> Tensor:
     """Neuron error of a hidden layer at the current time-step.
 
     weighted_delta is the downstream error already pulled back through the
     intervening weights (and any pooling/flatten adjoints, which carry no
-    firing-derivative factor).
+    firing-derivative factor). Written into out when given.
     """
-    return weighted_delta * firing_derivative(potentials - thresholds, surrogate, mode)
+    return _times_slope(weighted_delta, potentials, thresholds, surrogate, mode, out)
+
+
+def _times_slope(factor, potentials, thresholds, surrogate, mode, out) -> Tensor:
+    """factor times the firing derivative at potentials - thresholds, formed in out when given."""
+    slope = np.subtract(potentials, thresholds, out=out)
+    slope = firing_derivative(slope, surrogate, mode, out=slope)
+    slope *= factor
+    return slope
 
 
 def weight_adjoint(layer: LayerSpec, params: LayerParams, delta: Tensor) -> Tensor:
@@ -282,19 +301,39 @@ def accumulate_gradients(
 ) -> GradAccumulator:
     """Fold one layer's error/trace products for the current time-step into acc.
 
-    A batched delta is summed over the batch: one GEMM for the weights,
-    one batch-sum each for thresholds and leakages.
+    A batched delta is summed over the batch: a GEMM for the weights (for a
+    dense layer, in row blocks of at most numerics.COLUMN_BUDGET bytes that
+    stay in cache until added), one batch-sum each for thresholds and
+    leakages, whose products are formed in traces.products.
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
-        acc.dw[index] += np.dot(delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1]))
+        dw, rows, cols = acc.dw[index], delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1])
+        if dw.nbytes <= numerics.COLUMN_BUDGET:  # on small layers slicing costs more than the add
+            dw += np.dot(rows, cols)
+        else:
+            for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
+                dw[part] += np.dot(rows[part], cols)
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
+    product = traces.products[index]
     if mode.trains_thresholds:
-        acc.dtheta[index] += _batch_sum(delta * (traces.threshold[index] - 1.0), layer)
+        np.subtract(traces.threshold[index], 1.0, out=product)
+        product *= delta
+        acc.dtheta[index] += _batch_sum(product, layer)
     if mode.trains_leakages:
-        acc.dalpha[index] += _batch_sum(delta * traces.leakage[index], layer)
+        acc.dalpha[index] += _batch_sum(np.multiply(delta, traces.leakage[index], out=product), layer)
     return acc
+
+
+def _layer_scratch(spec: NetworkSpec, batch: int | None = None) -> list[Tensor | None]:
+    """Per neuron layer (None elsewhere), a view in its output shape of one buffer as large as the largest.
+
+    The views overlap: one holds its values until another is written.
+    """
+    shapes = [batch_shape(batch, layer.out_shape) if layer.is_lif else None for layer in spec.layers]
+    buffer = np.empty(max(math.prod(shape) for shape in shapes if shape))
+    return [None if shape is None else buffer[: math.prod(shape)].reshape(shape) for shape in shapes]
 
 
 def _batch_sum(values: Tensor, layer: LayerSpec) -> Tensor:
@@ -338,23 +377,25 @@ def learn_batch(
     first, top = lif_indices[0], lif_indices[-1]
     total_loss = 0.0
     output_counts = np.zeros(batch_shape(batch, (spec.num_classes,)))
+    errors = _layer_scratch(spec, batch)  # each layer's neuron errors, written top-down
+    thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
+    trains_thresholds, trains_leakages = mode.trains_thresholds, mode.trains_leakages
 
-    for frame in frames:
-        prev_states = states
-        states, _ = forward_timestep(spec, params, states, frame, spike_mode)
+    for t, frame in enumerate(frames):
+        # threshold and leakage traces read the previous step's state before the step overwrites
+        # it; from the rest state (t = 0) they would stay zero
+        for i in lif_indices if t else ():
+            p, st = params[i], states[i]
+            if trains_thresholds:
+                update_threshold_traces(traces.threshold[i], st.spikes, p.leak)
+            if trains_leakages:
+                update_leakage_traces(traces.leakage[i], st.potentials, st.spikes, thetas[i], p.leak, traces.products[i])
+        forward_timestep(spec, params, states, frame, spike_mode)
 
         current = frame  # forward_timestep has checked it against the states
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
-                p = params[i]
-                theta = broadcast_thresholds(layer, p.thresholds)
-                update_weight_traces(traces.weight[i], current, p.leak)
-                if mode.trains_thresholds:
-                    update_threshold_traces(traces.threshold[i], prev_states[i].spikes, p.leak)
-                if mode.trains_leakages:
-                    update_leakage_traces(
-                        traces.leakage[i], prev_states[i].potentials, prev_states[i].spikes, theta, p.leak
-                    )
+                update_weight_traces(traces.weight[i], current, params[i].leak)
             current = states[i].spikes
 
         total_loss += loss_value(states[top].spikes, target, loss)
@@ -365,17 +406,15 @@ def learn_batch(
         for i in reversed(range(first, len(spec.layers))):
             layer = spec.layers[i]
             if layer.is_lif:
-                p = params[i]
-                theta = broadcast_thresholds(layer, p.thresholds)
+                st = states[i]
                 if i == top:
-                    delta = output_error(
-                        states[i].spikes, target, states[i].potentials, theta, loss, spec.surrogate, spike_mode
-                    )
+                    delta = output_error(st.spikes, target, st.potentials, thetas[i], loss, spec.surrogate,
+                                         spike_mode, errors[i])
                 else:
-                    delta = hidden_error(delta_spikes, states[i].potentials, theta, spec.surrogate, spike_mode)
+                    delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate, spike_mode, errors[i])
                 accumulate_gradients(acc, i, layer, delta, traces, mode)
                 if i > first:
-                    delta_spikes = weight_adjoint(layer, p, delta)
+                    delta_spikes = weight_adjoint(layer, params[i], delta)
             else:
                 delta_spikes = passthrough_adjoint(layer, delta_spikes)
 

@@ -4,7 +4,8 @@ A neuron integrates weighted input onto its membrane potential, leaks it
 multiplicatively by the layer's leakage factor each step, fires when the
 potential reaches its threshold, and resets by subtracting the threshold.
 Hard mode fires binary spikes through a step function; soft mode is a
-smooth relaxation used only by the numerical-gradient oracles.
+smooth relaxation used only by the numerical-gradient oracles. A step
+advances its state in place.
 """
 from __future__ import annotations
 
@@ -41,13 +42,13 @@ class LifState:
     spikes: Tensor
 
 
-def surrogate_eval(x: Tensor, kind: SurrogateKind) -> Tensor:
-    """Elementwise surrogate value; peaks at 1 for x = 0, symmetric, positive."""
+def surrogate_eval(x: Tensor, kind: SurrogateKind, out: Tensor | None = None) -> Tensor:
+    """Elementwise surrogate value (peak 1 at x = 0, symmetric, positive), into out (may be x) when given."""
     x = np.asarray(x, dtype=np.float64)
     if kind is SurrogateKind.EXP_ABS:
-        return np.exp(-np.abs(x))
+        return np.exp(np.negative(np.abs(x, out=out), out=out), out=out)
     if kind is SurrogateKind.INV_QUAD:
-        return 1.0 / (1.0 + np.pi**2 * x**2)
+        return np.divide(1.0, np.add(1.0, np.multiply(np.pi**2, np.square(x, out=out), out=out), out=out), out=out)
     raise ValueError(f"unknown surrogate kind: {kind!r}")
 
 
@@ -65,27 +66,27 @@ def soft_spike(x: Tensor, kind: SurrogateKind) -> Tensor:
     raise ValueError(f"unknown surrogate kind: {kind!r}")
 
 
-def soft_spike_derivative(x: Tensor, kind: SurrogateKind) -> Tensor:
-    """Exact derivative of soft_spike.
+def soft_spike_derivative(x: Tensor, kind: SurrogateKind, out: Tensor | None = None) -> Tensor:
+    """Exact derivative of soft_spike; out works as in surrogate_eval.
 
     For INV_QUAD this equals surrogate_eval; for EXP_ABS the unit-range
     rescaling halves it (the raw surrogate integrates to 2, so no (0,1)
     sigmoid can have it as an exact derivative).
     """
     if kind is SurrogateKind.EXP_ABS:
-        return 0.5 * surrogate_eval(x, kind)
-    return surrogate_eval(x, kind)
+        return np.multiply(0.5, surrogate_eval(x, kind, out), out=out)
+    return surrogate_eval(x, kind, out)
 
 
-def firing_derivative(x: Tensor, kind: SurrogateKind, mode: SpikeMode) -> Tensor:
+def firing_derivative(x: Tensor, kind: SurrogateKind, mode: SpikeMode, out: Tensor | None = None) -> Tensor:
     """Derivative factor used when errors cross the firing nonlinearity.
 
     Hard mode uses the configured surrogate; soft mode uses the soft firing
     function's true derivative so numeric gradient checks are exact.
     """
     if mode is SpikeMode.SOFT:
-        return soft_spike_derivative(x, kind)
-    return surrogate_eval(x, kind)
+        return soft_spike_derivative(x, kind, out)
+    return surrogate_eval(x, kind, out)
 
 
 def fire(potentials: Tensor, thresholds: Tensor, kind: SurrogateKind, mode: SpikeMode) -> Tensor:
@@ -104,19 +105,27 @@ def lif_step(
     surrogate: SurrogateKind,
     mode: SpikeMode = SpikeMode.HARD,
 ) -> LifState:
-    """Advance one time-step of leaky integrate-and-fire dynamics.
+    """Advance one time-step of leaky integrate-and-fire dynamics, in place.
 
     New potential: leakage * (old potential - threshold * old spike) + input,
     i.e. exponential leak with reset-by-subtraction. New spike: step (hard)
-    or smooth (soft) function of potential minus threshold. Parameter ranges
-    are checked where values enter or change, not on every step.
+    or smooth (soft) function of potential minus threshold. Overwrites the
+    state's arrays (spikes hold threshold * old spike until the new spikes
+    replace them) and returns the state. Parameter ranges are checked where
+    values enter or change, not on every step.
     """
-    synaptic_input = np.asarray(synaptic_input, dtype=np.float64)
-    if state.potentials is None or state.potentials.shape != synaptic_input.shape:
+    potentials, spikes = state.potentials, state.spikes
+    if potentials is None or potentials.shape != np.shape(synaptic_input):
         raise ShapeError("state and synaptic input shapes disagree")
-    potentials = leakage * (state.potentials - thresholds * state.spikes) + synaptic_input
-    spikes = fire(potentials, thresholds, surrogate, mode)
-    return LifState(potentials=potentials, spikes=spikes)
+    np.multiply(thresholds, spikes, out=spikes)
+    np.subtract(potentials, spikes, out=potentials)
+    potentials *= leakage
+    potentials += synaptic_input
+    if mode is SpikeMode.HARD:
+        np.greater_equal(potentials, thresholds, out=spikes)
+    else:
+        spikes[...] = fire(potentials, thresholds, surrogate, mode)
+    return state
 
 
 def encode_direct(raw: Tensor, max_value: float, time_steps: int) -> list[Tensor]:

@@ -11,7 +11,7 @@ with one neuron per class.
 
 Activity may carry a leading batch axis: the forward sweep advances a
 whole (B, ...) batch of samples per time-step, and an array without one
-is a single sample.
+is a single sample. The sweep advances the states in place.
 """
 from __future__ import annotations
 
@@ -307,26 +307,25 @@ def forward_timestep(
     input_frame: Tensor,
     mode: SpikeMode = SpikeMode.HARD,
 ) -> tuple[list[LifState], Tensor]:
-    """Advance every layer one time-step, bottom-up.
+    """Advance every layer one time-step, bottom-up, in place.
 
-    Neuron layers integrate their synaptic input and fire; pooling and
-    flatten layers forward their input unchanged. The frame is one sample
-    of spec.input_shape or a (B, ...) batch matching the states. Returns
-    the new state list and the output layer's spikes.
+    Neuron layers integrate their synaptic input and fire into the arrays
+    reset_network allocated; pooling and flatten layers forward their
+    input unchanged. The frame is one sample of spec.input_shape or a
+    (B, ...) batch matching the states. Returns the given state list and
+    the output layer's spikes, which the next step overwrites.
     """
     input_frame = np.asarray(input_frame, dtype=np.float64)
     lead = input_frame.ndim - len(spec.input_shape)
     if lead not in (0, 1) or input_frame.shape[lead:] != spec.input_shape:
         raise ShapeError(f"input frame {input_frame.shape} does not match {spec.input_shape}")
-    new_states: list[LifState] = []
     current = input_frame
     for layer, layer_params, state in zip(spec.layers, params, states):
         if layer.is_lif:
             drive = synaptic_input(layer, layer_params, current)
             theta = broadcast_thresholds(layer, layer_params.thresholds)
-            new_state = lif_step(state, drive, theta, layer_params.leak, spec.surrogate, mode)
+            lif_step(state, drive, theta, layer_params.leak, spec.surrogate, mode)
         else:
-            new_state = LifState(potentials=None, spikes=passthrough(layer, current))
-        new_states.append(new_state)
-        current = new_state.spikes
-    return new_states, current
+            state.spikes = passthrough(layer, current)
+        current = state.spikes
+    return states, current

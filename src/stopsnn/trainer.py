@@ -13,9 +13,11 @@ checks its tensors against the architecture of its stored config.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -218,33 +220,60 @@ def _decode_array(blob: dict) -> np.ndarray:
     return data.reshape(blob["shape"]).copy()
 
 
-def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config: TrainConfig) -> None:
-    """Write a versioned, portable checkpoint atomically (temp then rename)."""
-    payload = {
+def _checkpoint_payload(params, optimizer: OptimizerState, epoch: int, config: TrainConfig, encode) -> dict:
+    """The checkpoint's JSON object, with encode(array) standing for each tensor."""
+    return {
         "version": CHECKPOINT_VERSION,
         "digest": config.model_digest(),
         "epoch": epoch,
         "config": config.to_dict(),
         "params": [
-            None if p is None else {
-                "weights": _encode_array(p.weights),
-                "thresholds": _encode_array(p.thresholds),
-                "leak": p.leak,
-            }
+            None if p is None else {"weights": encode(p.weights), "thresholds": encode(p.thresholds), "leak": p.leak}
             for p in params
         ],
         "optimizer": {
-            "weight_velocities": [None if v is None else _encode_array(v) for v in optimizer.weight_velocities],
+            "weight_velocities": [None if v is None else encode(v) for v in optimizer.weight_velocities],
             "threshold_velocities": None if optimizer.threshold_velocities is None else [
-                None if v is None else _encode_array(v) for v in optimizer.threshold_velocities
+                None if v is None else encode(v) for v in optimizer.threshold_velocities
             ],
             "leak_velocities": optimizer.leak_velocities,
             "epoch": optimizer.epoch,
         },
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# a tensor's "data" string in the skeleton is a NUL and the tensor's index, which the
+# JSON encoder writes as \u0000<index>
+_SPLICE = re.compile(r"\\u0000(\d+)")
+
+
+def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config: TrainConfig) -> None:
+    """Write a versioned, portable checkpoint atomically (temp then rename).
+
+    The bytes are json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    with each tensor as {"shape", "data": base64 of its little-endian
+    float64 bytes}. Only the small skeleton goes through the JSON encoder;
+    each tensor's base64 text, which needs no escaping, is spliced in
+    where its placeholder was written. If a config string holds what looks
+    like a placeholder, the whole payload is encoded instead.
+    """
+    blobs: list[bytes] = []
+
+    def placeholder(arr: np.ndarray) -> dict:
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        blobs.append(binascii.b2a_base64(arr, newline=False))
+        return {"shape": list(arr.shape), "data": f"\x00{len(blobs) - 1}"}
+
+    skeleton = json.dumps(_checkpoint_payload(params, optimizer, epoch, config, placeholder),
+                          sort_keys=True, separators=(",", ":"))
+    pieces = _SPLICE.split(skeleton)
+    if len(pieces) == 2 * len(blobs) + 1:
+        chunks = [blobs[int(piece)] if k % 2 else piece.encode() for k, piece in enumerate(pieces)]
+    else:
+        payload = _checkpoint_payload(params, optimizer, epoch, config, _encode_array)
+        chunks = [json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()]
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(b"".join(chunks))
     os.replace(tmp, path)
 
 

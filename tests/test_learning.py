@@ -274,6 +274,24 @@ class TestAccumulate:
         assert np.array_equal(acc.dtheta[0], np.zeros(1))
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_row_blocked_dense_fold_equals_one_product(self, monkeypatch, batch):
+        # a budget of 16 rows of the 64-wide product folds the 40 rows in blocks of 16, 16 and 8
+        # (OpenBLAS sends products much smaller than these through a small-matrix kernel whose
+        # last bit can differ from a GEMM's)
+        monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 16 * 64 * 8)
+        spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40)
+        rng = np.random.default_rng(4)
+        traces = TraceSet.zeros(spec, SynergyMode.W, batch)
+        traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
+        delta = rng.normal(size=(40,) if batch is None else (batch, 40))
+        acc = GradAccumulator.zeros(spec, SynergyMode.W)
+        start = rng.normal(size=acc.dw[0].shape)
+        acc.dw[0][...] = start
+        accumulate_gradients(acc, 0, spec.layers[0], delta, traces, SynergyMode.W)
+        rows, cols = delta.reshape(-1, 40).T, traces.weight[0].reshape(-1, 64)
+        assert np.array_equal(acc.dw[0], start + np.dot(rows, cols))
+
 
 def _apply(params, acc, rates, samples=1):
     """One update of a freshly made optimizer (plain SGD at momentum 0) over a given sample count."""

@@ -176,6 +176,19 @@ class TestForward:
 
         assert np.array_equal(raster(), raster())
 
+    def test_step_advances_the_given_state_arrays(self):
+        spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3)
+        params = init_params(spec, seed=3)
+        states = reset_network(spec, batch=2)
+        arrays = [(st.potentials, st.spikes) for st in states]
+        frame = np.random.default_rng(0).uniform(size=(2, 1, 4, 4))
+        for _ in range(3):
+            returned, out = forward_timestep(spec, params, states, frame)
+            assert returned is states
+            for i in spec.lif_indices:
+                assert states[i].potentials is arrays[i][0] and states[i].spikes is arrays[i][1]
+            assert out is states[-1].spikes
+
     def test_pool_and_flatten_are_linear(self):
         spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3)
         layer = spec.layers[1]

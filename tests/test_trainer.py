@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -117,6 +118,45 @@ class TestCheckpoints:
         second = tmp_path / "b.json"
         checkpoint_save(second, loaded, opt, epoch, TrainConfig.from_dict(config_dict))
         assert path.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "plain.jsonl",
+        'métriques ☃ "q" \\ \n\t\u2028.jsonl',  # non-ASCII and characters JSON escapes
+        "a\x007b\x00.jsonl",  # the NUL-and-digits form the tensor placeholders take
+        "a\\u00003.jsonl",  # a literal backslash-u0000 before digits
+    ])
+    def test_bytes_match_the_reference_encoding(self, tmp_path, text):
+        config, params, _ = self._setup(tmp_path)
+        config = config.with_overrides(metrics_path=text)
+        optimizer = OptimizerState.fresh(params, "all")
+        rng = np.random.default_rng(0)
+        for velocities in (optimizer.weight_velocities, optimizer.threshold_velocities):
+            for v in velocities:
+                if v is not None:
+                    v += rng.normal(size=v.shape)
+        optimizer.leak_velocities = [None if v is None else 0.25 for v in optimizer.leak_velocities]
+
+        def encode(arr):
+            data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+            return {"shape": list(arr.shape), "data": data}
+
+        reference = {
+            "version": trainer.CHECKPOINT_VERSION,
+            "digest": config.model_digest(),
+            "epoch": 2,
+            "config": config.to_dict(),
+            "params": [None if p is None else {"weights": encode(p.weights), "thresholds": encode(p.thresholds),
+                                               "leak": p.leak} for p in params],
+            "optimizer": {
+                "weight_velocities": [None if v is None else encode(v) for v in optimizer.weight_velocities],
+                "threshold_velocities": [None if v is None else encode(v) for v in optimizer.threshold_velocities],
+                "leak_velocities": optimizer.leak_velocities,
+                "epoch": optimizer.epoch,
+            },
+        }
+        path = tmp_path / "a.json"
+        checkpoint_save(path, params, optimizer, 2, config)
+        assert path.read_bytes() == json.dumps(reference, sort_keys=True, separators=(",", ":")).encode()
 
     def test_digest_mismatch_refused(self, tmp_path):
         config, params, optimizer = self._setup(tmp_path)
