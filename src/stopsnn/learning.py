@@ -31,9 +31,9 @@ learns a whole mini-batch: per layer and time-step the dense weight
 gradient is a GEMM over the batch (delta^T @ traces) folded in row blocks
 of numerics.COLUMN_BUDGET bytes, a convolution's one im2col GEMM per
 batch slice of that budget. A step allocates no state: the forward sweep
-works in place, and errors and threshold/leakage products go into two
-scratch buffers the size of the largest neuron layer, allocated once per
-window. Memory stays constant in the window length; states, traces and
+works in place, and errors and threshold/leakage products go into
+scratch buffers the size of the largest neuron layer (the second only
+when thresholds or leakages learn), allocated once per window. Memory stays constant in the window length; states, traces and
 errors grow linearly in the batch, the kernels' blocks do not. Unbatched
 arguments are the batch-of-one case.
 
@@ -169,8 +169,9 @@ class TraceSet:
     Weight traces are keyed by presynaptic unit (input shape of the layer),
     independent of the layer's own width; threshold and leakage traces are
     allocated only for the parameter families the synergy mode trains.
-    products is scratch, one view per neuron layer of a shared buffer, for
-    leakage residuals and threshold/leakage gradient products.
+    products is scratch for leakage residuals and threshold/leakage
+    gradient products, one view per neuron layer of a shared buffer; it is
+    allocated only when the mode trains thresholds or leakages.
     """
 
     weight: list[Tensor | None]
@@ -191,7 +192,9 @@ class TraceSet:
                 weight.append(None)
                 threshold.append(None)
                 leakage.append(None)
-        return cls(weight=weight, threshold=threshold, leakage=leakage, products=_layer_scratch(spec, batch))
+        products = (_layer_scratch(spec, batch) if mode.trains_thresholds or mode.trains_leakages
+                    else [None] * len(spec.layers))
+        return cls(weight=weight, threshold=threshold, leakage=leakage, products=products)
 
     def live_tensor_count(self) -> int:
         return sum(t is not None for group in (self.weight, self.threshold, self.leakage) for t in group)
@@ -302,18 +305,15 @@ def accumulate_gradients(
     """Fold one layer's error/trace products for the current time-step into acc.
 
     A batched delta is summed over the batch: a GEMM for the weights (for a
-    dense layer, in row blocks of at most numerics.COLUMN_BUDGET bytes that
-    stay in cache until added), one batch-sum each for thresholds and
+    dense layer, in row blocks of at most numerics.COLUMN_BUDGET bytes, so
+    no full-size product is built), one batch-sum each for thresholds and
     leakages, whose products are formed in traces.products.
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
         dw, rows, cols = acc.dw[index], delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1])
-        if dw.nbytes <= numerics.COLUMN_BUDGET:  # on small layers slicing costs more than the add
-            dw += np.dot(rows, cols)
-        else:
-            for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
-                dw[part] += np.dot(rows[part], cols)
+        for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
+            dw[part] += np.dot(rows[part], cols)
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     product = traces.products[index]

@@ -89,12 +89,19 @@ def firing_derivative(x: Tensor, kind: SurrogateKind, mode: SpikeMode, out: Tens
     return surrogate_eval(x, kind, out)
 
 
-def fire(potentials: Tensor, thresholds: Tensor, kind: SurrogateKind, mode: SpikeMode) -> Tensor:
-    """Spike output for given potentials; fires at potential >= threshold."""
-    margin = potentials - thresholds
+def fire(
+    potentials: Tensor, thresholds: Tensor, kind: SurrogateKind, mode: SpikeMode, out: Tensor | None = None
+) -> Tensor:
+    """Spike output for given potentials, written into out (float64) when given.
+
+    Hard mode fires at potential >= threshold.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(potentials, thresholds).shape)
     if mode is SpikeMode.HARD:
-        return (margin >= 0.0).astype(np.float64)
-    return soft_spike(margin, kind)
+        return np.greater_equal(potentials, thresholds, out=out)
+    out[...] = soft_spike(np.subtract(potentials, thresholds), kind)
+    return out
 
 
 def lif_step(
@@ -121,10 +128,7 @@ def lif_step(
     np.subtract(potentials, spikes, out=potentials)
     potentials *= leakage
     potentials += synaptic_input
-    if mode is SpikeMode.HARD:
-        np.greater_equal(potentials, thresholds, out=spikes)
-    else:
-        spikes[...] = fire(potentials, thresholds, surrogate, mode)
+    fire(potentials, thresholds, surrogate, mode, out=spikes)
     return state
 
 

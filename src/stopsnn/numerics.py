@@ -10,7 +10,8 @@ return the same rank. The convolutions are unrolled into GEMMs over
 im2col patch matrices (Chellapilla et al., 2006), built for one slice of
 whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
 patches, so a kernel's scratch is bounded whatever the batch size. The
-budget, 256 KiB, keeps a block in a core's L2 cache from write to read.
+budget is 256 KiB: on the W1 kernels at batch 32 it measured equal or
+faster than 2 MiB slices.
 """
 from __future__ import annotations
 
