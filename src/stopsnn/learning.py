@@ -305,15 +305,19 @@ def accumulate_gradients(
     """Fold one layer's error/trace products for the current time-step into acc.
 
     A batched delta is summed over the batch: a GEMM for the weights (for a
-    dense layer, in row blocks of at most numerics.COLUMN_BUDGET bytes, so
-    no full-size product is built), one batch-sum each for thresholds and
-    leakages, whose products are formed in traces.products.
+    dense layer whose gradient exceeds numerics.COLUMN_BUDGET bytes, in row
+    blocks of at most that size, so no full-size product is built), one
+    batch-sum each for thresholds and leakages, whose products are formed
+    in traces.products.
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
         dw, rows, cols = acc.dw[index], delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1])
-        for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
-            dw[part] += np.dot(rows[part], cols)
+        if dw.nbytes <= numerics.COLUMN_BUDGET:  # one block; on 100x100 layers the loop cost 6% of learn time
+            dw += np.dot(rows, cols)
+        else:
+            for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
+                dw[part] += np.dot(rows[part], cols)
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     product = traces.products[index]
