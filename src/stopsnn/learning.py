@@ -28,14 +28,15 @@ do keep full history live in the oracle subpackage.
 
 States, traces and errors may carry a leading batch axis, so one call
 learns a whole mini-batch: per layer and time-step the dense weight
-gradient is a GEMM over the batch (delta^T @ traces) folded in row blocks
-of numerics.COLUMN_BUDGET bytes, a convolution's one im2col GEMM per
-batch slice of that budget. A step allocates no state: the forward sweep
-works in place, and errors and threshold/leakage products go into
-scratch buffers the size of the largest neuron layer (the second only
-when thresholds or leakages learn), allocated once per window. Memory stays constant in the window length; states, traces and
-errors grow linearly in the batch, the kernels' blocks do not. Unbatched
-arguments are the batch-of-one case.
+gradient is a GEMM over the batch (delta^T @ traces), folded in row
+blocks of numerics.COLUMN_BUDGET bytes when larger than that, a
+convolution's one im2col GEMM per batch slice of that budget. A step
+allocates no state: the forward sweep works in place, and errors and
+threshold/leakage products go into scratch buffers the size of the
+largest neuron layer (the second only when thresholds or leakages
+learn), allocated once per window. Memory stays constant in the window
+length; states, traces and errors grow linearly in the batch, the
+kernels' blocks do not. Unbatched arguments are the batch-of-one case.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it), and apply_updates(params, grads, optimizer,
