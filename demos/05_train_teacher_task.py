@@ -41,5 +41,5 @@ print(f"learned leakages per layer: "
 print(f"artifacts in {workdir}")
 
 print("\nsynergy ablation over 2 seeds (weights-only vs full synergy vs unrolled baseline):")
-outcome = run_ablation(config.with_overrides(epochs=10), seeds=(0, 1), include_baseline=True)
+outcome = run_ablation(config.with_overrides(epochs=10), seeds=(0, 1))
 print(outcome.summary())

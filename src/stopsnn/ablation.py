@@ -65,10 +65,8 @@ def unrolled_learn_batch(spec: NetworkSpec, params, frames, targets, mode: Syner
     return acc
 
 
-def run_ablation(base_config: TrainConfig, seeds=(0, 1, 2), include_baseline: bool = True) -> AblationOutcome:
-    arms = [("W", "W", None), ("WTL", "WTL", None)]
-    if include_baseline:
-        arms.append(("STBP", "W", unrolled_learn_batch))
+def run_ablation(base_config: TrainConfig, seeds=(0, 1, 2)) -> AblationOutcome:
+    arms = (("W", "W", None), ("WTL", "WTL", None), ("STBP", "W", unrolled_learn_batch))
     per_seed = {}
     for seed in seeds:
         per_seed[seed] = {

@@ -59,10 +59,10 @@ class CheckResult:
         )
 
 
-def random_network(rng: np.random.Generator, max_width: int = 16, time_steps: int | None = None,
-                   allow_conv: bool = True) -> tuple[NetworkSpec, list]:
+def random_network(rng: np.random.Generator, max_width: int = 16,
+                   time_steps: int | None = None) -> tuple[NetworkSpec, list]:
     """A small random mixed dense/conv architecture with lively dynamics."""
-    spatial = allow_conv and rng.random() < 0.5
+    spatial = rng.random() < 0.5
     layers = []
     if spatial:
         cin = int(rng.integers(1, 3))
@@ -176,12 +176,12 @@ def check_t1_finite_diff(trials: int = 20, seed: int = 1) -> CheckResult:
     return _battery("soft T=1 vs finite differences", FINITE_DIFF_TOL, trials, seed, trial_fn)
 
 
-def check_output_layer_detached(trials: int = 20, seed: int = 2, max_steps: int = 6) -> CheckResult:
-    """Soft mode, any window: output-layer weight/threshold gradients against
-    the detached-reset unrolled reverse sweep."""
+def check_output_layer_detached(trials: int = 20, seed: int = 2) -> CheckResult:
+    """Soft mode, windows of 1 to 6 steps: output-layer weight/threshold gradients
+    against the detached-reset unrolled reverse sweep."""
 
     def trial_fn(rng, trial):
-        steps = int(rng.integers(1, max_steps + 1))
+        steps = int(rng.integers(1, 7))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
         frames, target = random_sample(rng, spec)
         acc = learn_sample(
@@ -200,11 +200,11 @@ def check_output_layer_detached(trials: int = 20, seed: int = 2, max_steps: int 
     return _battery("output layer vs detached-reset reverse mode", OUTPUT_LAYER_TOL, trials, seed, trial_fn)
 
 
-def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3, max_steps: int = 5) -> CheckResult:
-    """Unrolled sweep with reset feedback, soft mode, against central differences."""
+def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3) -> CheckResult:
+    """Unrolled sweep with reset feedback, soft mode, windows of 1 to 5 steps, against central differences."""
 
     def trial_fn(rng, trial):
-        steps = int(rng.integers(1, max_steps + 1))
+        steps = int(rng.integers(1, 6))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
         frames, target = random_sample(rng, spec)
         ref = unrolled_stbp_gradients(

@@ -80,9 +80,6 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, check_json(f"config field {f.name!r}", f.type, getattr(self, f.name)))
-        self.validate()
-
-    def validate(self):
         try:
             mode = SynergyMode(self.mode)
             LossKind(self.loss)

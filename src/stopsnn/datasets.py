@@ -237,32 +237,32 @@ def teacher_predict(spec: NetworkSpec, params, frames) -> int:
     return infer_batch(spec, params, frames)[0]
 
 
-def _teacher_params(spec: NetworkSpec, seed: int, gain: float):
+def _teacher_params(spec: NetworkSpec, seed: int):
     """Teacher initialization tuned for lively, input-sensitive predictions:
-    weights scaled up so neurons actually fire, output rows centered across
-    classes so no class wins by construction."""
+    weights scaled up twofold so neurons actually fire, output rows centered
+    across classes so no class wins by construction."""
     params = init_params(spec, seed=seed)
     for p in params:
         if p is not None:
-            p.weights *= gain
+            p.weights *= 2.0
     top = spec.lif_indices[-1]
     params[top].weights -= params[top].weights.mean(axis=0, keepdims=True)
     return params
 
 
 TEACHER_CHUNK = 256  # draws labelled per infer_batch call
+TEACHER_ATTEMPTS = 100  # teachers drawn before the generation fails
 
 
-def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int, max_attempts: int = 100,
-                      gain: float = 2.0):
+def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int):
     """A frozen random network labels random inputs by its own prediction.
 
     Uniform inputs are drawn and kept against a per-class quota until
     n_samples are collected, which pins every class count between
     floor(n/C) and ceil(n/C) (well within 20% balance). A teacher whose
     predictions are too lopsided to fill the quotas within its draw budget
-    of 50 per sample is discarded and redrawn; after max_attempts teachers
-    the generation fails. Draws are labelled in chunks (one infer_batch
+    of 50 per sample is discarded and redrawn; after TEACHER_ATTEMPTS
+    teachers the generation fails. Draws are labelled in chunks (one infer_batch
     call each) that use up exactly that budget, so the generator advances
     as it would with single draws.
 
@@ -271,8 +271,8 @@ def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int, max_attempts
     rng = np.random.default_rng(seed)
     quota = -(-n_samples // spec.num_classes)  # ceil
     budget = 50 * n_samples
-    for _ in range(max_attempts):
-        params = _teacher_params(spec, seed=int(rng.integers(0, 2**31)), gain=gain)
+    for _ in range(TEACHER_ATTEMPTS):
+        params = _teacher_params(spec, seed=int(rng.integers(0, 2**31)))
         counts = np.zeros(spec.num_classes, dtype=int)
         samples: list[Sample] = []
         for start in range(0, budget, TEACHER_CHUNK):
@@ -285,17 +285,16 @@ def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int, max_attempts
                 samples.append(Sample.from_frames([raw.copy()] * spec.time_steps, label, spec.num_classes))
                 if len(samples) == n_samples:
                     return samples, params
-    raise DataError(
-        f"no teacher produced {n_samples} class-balanced samples in {max_attempts} attempts"
-    )
+    raise DataError(f"no teacher produced {n_samples} class-balanced samples in {TEACHER_ATTEMPTS} attempts")
 
 
 _GLYPH_CLASSES = 10
 
 
-def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 12.0, jitter: int = 2):
+def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 12.0):
     """Digit-like 10-class image task: smooth random prototype glyphs with
-    per-sample translation jitter, amplitude wobble, and pixel noise.
+    per-sample translation jitter of up to 2 pixels, amplitude wobble, and
+    pixel noise.
 
     Returns (images, labels) with byte-range values, IDX-compatible.
     """
@@ -315,7 +314,7 @@ def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 1
     labels = rng.integers(0, _GLYPH_CLASSES, size=n_samples)
     for i, label in enumerate(labels):
         img = protos[label] * rng.uniform(0.8, 1.2)
-        dy, dx = rng.integers(-jitter, jitter + 1, size=2)
+        dy, dx = rng.integers(-2, 3, size=2)
         img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
         img = img + rng.normal(0.0, noise, size=img.shape)
         images[i] = np.clip(img, 0.0, 255.0)
@@ -323,11 +322,11 @@ def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 1
 
 
 def dataset_from_images(images: Tensor, labels, time_steps: int, num_classes: int,
-                        max_value: float = 255.0, channels: bool = True) -> list[Sample]:
-    """Direct-code an image set into per-sample frame sequences."""
+                        max_value: float = 255.0) -> list[Sample]:
+    """Direct-code an image set into per-sample frame sequences; a 2-D image gains a channel axis."""
     samples = []
     for img, label in zip(images, labels):
-        raw = img[None, :, :] if channels and img.ndim == 2 else img
+        raw = img[None, :, :] if img.ndim == 2 else img
         frames = encode_direct(raw, max_value, time_steps)
         samples.append(Sample.from_frames(frames, int(label), num_classes))
     return samples

@@ -425,10 +425,8 @@ def learn_batch(
 
     acc.samples = 1 if batch is None else batch
     if audit is not None:
-        state_tensors = sum(
-            (st.potentials is not None) + 1 for st, l in zip(states, spec.layers) if l.is_lif
-        )
-        audit["retained_time_indexed_tensors"] = state_tensors + traces.live_tensor_count()
+        # each neuron layer carries its potentials and spikes from step to step
+        audit["retained_time_indexed_tensors"] = 2 * len(lif_indices) + traces.live_tensor_count()
         audit["loss"] = total_loss
         audit["prediction"] = np.argmax(output_counts, axis=-1).tolist()
     return acc

@@ -9,9 +9,7 @@ Spatial kernels take one (C,H,W) map or a (B,C,H,W) batch of them and
 return the same rank. The convolutions are unrolled into GEMMs over
 im2col patch matrices (Chellapilla et al., 2006), built for one slice of
 whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
-patches, so a kernel's scratch is bounded whatever the batch size. The
-budget is 256 KiB: on the W1 kernels at batch 32 it measured equal or
-faster than 2 MiB slices.
+patches, so a kernel's scratch is bounded whatever the batch size.
 """
 from __future__ import annotations
 
@@ -89,17 +87,16 @@ def _patches(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: i
     )
 
 
-def _correlate(padded: Tensor, kernels: Tensor, stride: int, h_out: int, w_out: int) -> Tensor:
-    """The kernels against every patch of a padded batch; (B,Cout,h_out,w_out).
+def _correlate(padded: Tensor, kernels: Tensor, stride: int, out: Tensor) -> Tensor:
+    """The kernels against every patch of a padded batch, written into out (B,Cout,h_out,w_out).
 
     Per batch slice, one (n, Cin*kh*kw, h_out*w_out) patch matrix and one
     stacked GEMM that writes straight into the output.
     """
     cout, cin, kh, kw = kernels.shape
-    b = padded.shape[0]
+    h_out, w_out = out.shape[2:]
     flat = kernels.reshape(cout, cin * kh * kw)
-    out = np.empty((b, cout, h_out, w_out))
-    for part in budget_slices(b, 8 * cin * kh * kw * h_out * w_out):
+    for part in budget_slices(len(padded), 8 * cin * kh * kw * h_out * w_out):
         cols = _patches(padded[part], kh, kw, stride, h_out, w_out).reshape(-1, cin * kh * kw, h_out * w_out)
         np.matmul(flat, cols, out=out[part].reshape(-1, cout, h_out * w_out))
     return out
@@ -115,9 +112,8 @@ def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> T
     cout, cin_k, kh, kw = kernels.shape
     if cin != cin_k:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_k}")
-    h_out = _conv_out_len(h, kh, stride, padding)
-    w_out = _conv_out_len(w, kw, stride, padding)
-    return _unbatched_like(_correlate(_pad2d(x, padding), kernels, stride, h_out, w_out), inp)
+    out = np.empty((len(x), cout, _conv_out_len(h, kh, stride, padding), _conv_out_len(w, kw, stride, padding)))
+    return _unbatched_like(_correlate(_pad2d(x, padding), kernels, stride, out), inp)
 
 
 def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -126,7 +122,8 @@ def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, paddi
     Satisfies <conv2d(x, k), d> == <x, conv2d_adjoint_input(d, k)> for all x, d.
     It is one correlation of the deltas, zero-inserted between positions
     for stride > 1, with the flipped, channel-transposed kernels at
-    padding k-1-p.
+    padding k-1-p. The zero-inserted, padded delta buffer is built for one
+    batch slice at a time, the slice of the correlation's patch matrix.
     """
     d = _batched(deltas, "deltas")
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -140,13 +137,18 @@ def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, paddi
     wp = (w_out - 1) * stride + kw
     if hp <= 2 * padding or wp <= 2 * padding:
         raise ShapeError("padding exceeds reconstructed input size")
-    # deltas placed at their strided positions in a buffer padded by k-1, then
-    # cropped by p: correlating that with the flipped kernels covers the input
-    full = np.zeros((b, cout, hp + kh - 1, wp + kw - 1))
-    full[:, :, kh - 1 : hp : stride, kw - 1 : wp : stride] = d
+    flipped = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    out = np.empty((b, cin, hp - 2 * padding, wp - 2 * padding))
+    parts = budget_slices(b, 8 * cout * kh * kw * out.shape[2] * out.shape[3])
+    # per slice, the deltas placed at their strided positions in a buffer padded by k-1, then
+    # cropped by p: correlating that with the flipped kernels covers the input (the buffer's
+    # other positions stay zero from slice to slice)
+    full = np.zeros((parts[0].stop, cout, hp + kh - 1, wp + kw - 1))
     cropped = full[:, :, padding : full.shape[2] - padding, padding : full.shape[3] - padding]
-    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    out = _correlate(cropped, flipped, 1, hp - 2 * padding, wp - 2 * padding)
+    for part in parts:
+        n = part.stop - part.start
+        full[:n, :, kh - 1 : hp : stride, kw - 1 : wp : stride] = d[part]
+        _correlate(cropped[:n], flipped, 1, out[part])
     return _unbatched_like(out, deltas)
 
 
@@ -176,20 +178,29 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
     return grad.reshape(cout, cin, kh, kw)
 
 
-def avgpool2d(inp: Tensor, window: int) -> Tensor:
-    """Non-overlapping window mean over each (H,W) map of a (C,H,W) or (B,C,H,W) input."""
+def avgpool2d(inp: Tensor, window: int, out: Tensor | None = None) -> Tensor:
+    """Non-overlapping window mean over each (H,W) map of a (C,H,W) or (B,C,H,W) input.
+
+    out, if given, is the pooled array to write into and return.
+    """
     inp = np.asarray(inp, dtype=np.float64)
     if inp.ndim not in (3, 4):
         raise ShapeError(f"avgpool2d expects a 3-D or 4-D input, got {inp.shape}")
     h, w = inp.shape[-2:]
     if window < 1 or h % window != 0 or w % window != 0:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
+    shape = inp.shape[:-2] + (h // window, w // window)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ShapeError(f"avgpool2d output {out.shape} does not match {shape}")
     # one strided add per window offset is several times faster than a mean over reshaped axes
-    total = np.zeros(inp.shape[:-2] + (h // window, w // window))
+    out.fill(0.0)
     for i in range(window):
         for j in range(window):
-            total += inp[..., i::window, j::window]
-    return total / float(window * window)
+            out += inp[..., i::window, j::window]
+    out /= float(window * window)
+    return out
 
 
 def avgpool2d_adjoint(deltas: Tensor, window: int) -> Tensor:
@@ -197,9 +208,9 @@ def avgpool2d_adjoint(deltas: Tensor, window: int) -> Tensor:
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.ndim not in (3, 4):
         raise ShapeError(f"avgpool2d_adjoint expects a 3-D or 4-D input, got {deltas.shape}")
-    share = deltas / float(window * window)
     spread = np.empty(deltas.shape[:-2] + (deltas.shape[-2] * window, deltas.shape[-1] * window))
     for i in range(window):
         for j in range(window):
-            spread[..., i::window, j::window] = share
+            spread[..., i::window, j::window] = deltas
+    spread /= float(window * window)
     return spread

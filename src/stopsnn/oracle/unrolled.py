@@ -77,20 +77,6 @@ def record_tape(spec: NetworkSpec, params, frames, spike_mode: SpikeMode = Spike
     return tape
 
 
-def replay_matches(spec: NetworkSpec, params, frames, tape: UnrolledTape, spike_mode: SpikeMode = SpikeMode.HARD) -> bool:
-    """Re-run the forward pass and check it reproduces the tape exactly."""
-    fresh = record_tape(spec, params, frames, spike_mode)
-    if fresh.length != tape.length:
-        return False
-    for t in range(tape.length):
-        for i in tape.potentials[t]:
-            if not np.array_equal(fresh.potentials[t][i], tape.potentials[t][i]):
-                return False
-            if not np.array_equal(fresh.spikes[t][i], tape.spikes[t][i]):
-                return False
-    return True
-
-
 def unrolled_stbp_gradients(
     spec: NetworkSpec,
     params,

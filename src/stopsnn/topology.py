@@ -273,9 +273,10 @@ def _lead(value: Tensor, shape: tuple[int, ...]) -> tuple[int, ...]:
     return value.shape[: value.ndim - len(shape)]
 
 
-def passthrough(layer: LayerSpec, value: Tensor) -> Tensor:
+def passthrough(layer: LayerSpec, value: Tensor, out: Tensor | None = None) -> Tensor:
+    """A pooling layer's output, written into out if given, or a flatten layer's view of its input."""
     if layer.kind is LayerKind.AVGPOOL:
-        return numerics.avgpool2d(value, layer.window)
+        return numerics.avgpool2d(value, layer.window, out)
     if layer.kind is LayerKind.FLATTEN:
         return np.ascontiguousarray(value).reshape(_lead(value, layer.in_shape) + layer.out_shape)
     raise ShapeError(f"layer kind {layer.kind} has no pass-through semantics")
@@ -310,10 +311,11 @@ def forward_timestep(
     """Advance every layer one time-step, bottom-up, in place.
 
     Neuron layers integrate their synaptic input and fire into the arrays
-    reset_network allocated; pooling and flatten layers forward their
-    input unchanged. The frame is one sample of spec.input_shape or a
-    (B, ...) batch matching the states. Returns the given state list and
-    the output layer's spikes, which the next step overwrites.
+    reset_network allocated, and pooling layers pool into theirs; a
+    flatten layer's spikes are a view of its input. The frame is one
+    sample of spec.input_shape or a (B, ...) batch matching the states.
+    Returns the given state list and the output layer's spikes, which the
+    next step overwrites.
     """
     input_frame = np.asarray(input_frame, dtype=np.float64)
     lead = input_frame.ndim - len(spec.input_shape)
@@ -322,10 +324,10 @@ def forward_timestep(
     current = input_frame
     for layer, layer_params, state in zip(spec.layers, params, states):
         if layer.is_lif:
-            drive = synaptic_input(layer, layer_params, current)
+            # the drive lives only for this call, not while the next layer computes its own
             theta = broadcast_thresholds(layer, layer_params.thresholds)
-            lif_step(state, drive, theta, layer_params.leak, spec.surrogate, mode)
+            lif_step(state, synaptic_input(layer, layer_params, current), theta, layer_params.leak, spec.surrogate, mode)
         else:
-            state.spikes = passthrough(layer, current)
+            state.spikes = passthrough(layer, current, state.spikes)
         current = state.spikes
     return states, current

@@ -210,41 +210,21 @@ def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
-
-
 def _decode_array(blob: dict) -> np.ndarray:
     data = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8")
     return data.reshape(blob["shape"]).copy()
 
 
-def _checkpoint_payload(params, optimizer: OptimizerState, epoch: int, config: TrainConfig, encode) -> dict:
-    """The checkpoint's JSON object, with encode(array) standing for each tensor."""
-    return {
-        "version": CHECKPOINT_VERSION,
-        "digest": config.model_digest(),
-        "epoch": epoch,
-        "config": config.to_dict(),
-        "params": [
-            None if p is None else {"weights": encode(p.weights), "thresholds": encode(p.thresholds), "leak": p.leak}
-            for p in params
-        ],
-        "optimizer": {
-            "weight_velocities": [None if v is None else encode(v) for v in optimizer.weight_velocities],
-            "threshold_velocities": None if optimizer.threshold_velocities is None else [
-                None if v is None else encode(v) for v in optimizer.threshold_velocities
-            ],
-            "leak_velocities": optimizer.leak_velocities,
-            "epoch": optimizer.epoch,
-        },
-    }
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temporary file next to path, then rename it over path."""
+    tmp = Path(str(path) + ".tmp")
+    with open(tmp, "wb") as f:
+        f.writelines(chunks)
+    os.replace(tmp, path)
 
 
-# a tensor's "data" string in the skeleton is a NUL and the tensor's index, which the
-# JSON encoder writes as \u0000<index>
-_SPLICE = re.compile(r"\\u0000(\d+)")
+# a spliced value stands in the skeleton as the JSON string of a NUL and its index
+_SPLICE = re.compile(r'"\\u0000(\d+)"')
 
 
 def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config: TrainConfig) -> None:
@@ -252,29 +232,43 @@ def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config:
 
     The bytes are json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with each tensor as {"shape", "data": base64 of its little-endian
-    float64 bytes}. Only the small skeleton goes through the JSON encoder;
-    each tensor's base64 text, which needs no escaping, is spliced in
-    where its placeholder was written. If a config string holds what looks
-    like a placeholder, the whole payload is encoded instead.
+    float64 bytes}. The JSON encoder sees only a small skeleton of numbers
+    and fixed keys; the config's own JSON text and each tensor's base64
+    text are spliced in where their placeholders were written. Config
+    strings never reach the skeleton, so no placeholder can collide.
     """
-    blobs: list[bytes] = []
+    texts: list[tuple[bytes, ...]] = []
 
-    def placeholder(arr: np.ndarray) -> dict:
+    def spliced(*text: bytes) -> str:
+        texts.append(text)
+        return f"\x00{len(texts) - 1}"
+
+    def tensor(arr: np.ndarray) -> dict:
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        blobs.append(binascii.b2a_base64(arr, newline=False))
-        return {"shape": list(arr.shape), "data": f"\x00{len(blobs) - 1}"}
+        return {"shape": list(arr.shape), "data": spliced(b'"', binascii.b2a_base64(arr, newline=False), b'"')}
 
-    skeleton = json.dumps(_checkpoint_payload(params, optimizer, epoch, config, placeholder),
-                          sort_keys=True, separators=(",", ":"))
-    pieces = _SPLICE.split(skeleton)
-    if len(pieces) == 2 * len(blobs) + 1:
-        chunks = [blobs[int(piece)] if k % 2 else piece.encode() for k, piece in enumerate(pieces)]
-    else:
-        payload = _checkpoint_payload(params, optimizer, epoch, config, _encode_array)
-        chunks = [json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()]
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
-    os.replace(tmp, path)
+    skeleton = {
+        "version": CHECKPOINT_VERSION,
+        "digest": config.model_digest(),
+        "epoch": epoch,
+        "config": spliced(json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()),
+        "params": [
+            None if p is None else {"weights": tensor(p.weights), "thresholds": tensor(p.thresholds), "leak": p.leak}
+            for p in params
+        ],
+        "optimizer": {
+            "weight_velocities": [None if v is None else tensor(v) for v in optimizer.weight_velocities],
+            "threshold_velocities": None if optimizer.threshold_velocities is None else [
+                None if v is None else tensor(v) for v in optimizer.threshold_velocities
+            ],
+            "leak_velocities": optimizer.leak_velocities,
+            "epoch": optimizer.epoch,
+        },
+    }
+    chunks: list[bytes] = []
+    for k, piece in enumerate(_SPLICE.split(json.dumps(skeleton, sort_keys=True, separators=(",", ":")))):
+        chunks.extend(texts[int(piece)] if k % 2 else (piece.encode(),))
+    _write_atomic(path, chunks)
 
 
 def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
@@ -367,16 +361,11 @@ def _write_metrics(path, rows: list[dict]) -> None:
     """Rewrite the JSONL metrics file and its CSV mirror atomically."""
     path = Path(path)
     text = "".join(json.dumps({k: row[k] for k in METRIC_FIELDS}, sort_keys=True) + "\n" for row in rows)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    csv_path = path.with_suffix(".csv")
+    _write_atomic(path, [text.encode()])
     lines = [",".join(METRIC_FIELDS)]
     for row in rows:
         lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in METRIC_FIELDS))
-    tmp = Path(str(csv_path) + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, csv_path)
+    _write_atomic(path.with_suffix(".csv"), [("\n".join(lines) + "\n").encode()])
 
 
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:

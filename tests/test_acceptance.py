@@ -64,7 +64,7 @@ class TestCriterion2SoftSingleStepExactness:
 class TestCriterion3OutputLayerDetachedReset:
     def test_windows_up_to_six(self):
         start = time.monotonic()
-        result = checks.check_output_layer_detached(trials=20, seed=2, max_steps=6)
+        result = checks.check_output_layer_detached(trials=20, seed=2)
         elapsed = time.monotonic() - start
         detail = f"worst rel {result.worst_rel:.3e} <= 1e-9 in {elapsed:.1f}s"
         report("3 output-layer detached-reset exactness", result.ok and elapsed < 60, detail)
@@ -75,7 +75,7 @@ class TestCriterion3OutputLayerDetachedReset:
 class TestCriterion4UnrolledOracleValidity:
     def test_against_finite_differences(self):
         start = time.monotonic()
-        result = checks.check_stbp_vs_finite_diff(trials=10, seed=3, max_steps=5)
+        result = checks.check_stbp_vs_finite_diff(trials=10, seed=3)
         elapsed = time.monotonic() - start
         detail = f"worst rel {result.worst_rel:.3e} <= 1e-4 in {elapsed:.1f}s"
         report("4 unrolled temporal-backprop oracle validity", result.ok and elapsed < 120, detail)
@@ -249,7 +249,7 @@ class TestCriterion8AblationDirection:
             checkpoint_path=str(tmp_path / "abl_ck.json"),
             metrics_path=str(tmp_path / "abl_metrics.jsonl"),
         )
-        outcome = run_ablation(base, seeds=(0, 1, 2), include_baseline=True)
+        outcome = run_ablation(base, seeds=(0, 1, 2))
         gap = outcome.mean_wtl - outcome.mean_w
         ok = outcome.mean_wtl >= outcome.mean_w - 0.003
         report(

@@ -172,8 +172,9 @@ class TestBatchedMemory:
 
     def test_conv_batch_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network at a batch of 32: states, traces and gradient accumulators are
-        # 25 MiB and the learning scratch 6 MiB; the convolutions' patch scratch stays within
-        # numerics.COLUMN_BUDGET per call. The peak measured 40.9 MiB.
+        # 25 MiB and the learning scratch 6 MiB; the convolutions' patch scratch and the input
+        # adjoint's padded delta buffer stay within one batch slice per call. The peak measured
+        # 37.9 MiB; the bound leaves 5.6% above it.
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
         params = init_params(spec, seed=0)
         rng = np.random.default_rng(0)
@@ -185,7 +186,7 @@ class TestBatchedMemory:
 
         short, long = learn(2), learn(6)
         assert long <= 1.05 * short, (short, long)
-        assert long <= 42 * 2**20, long / 2**20
+        assert long <= 40 * 2**20, long / 2**20
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB and

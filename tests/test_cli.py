@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -8,7 +9,12 @@ from stopsnn import cli
 from stopsnn.checks import CheckResult
 from stopsnn.config import TrainConfig
 from stopsnn.datasets import save_event_stream, synthetic_event_stream
-from stopsnn.trainer import _decode_array, _encode_array
+from stopsnn.trainer import _decode_array
+
+
+def encode_tensor(arr):
+    """A checkpoint tensor entry: the shape and the base64 of the little-endian float64 bytes."""
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
 
 
 def write_config(tmp_path, **overrides):
@@ -309,7 +315,7 @@ class TestBadInputExitsData:
         for entry in payload["params"]:
             if entry is not None:
                 shape = _decode_array(entry["thresholds"]).shape
-                entry["thresholds"] = _encode_array(np.full(shape, threshold))
+                entry["thresholds"] = encode_tensor(np.full(shape, threshold))
         path.write_text(json.dumps(payload))
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         assert "checkpoint" in capsys.readouterr().err
@@ -328,7 +334,7 @@ class TestBadInputExitsData:
 
     def test_checkpoint_threshold_count_differs(self, tmp_path, capsys):
         path, payload = self._trained_checkpoint(tmp_path)
-        payload["params"][1]["thresholds"] = _encode_array(np.ones(1))  # two output neurons, one threshold
+        payload["params"][1]["thresholds"] = encode_tensor(np.ones(1))  # two output neurons, one threshold
         path.write_text(json.dumps(payload))
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         assert "does not fit its architecture" in capsys.readouterr().err

@@ -228,7 +228,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize("section,key,value,message", [
         ("params", 2, None, "3 parameter entries for 2 layers"),
         ("params", 0, None, "layer 0 lacks parameters"),
-        ("optimizer", "weight_velocities", [trainer._encode_array(np.zeros((2, 2))), None], "layer 0 weights velocity"),
+        ("optimizer", "weight_velocities", [{"shape": [2, 2], "data": base64.b64encode(bytes(32)).decode()}, None],
+         "layer 0 weights velocity"),
         ("optimizer", "threshold_velocities", [None, None], "layer 0 thresholds velocity"),
         ("optimizer", "leak_velocities", [0.0], "leak velocities do not cover"),
         ("config", "arch", "12Q-2", "unusable config"),
