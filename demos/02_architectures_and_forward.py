@@ -17,19 +17,19 @@ for i, layer in enumerate(spec.layers):
 
 params = init_params(spec, seed=7)
 rng = np.random.default_rng(0)
-frame = rng.uniform(0.0, 1.0, size=(1, 16, 16))
+frame = rng.uniform(0.0, 1.0, size=(1, 1, 16, 16))  # a batch of one sample
 
 print("\nrunning 6 time-steps of the same frame (direct coding):")
-states = reset_network(spec)
+states = reset_network(spec, batch=1)
 outputs = []
 for t in range(6):
     states, out = forward_timestep(spec, params, states, frame)
-    outputs.append(out.copy())  # the next step overwrites out in place
+    outputs.append(out[0].copy())  # the next step overwrites out in place
     spikes_per_layer = [int(states[i].spikes.sum()) for i in spec.lif_indices]
     print(f"  t={t + 1}: spikes per neuron layer {spikes_per_layer}, output counts so far "
           f"{np.sum(outputs, axis=0).astype(int)}")
 
-prediction, _ = infer_batch(spec, params, [frame] * 6)
+(prediction,), _ = infer_batch(spec, params, [frame] * 6)
 print(f"\ndecoded class (most output spikes, ties to lowest index): {prediction}")
 
 print("\nmalformed strings report the offending token:")

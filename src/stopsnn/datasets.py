@@ -233,8 +233,8 @@ def synthetic_event_stream(seed: int, n_events: int, width: int = 8, height: int
 # synthetic tasks
 
 def teacher_predict(spec: NetworkSpec, params, frames) -> int:
-    """The network's prediction for one sample's window (learning.infer_batch)."""
-    return infer_batch(spec, params, frames)[0]
+    """The network's prediction for one sample's window (learning.infer_batch on a batch of one)."""
+    return infer_batch(spec, params, (np.asarray(f)[None] for f in frames))[0][0]
 
 
 def _teacher_params(spec: NetworkSpec, seed: int):

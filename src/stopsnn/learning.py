@@ -26,7 +26,7 @@ Everything here streams: after a time-step advances, no per-time-step
 tensor from earlier steps is retained. The reference implementations that
 do keep full history live in the oracle subpackage.
 
-States, traces and errors may carry a leading batch axis, so one call
+States, traces and errors always carry a leading batch axis, so one call
 learns a whole mini-batch: per layer and time-step the dense weight
 gradient is a GEMM over the batch (delta^T @ traces), folded in row
 blocks of numerics.COLUMN_BUDGET bytes when larger than that, a
@@ -36,7 +36,8 @@ threshold/leakage products go into scratch buffers the size of the
 largest neuron layer (the second only when thresholds or leakages
 learn), allocated once per window. Memory stays constant in the window
 length; states, traces and errors grow linearly in the batch, the
-kernels' blocks do not. Unbatched arguments are the batch-of-one case.
+kernels' blocks do not. One sample is a batch of one: learn_sample adds
+the axis and learns through learn_batch.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it), and apply_updates(params, grads, optimizer,
@@ -51,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, NumericError, TargetError
+from .errors import ConfigError, NumericError, ShapeError, TargetError
 from .lif import SpikeMode, SurrogateKind, firing_derivative
 from .numerics import Tensor
 from .topology import (
@@ -59,7 +60,6 @@ from .topology import (
     LayerParams,
     LayerSpec,
     NetworkSpec,
-    batch_shape,
     broadcast_thresholds,
     forward_timestep,
     passthrough_adjoint,
@@ -98,15 +98,13 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def validate_one_hot(target: Tensor) -> Tensor:
-    """A one-hot target vector, or a (B, C) batch of one-hot rows."""
+    """A (B, C) batch of one-hot rows; another rank is a ShapeError."""
     target = np.asarray(target, dtype=np.float64)
-    if target.ndim not in (1, 2) or target.size == 0:
-        raise TargetError("target must be a one-hot vector with exactly one 1")
-    rows = target.size // target.shape[-1]
-    ones = np.count_nonzero(target == 1.0)
-    # every nonzero is a 1 and there are as many as rows; with no empty row, one per row
-    if ones != rows or np.count_nonzero(target) != ones or (rows > 1 and not target.any(axis=-1).all()):
-        raise TargetError("target must be a one-hot vector with exactly one 1")
+    if target.ndim != 2:
+        raise ShapeError(f"targets {target.shape} are not (B, C) rows")
+    # one 1 per row, and no other nonzero
+    if target.size == 0 or not (target == 1.0).sum(axis=1).all() or np.count_nonzero(target) != len(target):
+        raise TargetError("every target row must be one-hot, with exactly one 1")
     return target
 
 
@@ -181,12 +179,12 @@ class TraceSet:
     products: list[Tensor | None]
 
     @classmethod
-    def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int | None = None) -> "TraceSet":
+    def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int) -> "TraceSet":
         weight, threshold, leakage = [], [], []
         for layer in spec.layers:
             if layer.is_lif:
-                out_shape = batch_shape(batch, layer.out_shape)
-                weight.append(np.zeros(batch_shape(batch, layer.in_shape)))
+                out_shape = (batch, *layer.out_shape)
+                weight.append(np.zeros((batch, *layer.in_shape)))
                 threshold.append(np.zeros(out_shape) if mode.trains_thresholds else None)
                 leakage.append(np.zeros(out_shape) if mode.trains_leakages else None)
             else:
@@ -305,7 +303,7 @@ def accumulate_gradients(
 ) -> GradAccumulator:
     """Fold one layer's error/trace products for the current time-step into acc.
 
-    A batched delta is summed over the batch: a GEMM for the weights (for a
+    The (B, ...) delta is summed over the batch: a GEMM for the weights (for a
     dense layer whose gradient exceeds numerics.COLUMN_BUDGET bytes, in row
     blocks of at most that size, so no full-size product is built), one
     batch-sum each for thresholds and leakages, whose products are formed
@@ -313,41 +311,36 @@ def accumulate_gradients(
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
-        dw, rows, cols = acc.dw[index], delta.reshape(-1, delta.shape[-1]).T, wt.reshape(-1, wt.shape[-1])
+        dw, rows = acc.dw[index], delta.T
         if dw.nbytes <= numerics.COLUMN_BUDGET:  # one block; on 100x100 layers the loop cost 6% of learn time
-            dw += np.dot(rows, cols)
+            dw += np.dot(rows, wt)
         else:
-            for part in numerics.budget_slices(len(dw), 8 * cols.shape[1]):
-                dw[part] += np.dot(rows[part], cols)
+            for part in numerics.budget_slices(len(dw), 8 * wt.shape[1]):
+                dw[part] += np.dot(rows[part], wt)
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     product = traces.products[index]
     if mode.trains_thresholds:
         np.subtract(traces.threshold[index], 1.0, out=product)
         product *= delta
-        acc.dtheta[index] += _batch_sum(product, layer)
+        acc.dtheta[index] += product.sum(axis=0)
     if mode.trains_leakages:
-        acc.dalpha[index] += _batch_sum(np.multiply(delta, traces.leakage[index], out=product), layer)
+        acc.dalpha[index] += np.multiply(delta, traces.leakage[index], out=product).sum(axis=0)
     return acc
 
 
-def _layer_scratch(spec: NetworkSpec, batch: int | None = None) -> list[Tensor | None]:
-    """Per neuron layer (None elsewhere), a view in its output shape of one buffer as large as the largest.
+def _layer_scratch(spec: NetworkSpec, batch: int) -> list[Tensor | None]:
+    """Per neuron layer (None elsewhere), a (batch, ...) view of one buffer as large as the largest.
 
     The views overlap: one holds its values until another is written.
     """
-    shapes = [batch_shape(batch, layer.out_shape) if layer.is_lif else None for layer in spec.layers]
+    shapes = [(batch, *layer.out_shape) if layer.is_lif else None for layer in spec.layers]
     buffer = np.empty(max(math.prod(shape) for shape in shapes if shape))
     return [None if shape is None else buffer[: math.prod(shape)].reshape(shape) for shape in shapes]
 
 
-def _batch_sum(values: Tensor, layer: LayerSpec) -> Tensor:
-    """Per-neuron values summed over a leading batch axis, if there is one."""
-    return values if values.ndim == len(layer.out_shape) else values.sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
-# learning a sample or a mini-batch
+# learning a mini-batch, or one sample as a batch of one
 
 def learn_batch(
     spec: NetworkSpec,
@@ -359,34 +352,34 @@ def learn_batch(
     spike_mode: SpikeMode = SpikeMode.HARD,
     audit: dict | None = None,
 ) -> GradAccumulator:
-    """Run a mini-batch, or one sample, through the full learning procedure.
+    """Run a mini-batch through the full learning procedure.
 
-    frames yields one input per time-step: a (B, ...) batch with a (B, C)
-    target of one-hot rows, or a single sample with a one-hot vector. Each
-    time-step performs the forward sweep (dynamics plus trace updates),
-    then backpropagates the instantaneous loss spatially and folds the
-    error/trace products, summed over the batch, into the accumulator. No
-    per-time-step history survives the step; pass an audit dict to receive
-    the count of retained step-carried tensors plus the total loss over
-    the batch and the decoded prediction (one per sample when batched).
-    A frame that does not fit the network input and the target's batch
-    raises ShapeError in forward_timestep; trace and error shapes are fixed
-    when the states and traces are allocated, so the helpers recheck none.
+    frames yields one (B, ...) input batch per time-step, and target holds
+    the B one-hot rows. Each time-step performs the forward sweep (dynamics
+    plus trace updates), then backpropagates the instantaneous loss
+    spatially and folds the error/trace products, summed over the batch,
+    into the accumulator. No per-time-step history survives the step; pass
+    an audit dict to receive the count of retained step-carried tensors,
+    the total loss and one decoded prediction per sample. A target that is
+    not (B, C), or a frame that does not fit the network input and the
+    target's batch, raises ShapeError; trace and error shapes are fixed
+    with the states, so the helpers recheck none.
     """
     target = validate_one_hot(target)
-    batch = target.shape[0] if target.ndim == 2 else None
+    batch = len(target)
     states = reset_network(spec, batch)
     traces = TraceSet.zeros(spec, mode, batch)
     acc = GradAccumulator.zeros(spec, mode)
     lif_indices = spec.lif_indices
     first, top = lif_indices[0], lif_indices[-1]
     total_loss = 0.0
-    output_counts = np.zeros(batch_shape(batch, (spec.num_classes,)))
+    output_counts = np.zeros((batch, spec.num_classes))
     errors = _layer_scratch(spec, batch)  # each layer's neuron errors, written top-down
     thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
     trains_thresholds, trains_leakages = mode.trains_thresholds, mode.trains_leakages
 
     for t, frame in enumerate(frames):
+        delta_spikes: Tensor | None = None  # the last step's input adjoint is not kept through this sweep
         # threshold and leakage traces read the previous step's state before the step overwrites
         # it; from the rest state (t = 0) they would stay zero
         for i in lif_indices if t else ():
@@ -406,7 +399,6 @@ def learn_batch(
         total_loss += loss_value(states[top].spikes, target, loss)
         output_counts += states[top].spikes
 
-        delta_spikes: Tensor | None = None
         # no error is needed below the first neuron layer
         for i in reversed(range(first, len(spec.layers))):
             layer = spec.layers[i]
@@ -423,7 +415,7 @@ def learn_batch(
             else:
                 delta_spikes = passthrough_adjoint(layer, delta_spikes)
 
-    acc.samples = 1 if batch is None else batch
+    acc.samples = batch
     if audit is not None:
         # each neuron layer carries its potentials and spikes from step to step
         audit["retained_time_indexed_tensors"] = 2 * len(lif_indices) + traces.live_tensor_count()
@@ -432,31 +424,40 @@ def learn_batch(
     return acc
 
 
-# a single sample is the unbatched case of the batched engine
-learn_sample = learn_batch
+def learn_sample(spec: NetworkSpec, params: list[LayerParams | None], frames, target: Tensor,
+                 mode: SynergyMode = SynergyMode.WTL, loss: LossKind = LossKind.CE,
+                 spike_mode: SpikeMode = SpikeMode.HARD, audit: dict | None = None) -> GradAccumulator:
+    """learn_batch on one sample: its frames and one-hot target gain a batch axis of one.
+
+    The audit's prediction is the sample's one class.
+    """
+    acc = learn_batch(spec, params, (np.asarray(f)[None] for f in frames), np.asarray(target)[None],
+                      mode, loss, spike_mode, audit)
+    if audit is not None:
+        (audit["prediction"],) = audit["prediction"]
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # inference over a window
 
 def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, targets: Tensor | None = None,
-                loss: LossKind = LossKind.CE) -> tuple[list[int] | int, float]:
+                loss: LossKind = LossKind.CE) -> tuple[list[int], float]:
     """(predictions, total loss) of a hard-mode window run from rest.
 
-    frames yields one input per time-step, a (B, ...) batch (a list of B
-    predictions) or one sample (one prediction). The prediction is the
-    class with the most output spikes, ties going to the lowest index; the
-    loss, 0 without targets, is the instantaneous loss summed over steps.
+    frames yields one (B, ...) input batch per time-step, and there is one
+    prediction per sample: the class with the most output spikes, ties
+    going to the lowest index. The loss, 0 without targets, is the
+    instantaneous loss summed over steps and the batch.
     """
     if targets is not None:
         targets = validate_one_hot(targets)
     states = counts = None
     total_loss = 0.0
     for frame in frames:
-        if states is None:  # the first frame tells a batch from a single sample
-            batch = len(frame) if np.ndim(frame) > len(spec.input_shape) else None
-            states = reset_network(spec, batch)
-            counts = np.zeros(batch_shape(batch, (spec.num_classes,)))
+        if states is None:  # the first frame gives the batch
+            states = reset_network(spec, len(frame))
+            counts = np.zeros((len(frame), spec.num_classes))
             if targets is not None and targets.shape != counts.shape:
                 raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
         states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)

@@ -34,12 +34,12 @@ class SpikeMode(Enum):
 class LifState:
     """Per-layer dynamic state: membrane potentials and last fired spikes.
 
-    potentials is None for layers without neuron dynamics (pooling,
-    flatten); spikes then holds the layer's pass-through output.
+    potentials is None for pooling and flatten layers; spikes then holds
+    the pass-through output (a flatten layer's is None until its first step).
     """
 
     potentials: Tensor | None
-    spikes: Tensor
+    spikes: Tensor | None
 
 
 def surrogate_eval(x: Tensor, kind: SurrogateKind, out: Tensor | None = None) -> Tensor:

@@ -9,9 +9,9 @@ and a bare "<n>" is a dense layer of n neurons (a flatten is inserted
 implicitly before the first dense layer). The last layer must be dense
 with one neuron per class.
 
-Activity may carry a leading batch axis: the forward sweep advances a
-whole (B, ...) batch of samples per time-step, and an array without one
-is a single sample. The sweep advances the states in place.
+Activity always carries a leading batch axis: the forward sweep advances
+a whole (B, ...) batch of samples per time-step, in place, and one sample
+is a batch of one.
 """
 from __future__ import annotations
 
@@ -249,15 +249,13 @@ def init_params(spec: NetworkSpec, seed: int, init_mode: InitMode = InitMode.FAN
 
 
 def broadcast_thresholds(layer: LayerSpec, thresholds: Tensor) -> Tensor:
-    """View of the threshold array broadcastable over the layer's neuron map."""
+    """View of the threshold array with the rank of the layer's (B, ...) neuron maps.
+
+    Its batch axis has length one, so a batch of one meets it shape for shape.
+    """
     if layer.kind is LayerKind.CONV:
-        return thresholds[:, None, None]
-    return thresholds
-
-
-def batch_shape(batch: int | None, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """shape with a leading batch axis, or unchanged for a single sample (batch None)."""
-    return shape if batch is None else (batch, *shape)
+        return thresholds[None, :, None, None]
+    return thresholds[None]
 
 
 def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Tensor:
@@ -268,17 +266,12 @@ def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Ten
     return numerics.conv2d(presyn, params.weights, stride=layer.stride, padding=layer.padding)
 
 
-def _lead(value: Tensor, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The batch axes of value in front of a per-sample shape."""
-    return value.shape[: value.ndim - len(shape)]
-
-
 def passthrough(layer: LayerSpec, value: Tensor, out: Tensor | None = None) -> Tensor:
     """A pooling layer's output, written into out if given, or a flatten layer's view of its input."""
     if layer.kind is LayerKind.AVGPOOL:
         return numerics.avgpool2d(value, layer.window, out)
     if layer.kind is LayerKind.FLATTEN:
-        return np.ascontiguousarray(value).reshape(_lead(value, layer.in_shape) + layer.out_shape)
+        return np.ascontiguousarray(value).reshape(len(value), *layer.out_shape)
     raise ShapeError(f"layer kind {layer.kind} has no pass-through semantics")
 
 
@@ -286,18 +279,18 @@ def passthrough_adjoint(layer: LayerSpec, delta: Tensor) -> Tensor:
     if layer.kind is LayerKind.AVGPOOL:
         return numerics.avgpool2d_adjoint(delta, layer.window)
     if layer.kind is LayerKind.FLATTEN:
-        delta = np.asarray(delta)
-        return delta.reshape(_lead(delta, layer.out_shape) + layer.in_shape)
+        return delta.reshape(len(delta), *layer.in_shape)
     raise ShapeError(f"layer kind {layer.kind} has no pass-through semantics")
 
 
-def reset_network(spec: NetworkSpec, batch: int | None = None) -> list[LifState]:
-    """Zeroed dynamic state for every layer, for a single sample or a batch."""
+def reset_network(spec: NetworkSpec, batch: int) -> list[LifState]:
+    """Zeroed dynamic state for every layer of a batch; a flatten layer's spikes are None until a step."""
     states = []
     for layer in spec.layers:
-        shape = batch_shape(batch, layer.out_shape)
+        shape = (batch, *layer.out_shape)
         potentials = np.zeros(shape) if layer.is_lif else None
-        states.append(LifState(potentials=potentials, spikes=np.zeros(shape)))
+        spikes = None if layer.kind is LayerKind.FLATTEN else np.zeros(shape)
+        states.append(LifState(potentials=potentials, spikes=spikes))
     return states
 
 
@@ -312,14 +305,13 @@ def forward_timestep(
 
     Neuron layers integrate their synaptic input and fire into the arrays
     reset_network allocated, and pooling layers pool into theirs; a
-    flatten layer's spikes are a view of its input. The frame is one
-    sample of spec.input_shape or a (B, ...) batch matching the states.
+    flatten layer's spikes are a view of its input. The frame is a
+    (B, ...) batch of spec.input_shape inputs, B the states' batch.
     Returns the given state list and the output layer's spikes, which the
     next step overwrites.
     """
     input_frame = np.asarray(input_frame, dtype=np.float64)
-    lead = input_frame.ndim - len(spec.input_shape)
-    if lead not in (0, 1) or input_frame.shape[lead:] != spec.input_shape:
+    if input_frame.shape[1:] != spec.input_shape:
         raise ShapeError(f"input frame {input_frame.shape} does not match {spec.input_shape}")
     current = input_frame
     for layer, layer_params, state in zip(spec.layers, params, states):

@@ -167,14 +167,14 @@ class TestInferBatch:
 
     def test_argmax(self):
         spec, params = self._copying_net()
-        frames = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
-        assert infer_batch(spec, params, frames) == (1, 0.0)
+        frames = [np.array([[1.0, 1.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), np.array([[0.0, 1.0, 1.0]])]
+        assert infer_batch(spec, params, frames) == ([1], 0.0)
 
     def test_tie_breaks_low(self):
         spec, params = self._copying_net()
-        tie = [np.array([0.0, 1.0, 1.0])] * 2
-        assert infer_batch(spec, params, tie)[0] == 1
-        batch = [np.stack([f, f[::-1]]) for f in tie]  # counts (0, 2, 2) and (2, 2, 0)
+        tie = [np.array([[0.0, 1.0, 1.0]])] * 2
+        assert infer_batch(spec, params, tie)[0] == [1]
+        batch = [np.concatenate([f, f[:, ::-1]]) for f in tie]  # counts (0, 2, 2) and (2, 2, 0)
         assert infer_batch(spec, params, batch)[0] == [1, 0]
 
     @pytest.mark.parametrize("target,loss", [([1.0, 1.0, 0.0], LossKind.CE), ([0.5, 0.0, 0.0], LossKind.MSE)])
@@ -184,14 +184,14 @@ class TestInferBatch:
         with pytest.raises(TargetError):
             learn_sample(spec, params, frames, target, loss=loss)
         with pytest.raises(TargetError):
-            infer_batch(spec, params, frames, target, loss)
+            infer_batch(spec, params, [f[None] for f in frames], target[None], loss)
         with pytest.raises(TargetError):
             evaluate(spec, params, [Sample(frames=frames, label=0, target=target)], loss)
 
     def test_targets_must_match_the_batch(self):
         spec, params = self._copying_net()
         with pytest.raises(TargetError):
-            infer_batch(spec, params, [np.ones(3)] * 2, np.eye(3)[:2])
+            infer_batch(spec, params, [np.ones((3, 3))] * 2, np.eye(3)[:2])
 
 
 class TestInPlaceTraces:
@@ -233,18 +233,18 @@ class TestTraceStorage:
     def test_weight_traces_keyed_by_presynaptic_side(self):
         # storage follows the input, not the layer's own (much larger) width
         spec = parse_architecture("8C3-P2-200-3", (1, 4, 4), 3)
-        traces = TraceSet.zeros(spec, SynergyMode.WTL)
+        traces = TraceSet.zeros(spec, SynergyMode.WTL, 1)
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
-                assert traces.weight[i].shape == layer.in_shape
-                assert traces.threshold[i].shape == layer.out_shape
-                assert traces.leakage[i].shape == layer.out_shape
+                assert traces.weight[i].shape == (1, *layer.in_shape)
+                assert traces.threshold[i].shape == (1, *layer.out_shape)
+                assert traces.leakage[i].shape == (1, *layer.out_shape)
         conv = spec.layers[0]
         assert traces.weight[0].size == conv.fan_in < conv.fan_out
 
     def test_mode_w_allocates_weight_traces_only(self):
         spec = parse_architecture("6-3", (4,), 3)
-        traces = TraceSet.zeros(spec, SynergyMode.W)
+        traces = TraceSet.zeros(spec, SynergyMode.W, 1)
         assert traces.weight[0] is not None
         assert traces.threshold[0] is None and traces.leakage[0] is None
 
@@ -253,28 +253,28 @@ class TestAccumulate:
     def _tiny(self):
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
         acc = GradAccumulator.zeros(spec)
-        traces = TraceSet.zeros(spec, SynergyMode.WTL)
+        traces = TraceSet.zeros(spec, SynergyMode.WTL, 1)
         return spec, acc, traces
 
     def test_product_accumulation(self):
         spec, acc, traces = self._tiny()
-        traces.weight[0] = np.array([1.5, 0.0])
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([0.1]), traces, SynergyMode.WTL)
+        traces.weight[0] = np.array([[1.5, 0.0]])
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.1]]), traces, SynergyMode.WTL)
         assert acc.dw[0][0, 0] == pytest.approx(0.15)
 
     def test_threshold_gets_minus_delta_with_zero_trace(self):
         spec, acc, traces = self._tiny()
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([0.3]), traces, SynergyMode.WTL)
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), traces, SynergyMode.WTL)
         assert acc.dtheta[0][0] == pytest.approx(-0.3)
 
     def test_mode_w_leaves_theta_alpha_untouched(self):
         spec, acc, traces = self._tiny()
-        traces.weight[0] = np.ones(2)
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([0.3]), traces, SynergyMode.W)
+        traces.weight[0] = np.ones((1, 2))
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), traces, SynergyMode.W)
         assert np.array_equal(acc.dtheta[0], np.zeros(1))
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
-    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("batch", [1, 4])
     def test_row_blocked_dense_fold_equals_one_product(self, monkeypatch, batch):
         # a budget of 16 rows of the 64-wide product folds the 40 rows in blocks of 16, 16 and 8
         # (OpenBLAS sends products much smaller than these through a small-matrix kernel whose
@@ -284,13 +284,12 @@ class TestAccumulate:
         rng = np.random.default_rng(4)
         traces = TraceSet.zeros(spec, SynergyMode.W, batch)
         traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
-        delta = rng.normal(size=(40,) if batch is None else (batch, 40))
+        delta = rng.normal(size=(batch, 40))
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         start = rng.normal(size=acc.dw[0].shape)
         acc.dw[0][...] = start
         accumulate_gradients(acc, 0, spec.layers[0], delta, traces, SynergyMode.W)
-        rows, cols = delta.reshape(-1, 40).T, traces.weight[0].reshape(-1, 64)
-        assert np.array_equal(acc.dw[0], start + np.dot(rows, cols))
+        assert np.array_equal(acc.dw[0], start + np.dot(delta.T, traces.weight[0]))
 
 
 def _apply(params, acc, rates, samples=1):
@@ -395,6 +394,8 @@ class TestLearnSample:
         for frame, target in cases:
             with pytest.raises(ShapeError):
                 learn_batch(spec, params, [frame, frame], target)
+        with pytest.raises(ShapeError):  # one sample's frame
+            infer_batch(spec, params, [np.ones(4)] * 2)
 
     def test_mode_w_gates_accumulators(self):
         spec = parse_architecture("6-3", (4,), 3, time_steps=4)

@@ -36,10 +36,10 @@ class TestFlatNetwork:
             frames, _ = checks.random_sample(rng, spec, low=0.0)
             net = FlatNetwork(spec, params)
             potentials, spikes = net.zero_state()
-            states = reset_network(spec)
+            states = reset_network(spec, 1)
             for frame in frames:
                 potentials, spikes, _, _ = net.step(potentials, spikes, frame, mode)
-                states, out = forward_timestep(spec, params, states, frame, mode)
+                states, out = forward_timestep(spec, params, states, frame[None], mode)
             for i in spec.lif_indices:
                 np.testing.assert_allclose(potentials[i], states[i].potentials.ravel(), atol=1e-11)
                 np.testing.assert_allclose(spikes[i], states[i].spikes.ravel(), atol=1e-11)
@@ -209,7 +209,7 @@ class TestMutationDetection:
             real(acc, index, layer, delta, traces, mode)
             if mode.trains_thresholds:
                 # undo and re-apply with the wrong sign
-                acc.dtheta[index] -= 2.0 * delta * (traces.threshold[index] - 1.0)
+                acc.dtheta[index] -= 2.0 * (delta * (traces.threshold[index] - 1.0)).sum(axis=0)
             return acc
 
         monkeypatch.setattr(learning, "accumulate_gradients", flipped)

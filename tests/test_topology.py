@@ -114,12 +114,15 @@ class TestInitParams:
 class TestForward:
     def test_reset_is_all_zero(self):
         spec = parse_architecture("4C3-P2-5", (1, 4, 4), 5)
-        states = reset_network(spec)
+        states = reset_network(spec, 2)
         assert len(states) == len(spec.layers)
         for layer, state in zip(spec.layers, states):
-            assert np.array_equal(state.spikes, np.zeros(layer.out_shape))
+            if layer.kind is LayerKind.FLATTEN:  # a view of its input from the first step on
+                assert state.spikes is None
+            else:
+                assert np.array_equal(state.spikes, np.zeros((2, *layer.out_shape)))
             if layer.is_lif:
-                assert np.array_equal(state.potentials, np.zeros(layer.out_shape))
+                assert np.array_equal(state.potentials, np.zeros((2, *layer.out_shape)))
             else:
                 assert state.potentials is None
 
@@ -128,11 +131,11 @@ class TestForward:
         params = init_params(spec, seed=0)
         for p in params:
             p.weights[:] = 0.0
-        states = reset_network(spec)
+        states = reset_network(spec, 1)
         for _ in range(4):
-            states, out = forward_timestep(spec, params, states, np.ones(4))
-            assert np.array_equal(out, np.zeros(3))
-            assert np.array_equal(states[0].potentials, np.zeros(6))
+            states, out = forward_timestep(spec, params, states, np.ones((1, 4)))
+            assert np.array_equal(out, np.zeros((1, 3)))
+            assert np.array_equal(states[0].potentials, np.zeros((1, 6)))
 
     def _unit_dense_spec(self, depth):
         layers = tuple(dense_layer(1, 1) for _ in range(depth))
@@ -145,18 +148,18 @@ class TestForward:
 
     def test_single_unit_fires_every_step(self):
         spec, params = self._unit_dense_spec(1)
-        states = reset_network(spec)
+        states = reset_network(spec, 1)
         for _ in range(5):
-            states, out = forward_timestep(spec, params, states, np.array([1.0]))
-            assert out[0] == 1.0
+            states, out = forward_timestep(spec, params, states, np.array([[1.0]]))
+            assert out[0, 0] == 1.0
 
     def test_stacked_units_relay_spikes(self):
         spec, params = self._unit_dense_spec(2)
-        states = reset_network(spec)
+        states = reset_network(spec, 1)
         seen = []
         for _ in range(5):
-            states, out = forward_timestep(spec, params, states, np.array([1.0]))
-            seen.append(out[0])
+            states, out = forward_timestep(spec, params, states, np.array([[1.0]]))
+            seen.append(out[0, 0])
         # within one sweep layer 2 sees layer 1's current spike, so it fires from t=1
         assert seen == [1.0, 1.0, 1.0, 1.0, 1.0]
 
@@ -164,10 +167,10 @@ class TestForward:
         spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3, time_steps=4)
         params = init_params(spec, seed=3)
         rng = np.random.default_rng(0)
-        frames = [rng.uniform(0, 1, size=(1, 4, 4)) for _ in range(4)]
+        frames = [rng.uniform(0, 1, size=(1, 1, 4, 4)) for _ in range(4)]
 
         def raster():
-            states = reset_network(spec)
+            states = reset_network(spec, 1)
             outs = []
             for f in frames:
                 states, out = forward_timestep(spec, params, states, f)
@@ -192,7 +195,7 @@ class TestForward:
     def test_pool_and_flatten_are_linear(self):
         spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3)
         layer = spec.layers[1]
-        x = np.random.default_rng(1).uniform(size=(4, 4, 4))
+        x = np.random.default_rng(1).uniform(size=(2, 4, 4, 4))
         doubled = topology.passthrough(layer, 2.0 * x)
         assert np.allclose(doubled, 2.0 * topology.passthrough(layer, x))
 
@@ -200,13 +203,13 @@ class TestForward:
         spec = parse_architecture("3", (4,), 3)
         params = init_params(spec, seed=0)
         with pytest.raises(ShapeError):
-            forward_timestep(spec, params, reset_network(spec), np.ones(5))
+            forward_timestep(spec, params, reset_network(spec, 1), np.ones((1, 5)))
 
     def test_soft_mode_outputs_fractional(self):
         spec = parse_architecture("6-3", (4,), 3)
         params = init_params(spec, seed=5)
-        states = reset_network(spec)
-        states, out = forward_timestep(spec, params, states, np.ones(4), mode=SpikeMode.SOFT)
+        states = reset_network(spec, 1)
+        states, out = forward_timestep(spec, params, states, np.ones((1, 4)), mode=SpikeMode.SOFT)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_sweep_touches_each_neuron_layer_exactly_once(self, monkeypatch):
@@ -220,7 +223,7 @@ class TestForward:
         monkeypatch.setattr(topology, "synaptic_input", counting)
         spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3)
         params = init_params(spec, seed=0)
-        forward_timestep(spec, params, reset_network(spec), np.ones((1, 4, 4)))
+        forward_timestep(spec, params, reset_network(spec, 1), np.ones((1, 1, 4, 4)))
         assert sorted(touched) == sorted(id(spec.layers[i]) for i in spec.lif_indices)
 
 
