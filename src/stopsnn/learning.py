@@ -30,12 +30,17 @@ States, traces and errors always carry a leading batch axis, so one call
 learns a whole mini-batch: per layer and time-step the dense weight
 gradient is a GEMM over the batch (delta^T @ traces), folded in row
 blocks of numerics.COLUMN_BUDGET bytes when larger than that, a
-convolution's one im2col GEMM per batch slice of that budget. A step
-allocates no state: the forward sweep works in place, and errors and
-threshold/leakage products go into scratch buffers the size of the
-largest neuron layer (the second only when thresholds or leakages
-learn), allocated once per window. Memory stays constant in the window
-length; states, traces and errors grow linearly in the batch, the
+convolution's one im2col GEMM per batch slice of that budget. Where K >= 2
+steps of a larger dense gradient's rows fit a quarter of the budget (at
+small batches), a StepStack holds them and folds K steps as one GEMM of
+depth K*B, in row blocks of what the stack leaves of the budget: at a
+batch of one, one pass over dw instead of K. That sums in another order,
+within the oracle battery's 1e-9; where K = 1 the per-step fold and its
+order are kept. A step allocates no state: the forward sweep works in
+place, and errors and threshold/leakage products go into scratch buffers
+the size of the largest neuron layer (the second only when thresholds or
+leakages learn), allocated once per window, like the stacks. Memory
+stays constant in the window length; states, traces and errors grow linearly in the batch, the
 kernels' blocks do not. One sample is a batch of one: learn_sample adds
 the axis and learns through learn_batch.
 
@@ -170,13 +175,16 @@ class TraceSet:
     allocated only for the parameter families the synergy mode trains.
     products is scratch for leakage residuals and threshold/leakage
     gradient products, one view per neuron layer of a shared buffer; it is
-    allocated only when the mode trains thresholds or leakages.
+    allocated only when the mode trains thresholds or leakages. stacks
+    holds a StepStack for each dense layer whose weight gradient is folded
+    once per K steps (see StepStack.for_layer), None elsewhere.
     """
 
     weight: list[Tensor | None]
     threshold: list[Tensor | None]
     leakage: list[Tensor | None]
     products: list[Tensor | None]
+    stacks: list["StepStack | None"]
 
     @classmethod
     def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int) -> "TraceSet":
@@ -193,7 +201,8 @@ class TraceSet:
                 leakage.append(None)
         products = (_layer_scratch(spec, batch) if mode.trains_thresholds or mode.trains_leakages
                     else [None] * len(spec.layers))
-        return cls(weight=weight, threshold=threshold, leakage=leakage, products=products)
+        stacks = [StepStack.for_layer(layer, batch) for layer in spec.layers]
+        return cls(weight=weight, threshold=threshold, leakage=leakage, products=products, stacks=stacks)
 
     def live_tensor_count(self) -> int:
         return sum(t is not None for group in (self.weight, self.threshold, self.leakage) for t in group)
@@ -303,20 +312,20 @@ def accumulate_gradients(
 ) -> GradAccumulator:
     """Fold one layer's error/trace products for the current time-step into acc.
 
-    The (B, ...) delta is summed over the batch: a GEMM for the weights (for a
-    dense layer whose gradient exceeds numerics.COLUMN_BUDGET bytes, in row
-    blocks of at most that size, so no full-size product is built), one
+    The (B, ...) delta is summed over the batch: a GEMM for the weights, one
     batch-sum each for thresholds and leakages, whose products are formed
-    in traces.products.
+    in traces.products. A dense layer with a StepStack in traces.stacks
+    pushes its delta and weight trace onto the stack, which folds its K
+    steps into dw as one GEMM when full (learn_batch folds the rest at the
+    window's end); any other dense layer folds its step at once.
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
-        dw, rows = acc.dw[index], delta.T
-        if dw.nbytes <= numerics.COLUMN_BUDGET:  # one block; on 100x100 layers the loop cost 6% of learn time
-            dw += np.dot(rows, wt)
+        stack = traces.stacks[index]
+        if stack is None:
+            _fold_dense(acc.dw[index], delta, wt, numerics.COLUMN_BUDGET)
         else:
-            for part in numerics.budget_slices(len(dw), 8 * wt.shape[1]):
-                dw[part] += np.dot(rows[part], wt)
+            stack.push(delta, wt, acc.dw[index])
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     product = traces.products[index]
@@ -327,6 +336,72 @@ def accumulate_gradients(
     if mode.trains_leakages:
         acc.dalpha[index] += np.multiply(delta, traces.leakage[index], out=product).sum(axis=0)
     return acc
+
+
+def _fold_dense(dw: Tensor, delta: Tensor, inputs: Tensor, budget: int) -> None:
+    """dw += delta^T @ inputs, summed over the rows of the (n, out) delta and the (n, in) inputs.
+
+    A dw larger than budget bytes is folded in row blocks of at most that
+    size, so no full-size product is built.
+    """
+    rows = delta.T
+    if dw.nbytes <= budget:  # one block; on 100x100 layers the loop cost 6% of learn time
+        dw += np.dot(rows, inputs)
+    else:
+        for part in numerics.budget_slices(len(dw), 8 * inputs.shape[1], budget):
+            dw[part] += np.dot(rows[part], inputs)
+
+
+class StepStack:
+    """Up to K time-steps of one dense layer's errors and weight traces, folded into dw as one GEMM.
+
+    At a batch of one a step's weight gradient is a rank-1 update that
+    reads and writes the whole dw; K stacked steps fold in one pass of
+    depth K*B. The rows are copies, since the weight traces advance in
+    place: deltas is (K*B, fan_out), inputs (K*B, fan_in), and rows
+    counts the filled rows.
+    """
+
+    def __init__(self, steps: int, batch: int, fan_in: int, fan_out: int):
+        self.deltas = np.empty((steps * batch, fan_out))
+        self.inputs = np.empty((steps * batch, fan_in))
+        self.rows = 0
+
+    @classmethod
+    def for_layer(cls, layer: LayerSpec, batch: int) -> "StepStack | None":
+        """A stack for a dense layer whose gradient exceeds numerics.COLUMN_BUDGET, else None.
+
+        K is as many steps as fit a quarter of the budget. When K is 1 there
+        is no stack, and the layer folds each step as it comes.
+        """
+        if layer.kind is not LayerKind.DENSE:
+            return None
+        # a dense layer's shapes are 1-tuples; the fan_in and fan_out properties call np.prod, microseconds each
+        (fan_in,), (fan_out,) = layer.in_shape, layer.out_shape
+        if 8 * fan_in * fan_out <= numerics.COLUMN_BUDGET:
+            return None
+        steps = (numerics.COLUMN_BUDGET // 4) // (8 * batch * (fan_in + fan_out))
+        return cls(steps, batch, fan_in, fan_out) if steps > 1 else None
+
+    def push(self, delta: Tensor, inputs: Tensor, dw: Tensor) -> None:
+        """Copy one step's (B, out) delta and (B, in) weight trace in; fold into dw when full."""
+        end = self.rows + len(delta)
+        self.deltas[self.rows:end] = delta
+        self.inputs[self.rows:end] = inputs
+        self.rows = end
+        if end == len(self.deltas):
+            self.fold(dw)
+
+    def fold(self, dw: Tensor) -> None:
+        """Fold the filled rows into dw and empty the stack.
+
+        The product blocks get the budget the stack leaves, so stack and
+        block together stay within numerics.COLUMN_BUDGET.
+        """
+        if self.rows:
+            _fold_dense(dw, self.deltas[:self.rows], self.inputs[:self.rows],
+                       numerics.COLUMN_BUDGET - self.deltas.nbytes - self.inputs.nbytes)
+            self.rows = 0
 
 
 def _layer_scratch(spec: NetworkSpec, batch: int) -> list[Tensor | None]:
@@ -361,9 +436,9 @@ def learn_batch(
     into the accumulator. No per-time-step history survives the step; pass
     an audit dict to receive the count of retained step-carried tensors,
     the total loss and one decoded prediction per sample. A target that is
-    not (B, C), or a frame that does not fit the network input and the
-    target's batch, raises ShapeError; trace and error shapes are fixed
-    with the states, so the helpers recheck none.
+    not (B, C), a frame that does not fit the network input and the
+    target's batch, or a window with no frames raises ShapeError; trace and
+    error shapes are fixed with the states, so the helpers recheck none.
     """
     target = validate_one_hot(target)
     batch = len(target)
@@ -378,6 +453,7 @@ def learn_batch(
     thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
     trains_thresholds, trains_leakages = mode.trains_thresholds, mode.trains_leakages
 
+    t = -1  # stays -1 when the window has no frames
     for t, frame in enumerate(frames):
         delta_spikes: Tensor | None = None  # the last step's input adjoint is not kept through this sweep
         # threshold and leakage traces read the previous step's state before the step overwrites
@@ -415,6 +491,11 @@ def learn_batch(
             else:
                 delta_spikes = passthrough_adjoint(layer, delta_spikes)
 
+    if t < 0:
+        raise ShapeError("the window has no frames")
+    for i, stack in enumerate(traces.stacks):  # the steps stacked since the last fold
+        if stack is not None:
+            stack.fold(acc.dw[i])
     acc.samples = batch
     if audit is not None:
         # each neuron layer carries its potentials and spikes from step to step
@@ -448,7 +529,8 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
     frames yields one (B, ...) input batch per time-step, and there is one
     prediction per sample: the class with the most output spikes, ties
     going to the lowest index. The loss, 0 without targets, is the
-    instantaneous loss summed over steps and the batch.
+    instantaneous loss summed over steps and the batch. A window with no
+    frames, or a first frame without a batch axis, raises ShapeError.
     """
     if targets is not None:
         targets = validate_one_hot(targets)
@@ -456,6 +538,8 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
     total_loss = 0.0
     for frame in frames:
         if states is None:  # the first frame gives the batch
+            if np.ndim(frame) == 0:
+                raise ShapeError("an input frame must be a (B, ...) batch, got a scalar")
             states = reset_network(spec, len(frame))
             counts = np.zeros((len(frame), spec.num_classes))
             if targets is not None and targets.shape != counts.shape:
@@ -464,6 +548,8 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
         counts += out
         if targets is not None:
             total_loss += loss_value(out, targets, loss)
+    if states is None:
+        raise ShapeError("the window has no frames")
     return np.argmax(counts, axis=-1).tolist(), total_loss
 
 

@@ -67,12 +67,13 @@ def _pad2d(x: Tensor, padding: int) -> Tensor:
     return out
 
 
-def budget_slices(count: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices of whole items (samples' patch matrices, product rows) that fit COLUMN_BUDGET.
+def budget_slices(count: int, item_bytes: int, budget: int | None = None) -> list[slice]:
+    """Consecutive slices of whole items (samples' patch matrices, product rows) that fit budget bytes.
 
-    An item that alone exceeds the budget is a slice of its own.
+    The budget defaults to COLUMN_BUDGET. An item that alone exceeds the
+    budget is a slice of its own.
     """
-    step = max(1, COLUMN_BUDGET // item_bytes)
+    step = max(1, (COLUMN_BUDGET if budget is None else budget) // item_bytes)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stopsnn import numerics, trainer
+from stopsnn import learning, numerics, trainer
 from stopsnn.checks import STREAMING_VS_NAIVE_TOL
 from stopsnn.config import TrainConfig
 from stopsnn.datasets import Sample, batch_frames, batch_targets
@@ -19,6 +19,7 @@ from stopsnn.learning import (
     LossKind,
     OptimizerState,
     SynergyMode,
+    TraceSet,
     UpdateRates,
     apply_updates,
     learn_batch,
@@ -138,6 +139,70 @@ class TestBatchedKernels:
         assert abs(np.vdot(y, d) - np.vdot(x, back)) <= 1e-12 * max(1.0, abs(np.vdot(y, d)))
 
 
+class TestStackedDenseFold:
+    def _net(self, monkeypatch):
+        # a budget of 8000 bytes makes the 40->30 layer (a 9600-byte gradient) stack K = 3 steps at
+        # a batch of one: a quarter of the budget, 2000 bytes, holds three 560-byte (delta, trace)
+        # rows. At a batch of three one step takes 1680 bytes, so K = 1 and there is no stack.
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", 8000)
+        spec = parse_architecture("30-4", (40,), 4, time_steps=7)
+        params = init_params(spec, seed=3)
+        for p in params:
+            p.weights *= 2.5
+            p.leak = 0.6
+        return spec, params
+
+    def _window(self, spec, batch, seed):
+        rng = np.random.default_rng(seed)
+        frames = [rng.uniform(0.0, 1.0, size=(batch, *spec.input_shape)) for _ in range(spec.time_steps)]
+        return frames, np.eye(spec.num_classes)[np.arange(batch)]  # the net's favourite class is 3
+
+    @pytest.mark.parametrize("mode", list(SynergyMode))
+    @pytest.mark.parametrize("loss", [LossKind.CE, LossKind.MSE])
+    def test_stacked_sample_equals_naive(self, monkeypatch, mode, loss):
+        # T = 7 steps fold as 3 + 3 during the window and the last 1 at its end
+        spec, params = self._net(monkeypatch)
+        assert len(TraceSet.zeros(spec, mode, 1).stacks[0].deltas) == 3
+        folded = []
+        real_fold = learning.StepStack.fold
+
+        def counting_fold(stack, dw):
+            folded.append(stack.rows)
+            real_fold(stack, dw)
+
+        monkeypatch.setattr(learning.StepStack, "fold", counting_fold)
+        frames, target = self._window(spec, 1, seed=4)
+        acc = learn_sample(spec, params, [f[0] for f in frames], target[0], mode=mode, loss=loss)
+        assert folded == [3, 3, 1]
+        ref = naive_stop_gradients(spec, params, [f[0] for f in frames], target[0], mode, loss=loss.value)
+        report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
+                                   {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha})
+        assert report.max_rel <= STREAMING_VS_NAIVE_TOL, str(report)
+        assert np.any(acc.dw[0])
+
+    def test_batch_without_a_stack_folds_each_step_in_order(self, monkeypatch):
+        spec, params = self._net(monkeypatch)
+        assert TraceSet.zeros(spec, SynergyMode.WTL, 3).stacks[0] is None
+        steps = []
+        real = learning.accumulate_gradients
+
+        def recording(acc, index, layer, delta, traces, mode):
+            if index == 0:
+                steps.append((delta.copy(), traces.weight[0].copy()))
+            return real(acc, index, layer, delta, traces, mode)
+
+        monkeypatch.setattr(learning, "accumulate_gradients", recording)
+        frames, targets = self._window(spec, 3, seed=5)
+        acc = learn_batch(spec, params, frames, targets, mode=SynergyMode.WTL)
+        # the per-step products in step order, in the 25-row blocks of 8000 bytes of 40-wide rows
+        want = np.zeros((30, 40))
+        for delta, wt in steps:
+            for lo in (0, 25):
+                want[lo:lo + 25] += np.dot(delta.T[lo:lo + 25], wt)
+        assert len(steps) == 7 and np.any(want)
+        assert np.array_equal(acc.dw[0], want)
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -194,8 +259,8 @@ class TestBatchedMemory:
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB and
-        # the largest transient is the conv2 input adjoint's 1.2 MiB patch matrix. The peak
-        # measured 5.82 MiB.
+        # the largest transient is the conv2 input adjoint's 1.2 MiB patch matrix; the dense
+        # layer's step stack adds 57 KiB. The peak measured 5.88 MiB.
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 28, 28))
@@ -207,6 +272,21 @@ class TestBatchedMemory:
         short, long = learn(2), learn(6)
         assert long <= 1.05 * short, (short, long)
         assert long <= 6 * 2**20, long / 2**20
+
+    def test_one_sample_memory_with_a_stacked_dense_layer_is_flat_over_a_long_window(self):
+        # at a batch of one the 512->128 layer's 512 KiB gradient stacks K = 12 steps; the stack
+        # is sized by numerics.COLUMN_BUDGET, not by the window
+        spec = parse_architecture("128-10", (2, 16, 16), 10)
+        assert TraceSet.zeros(spec, SynergyMode.W, 1).stacks[1] is not None
+        params = init_params(spec, seed=0)
+        frame = (np.random.default_rng(0).uniform(size=(2, 16, 16)) < 0.3).astype(float)
+        target = np.eye(10)[3]
+
+        def learn(steps):
+            return _peak_bytes(lambda: learn_sample(spec, params, [frame] * steps, target, mode=SynergyMode.W))
+
+        short, long = learn(2), learn(128)
+        assert long <= 1.05 * short, (short, long)
 
     def test_one_sample_memory_is_flat_over_a_long_window(self):
         spec = parse_architecture("64-64-64-4", (64,), 4)

@@ -193,6 +193,16 @@ class TestInferBatch:
         with pytest.raises(TargetError):
             infer_batch(spec, params, [np.ones((3, 3))] * 2, np.eye(3)[:2])
 
+    def test_empty_window_is_shape_error(self):
+        spec, params = self._copying_net()
+        with pytest.raises(ShapeError, match="no frames"):
+            infer_batch(spec, params, [])
+
+    def test_scalar_frame_is_shape_error(self):
+        spec, params = self._copying_net()
+        with pytest.raises(ShapeError):
+            infer_batch(spec, params, [np.float64(1.0)])
+
 
 class TestInPlaceTraces:
     def test_helpers_return_the_array_they_update(self):
@@ -275,21 +285,46 @@ class TestAccumulate:
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
     @pytest.mark.parametrize("batch", [1, 4])
-    def test_row_blocked_dense_fold_equals_one_product(self, monkeypatch, batch):
-        # a budget of 16 rows of the 64-wide product folds the 40 rows in blocks of 16, 16 and 8
-        # (OpenBLAS sends products much smaller than these through a small-matrix kernel whose
-        # last bit can differ from a GEMM's)
+    def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
+        # a budget of 16 rows of the 64-wide product: at a batch of one the 40x64 gradient stacks
+        # K = 2 steps (2048 bytes, a quarter of the budget, hold two 832-byte rows) and its folds
+        # take 12-row blocks of the 6528 bytes the stack leaves; at a batch of four there is no
+        # stack and each step folds in blocks of 16. (OpenBLAS sends products much smaller than these through a small-matrix
+        # kernel whose last bit can differ from a GEMM's)
         monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 16 * 64 * 8)
+        blocks = []
+        real_slices = learning.numerics.budget_slices
+
+        def recording_slices(count, item_bytes, budget=None):
+            parts = real_slices(count, item_bytes, budget)
+            blocks.extend((part.stop - part.start) * item_bytes for part in parts)
+            return parts
+
+        monkeypatch.setattr(learning.numerics, "budget_slices", recording_slices)
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40)
         rng = np.random.default_rng(4)
         traces = TraceSet.zeros(spec, SynergyMode.W, batch)
-        traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
-        delta = rng.normal(size=(batch, 40))
+        stack = traces.stacks[0]
+        if batch == 1:
+            steps, stack_bytes = 2, stack.deltas.nbytes + stack.inputs.nbytes
+            assert len(stack.deltas) == steps
+        else:
+            steps, stack_bytes = 1, 0
+            assert stack is None
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
-        start = rng.normal(size=acc.dw[0].shape)
-        acc.dw[0][...] = start
-        accumulate_gradients(acc, 0, spec.layers[0], delta, traces, SynergyMode.W)
-        assert np.array_equal(acc.dw[0], start + np.dot(delta.T, traces.weight[0]))
+        acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
+        for fold in range(2):  # two full folds of the stack, or two single steps
+            start = acc.dw[0].copy()
+            deltas, inputs = [], []
+            for _ in range(steps):
+                traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
+                deltas.append(rng.normal(size=(batch, 40)))
+                inputs.append(traces.weight[0].copy())
+                accumulate_gradients(acc, 0, spec.layers[0], deltas[-1], traces, SynergyMode.W)
+            delta, wt = np.concatenate(deltas), np.concatenate(inputs)
+            assert np.array_equal(acc.dw[0], start + np.dot(delta.T, wt))
+        assert len(blocks) == 2 * (4 if stack else 3)  # 12+12+12+4 or 16+16+8 rows per fold
+        assert all(stack_bytes + block <= learning.numerics.COLUMN_BUDGET for block in blocks)
 
 
 def _apply(params, acc, rates, samples=1):
@@ -396,6 +431,12 @@ class TestLearnSample:
                 learn_batch(spec, params, [frame, frame], target)
         with pytest.raises(ShapeError):  # one sample's frame
             infer_batch(spec, params, [np.ones(4)] * 2)
+
+    def test_empty_window_is_shape_error(self):
+        spec = parse_architecture("6-2", (4,), 2, time_steps=2)
+        params = init_params(spec, seed=0)
+        with pytest.raises(ShapeError, match="no frames"):
+            learn_batch(spec, params, [], np.tile([1.0, 0.0], (3, 1)))
 
     def test_mode_w_gates_accumulators(self):
         spec = parse_architecture("6-3", (4,), 3, time_steps=4)
