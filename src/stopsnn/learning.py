@@ -27,22 +27,21 @@ tensor from earlier steps is retained. The reference implementations that
 do keep full history live in the oracle subpackage.
 
 States, traces and errors always carry a leading batch axis, so one call
-learns a whole mini-batch: per layer and time-step the dense weight
-gradient is a GEMM over the batch (delta^T @ traces), folded in row
-blocks of numerics.COLUMN_BUDGET bytes when larger than that, a
-convolution's one im2col GEMM per batch slice of that budget. Where K >= 2
-steps of a larger dense gradient's rows fit a quarter of the budget (at
-small batches), a StepStack holds them and folds K steps as one GEMM of
-depth K*B, in row blocks of what the stack leaves of the budget: at a
-batch of one, one pass over dw instead of K. That sums in another order,
-within the oracle battery's 1e-9; where K = 1 the per-step fold and its
-order are kept. A step allocates no state: the forward sweep works in
-place, and errors and threshold/leakage products go into scratch buffers
-the size of the largest neuron layer (the second only when thresholds or
-leakages learn), allocated once per window, like the stacks. Memory
-stays constant in the window length; states, traces and errors grow linearly in the batch, the
-kernels' blocks do not. One sample is a batch of one: learn_sample adds
-the axis and learns through learn_batch.
+learns a whole mini-batch. Each dense layer copies every step's (delta,
+weight trace) rows into its StepStack and adds K steps at once into dw
+with one in-place BLAS GEMM (scipy's dgemm, beta = 1), building no
+temporary of dw's size: at a batch of one, one pass over dw instead of K.
+K fits a quarter of numerics.COLUMN_BUDGET and is capped at the network's
+time_steps. Stacking sums in another order, within the oracle battery's
+1e-9; at K = 1 the steps add in order. A convolution's weight gradient is
+one im2col GEMM per batch slice of that budget. A step allocates no
+state: the forward sweep works in place, and errors and threshold/leakage
+products go into scratch buffers the size of the largest neuron layer
+(the second only when thresholds or leakages learn), allocated once per
+window, like the stacks. Memory stays constant in the window length;
+states, traces and errors grow linearly in the batch, the kernels' blocks
+do not. One sample is a batch of one: learn_sample adds the axis and
+learns through learn_batch.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it), and apply_updates(params, grads, optimizer,
@@ -55,6 +54,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import numerics
 from .errors import ConfigError, NumericError, ShapeError, TargetError
@@ -176,8 +176,8 @@ class TraceSet:
     products is scratch for leakage residuals and threshold/leakage
     gradient products, one view per neuron layer of a shared buffer; it is
     allocated only when the mode trains thresholds or leakages. stacks
-    holds a StepStack for each dense layer whose weight gradient is folded
-    once per K steps (see StepStack.for_layer), None elsewhere.
+    holds a StepStack for every dense layer, through which its weight
+    gradient is folded once per K steps, and None elsewhere.
     """
 
     weight: list[Tensor | None]
@@ -201,7 +201,8 @@ class TraceSet:
                 leakage.append(None)
         products = (_layer_scratch(spec, batch) if mode.trains_thresholds or mode.trains_leakages
                     else [None] * len(spec.layers))
-        stacks = [StepStack.for_layer(layer, batch) for layer in spec.layers]
+        stacks = [StepStack(layer, batch, spec.time_steps) if layer.kind is LayerKind.DENSE else None
+                  for layer in spec.layers]
         return cls(weight=weight, threshold=threshold, leakage=leakage, products=products, stacks=stacks)
 
     def live_tensor_count(self) -> int:
@@ -312,20 +313,15 @@ def accumulate_gradients(
 ) -> GradAccumulator:
     """Fold one layer's error/trace products for the current time-step into acc.
 
-    The (B, ...) delta is summed over the batch: a GEMM for the weights, one
-    batch-sum each for thresholds and leakages, whose products are formed
-    in traces.products. A dense layer with a StepStack in traces.stacks
-    pushes its delta and weight trace onto the stack, which folds its K
-    steps into dw as one GEMM when full (learn_batch folds the rest at the
-    window's end); any other dense layer folds its step at once.
+    The (B, ...) delta is summed over the batch. A dense layer pushes its
+    delta and weight trace onto its StepStack, which folds into dw when
+    full (learn_batch folds the rest at the window's end); a convolution
+    adds its im2col GEMM at once. Thresholds and leakages take one
+    batch-sum each, of products formed in traces.products.
     """
     wt = traces.weight[index]
     if layer.kind is LayerKind.DENSE:
-        stack = traces.stacks[index]
-        if stack is None:
-            _fold_dense(acc.dw[index], delta, wt, numerics.COLUMN_BUDGET)
-        else:
-            stack.push(delta, wt, acc.dw[index])
+        traces.stacks[index].push(delta, wt, acc.dw[index])
     else:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
     product = traces.products[index]
@@ -338,50 +334,19 @@ def accumulate_gradients(
     return acc
 
 
-def _fold_dense(dw: Tensor, delta: Tensor, inputs: Tensor, budget: int) -> None:
-    """dw += delta^T @ inputs, summed over the rows of the (n, out) delta and the (n, in) inputs.
-
-    A dw larger than budget bytes is folded in row blocks of at most that
-    size, so no full-size product is built.
-    """
-    rows = delta.T
-    if dw.nbytes <= budget:  # one block; on 100x100 layers the loop cost 6% of learn time
-        dw += np.dot(rows, inputs)
-    else:
-        for part in numerics.budget_slices(len(dw), 8 * inputs.shape[1], budget):
-            dw[part] += np.dot(rows[part], inputs)
-
-
 class StepStack:
-    """Up to K time-steps of one dense layer's errors and weight traces, folded into dw as one GEMM.
+    """Up to K steps of one dense layer's (B, out) errors and (B, in) weight traces, folded into dw as one GEMM.
 
-    At a batch of one a step's weight gradient is a rank-1 update that
-    reads and writes the whole dw; K stacked steps fold in one pass of
-    depth K*B. The rows are copies, since the weight traces advance in
-    place: deltas is (K*B, fan_out), inputs (K*B, fan_in), and rows
-    counts the filled rows.
+    K = max(1, min(time_steps, (COLUMN_BUDGET // 4) // (8*B*(in + out)))): the steps that fit a
+    quarter of the budget, capped at the network's time_steps and so never sized by the window
+    given. The rows are copies, since the weight traces advance in place; rows counts those filled.
     """
 
-    def __init__(self, steps: int, batch: int, fan_in: int, fan_out: int):
-        self.deltas = np.empty((steps * batch, fan_out))
-        self.inputs = np.empty((steps * batch, fan_in))
+    def __init__(self, layer: LayerSpec, batch: int, time_steps: int):
+        steps = max(1, min(time_steps, (numerics.COLUMN_BUDGET // 4) // (8 * batch * (layer.fan_in + layer.fan_out))))
+        self.deltas = np.empty((steps * batch, layer.fan_out))
+        self.inputs = np.empty((steps * batch, layer.fan_in))
         self.rows = 0
-
-    @classmethod
-    def for_layer(cls, layer: LayerSpec, batch: int) -> "StepStack | None":
-        """A stack for a dense layer whose gradient exceeds numerics.COLUMN_BUDGET, else None.
-
-        K is as many steps as fit a quarter of the budget. When K is 1 there
-        is no stack, and the layer folds each step as it comes.
-        """
-        if layer.kind is not LayerKind.DENSE:
-            return None
-        # a dense layer's shapes are 1-tuples; the fan_in and fan_out properties call np.prod, microseconds each
-        (fan_in,), (fan_out,) = layer.in_shape, layer.out_shape
-        if 8 * fan_in * fan_out <= numerics.COLUMN_BUDGET:
-            return None
-        steps = (numerics.COLUMN_BUDGET // 4) // (8 * batch * (fan_in + fan_out))
-        return cls(steps, batch, fan_in, fan_out) if steps > 1 else None
 
     def push(self, delta: Tensor, inputs: Tensor, dw: Tensor) -> None:
         """Copy one step's (B, out) delta and (B, in) weight trace in; fold into dw when full."""
@@ -393,14 +358,14 @@ class StepStack:
             self.fold(dw)
 
     def fold(self, dw: Tensor) -> None:
-        """Fold the filled rows into dw and empty the stack.
+        """dw += deltas^T @ inputs over the filled rows, then empty the stack.
 
-        The product blocks get the budget the stack leaves, so stack and
-        block together stay within numerics.COLUMN_BUDGET.
+        dgemm with beta = 1 adds into the C-ordered dw's Fortran-ordered transpose in place. All
+        operands are Fortran-ordered views, so none is copied; a copy of c would drop the sum.
         """
         if self.rows:
-            _fold_dense(dw, self.deltas[:self.rows], self.inputs[:self.rows],
-                       numerics.COLUMN_BUDGET - self.deltas.nbytes - self.inputs.nbytes)
+            dgemm(1.0, self.inputs[:self.rows].T, self.deltas[:self.rows].T, beta=1.0, c=dw.T,
+                  trans_b=1, overwrite_c=1)
             self.rows = 0
 
 

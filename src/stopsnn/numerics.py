@@ -9,7 +9,8 @@ Spatial kernels take one (C,H,W) map or a (B,C,H,W) batch of them and
 return the same rank. The convolutions are unrolled into GEMMs over
 im2col patch matrices (Chellapilla et al., 2006), built for one slice of
 whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
-patches, so a kernel's scratch is bounded whatever the batch size.
+patches, so a kernel's scratch is bounded whatever the batch size (the
+dense weight gradient needs none: learning adds it in place by BLAS).
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .errors import ShapeError
 
 Tensor = np.ndarray
 
-# bytes of one im2col patch matrix or dense weight-gradient block; on the W1 kernels
-# at batch 32 this measured equal or faster than 2 MiB slices
+# bytes of one im2col patch matrix; on the W1 kernels at batch 32 this measured equal or
+# faster than 2 MiB slices. A quarter of it sizes each dense layer's step stack in learning.
 COLUMN_BUDGET = 256 * 1024
 
 
@@ -67,13 +68,9 @@ def _pad2d(x: Tensor, padding: int) -> Tensor:
     return out
 
 
-def budget_slices(count: int, item_bytes: int, budget: int | None = None) -> list[slice]:
-    """Consecutive slices of whole items (samples' patch matrices, product rows) that fit budget bytes.
-
-    The budget defaults to COLUMN_BUDGET. An item that alone exceeds the
-    budget is a slice of its own.
-    """
-    step = max(1, (COLUMN_BUDGET if budget is None else budget) // item_bytes)
+def budget_slices(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of whole samples whose patch matrices fit COLUMN_BUDGET bytes, at least one each."""
+    step = max(1, COLUMN_BUDGET // item_bytes)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 

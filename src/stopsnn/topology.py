@@ -62,11 +62,11 @@ class LayerSpec:
 
     @property
     def fan_in(self) -> int:
-        return int(np.prod(self.in_shape))
+        return math.prod(self.in_shape)
 
     @property
     def fan_out(self) -> int:
-        return int(np.prod(self.out_shape))
+        return math.prod(self.out_shape)
 
     @property
     def num_thresholds(self) -> int:
@@ -104,7 +104,7 @@ def avgpool_layer(in_shape: tuple[int, int, int], window: int) -> LayerSpec:
 
 
 def flatten_layer(in_shape: tuple[int, ...]) -> LayerSpec:
-    return LayerSpec(LayerKind.FLATTEN, in_shape, (int(np.prod(in_shape)),))
+    return LayerSpec(LayerKind.FLATTEN, in_shape, (math.prod(in_shape),))
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class NetworkSpec:
             if layer.in_shape != prev:
                 raise ShapeError(f"layer {i} input shape {layer.in_shape} breaks the chain after {prev}")
             prev = layer.out_shape
-        if int(np.prod(prev)) != self.num_classes:
+        if math.prod(prev) != self.num_classes:
             raise ShapeError(f"final layer width {prev} does not match class count {self.num_classes}")
 
     @property
@@ -236,7 +236,7 @@ def init_params(spec: NetworkSpec, seed: int, init_mode: InitMode = InitMode.FAN
             continue
         rng = np.random.default_rng(stream)
         shape = layer.weight_shape
-        fan_in = int(np.prod(shape[1:]))
+        fan_in = math.prod(shape[1:])
         sigma = 1.0 if init_mode is InitMode.UNIT_GAUSSIAN else math.sqrt(2.0 / fan_in)
         params.append(
             LayerParams(

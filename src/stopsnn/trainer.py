@@ -295,9 +295,9 @@ def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
 
 
 def checkpoint_load(path, expected_digest: str | None = None):
-    """Load (params, optimizer, epoch, config_dict); refuse foreign digests,
-    unreadable or malformed files, tensors whose shapes disagree with the
-    architecture of the stored config, and out-of-range parameter values."""
+    """Load (params, optimizer, epoch, config_dict); refuse foreign digests, unreadable or
+    malformed files, epochs that are not non-negative integers, tensors whose shapes disagree
+    with the architecture of the stored config, and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -332,6 +332,9 @@ def checkpoint_load(path, expected_digest: str | None = None):
         epoch, config = payload["epoch"], payload["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__} {exc}") from exc
+    for what, value in (("epoch", epoch), ("optimizer epoch", optimizer.epoch)):
+        if type(value) is not int or value < 0:  # a bool is not an epoch
+            raise DataError(f"checkpoint {path} has {what} {value!r}, not a non-negative integer")
     try:
         spec = build_network(TrainConfig.from_dict(config))
     except (TypeError, ValueError) as exc:

@@ -339,6 +339,25 @@ class TestBadInputExitsData:
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         assert "does not fit its architecture" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epoch", ["0", 0.5, True, -1], ids=["string", "fraction", "bool", "negative"])
+    def test_checkpoint_epoch_is_not_a_count_on_resume(self, tmp_path, capsys, epoch):
+        config = write_config(tmp_path, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "ck.json"
+        payload = json.loads(path.read_text())
+        payload["epoch"] = epoch
+        path.write_text(json.dumps(payload))
+        assert cli.main(["train", "--config", str(config), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert f"has epoch {epoch!r}, not a non-negative integer" in err and "Traceback" not in err
+
+    def test_checkpoint_optimizer_epoch_is_not_a_count(self, tmp_path, capsys):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload["optimizer"]["epoch"] = 0.5
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        assert "has optimizer epoch 0.5" in capsys.readouterr().err
+
     def test_checkpoint_path_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["eval", "--checkpoint", str(tmp_path)]) == 2
 

@@ -270,6 +270,7 @@ class TestAccumulate:
         spec, acc, traces = self._tiny()
         traces.weight[0] = np.array([[1.5, 0.0]])
         accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.1]]), traces, SynergyMode.WTL)
+        traces.stacks[0].fold(acc.dw[0])  # the step waits in the layer's stack until a fold
         assert acc.dw[0][0, 0] == pytest.approx(0.15)
 
     def test_threshold_gets_minus_delta_with_zero_trace(self):
@@ -286,45 +287,43 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
-        # a budget of 16 rows of the 64-wide product: at a batch of one the 40x64 gradient stacks
-        # K = 2 steps (2048 bytes, a quarter of the budget, hold two 832-byte rows) and its folds
-        # take 12-row blocks of the 6528 bytes the stack leaves; at a batch of four there is no
-        # stack and each step folds in blocks of 16. (OpenBLAS sends products much smaller than these through a small-matrix
-        # kernel whose last bit can differ from a GEMM's)
+        # a budget of 8192 bytes: at a batch of one a quarter of it holds K = 2 of the 64->40
+        # layer's 832-byte (delta, trace) rows, and a window of one step caps K at 1; at a batch
+        # of four one step takes 3328 bytes, so K = 1. Each full stack folds as one dgemm call.
+        # (OpenBLAS sends products much smaller than these through a small-matrix kernel whose
+        # last bit can differ from a GEMM's)
         monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 16 * 64 * 8)
-        blocks = []
-        real_slices = learning.numerics.budget_slices
+        calls = []
+        real_dgemm = learning.dgemm
 
-        def recording_slices(count, item_bytes, budget=None):
-            parts = real_slices(count, item_bytes, budget)
-            blocks.extend((part.stop - part.start) * item_bytes for part in parts)
-            return parts
+        def recording_dgemm(*args, **kwargs):
+            calls.append(kwargs["c"])
+            return real_dgemm(*args, **kwargs)
 
-        monkeypatch.setattr(learning.numerics, "budget_slices", recording_slices)
-        spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40)
+        monkeypatch.setattr(learning, "dgemm", recording_dgemm)
+        spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
+        one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
+        assert len(TraceSet.zeros(one_step, SynergyMode.W, batch).stacks[0].deltas) == batch
         rng = np.random.default_rng(4)
         traces = TraceSet.zeros(spec, SynergyMode.W, batch)
-        stack = traces.stacks[0]
-        if batch == 1:
-            steps, stack_bytes = 2, stack.deltas.nbytes + stack.inputs.nbytes
-            assert len(stack.deltas) == steps
-        else:
-            steps, stack_bytes = 1, 0
-            assert stack is None
+        steps = 2 if batch == 1 else 1
+        assert traces.stacks[0].deltas.shape == (steps * batch, 40)
+        assert traces.stacks[0].inputs.shape == (steps * batch, 64)
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
-        for fold in range(2):  # two full folds of the stack, or two single steps
-            start = acc.dw[0].copy()
+        dw = acc.dw[0]
+        for fold in range(2):  # two full folds of the stack
+            start = dw.copy()
             deltas, inputs = [], []
             for _ in range(steps):
                 traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
                 deltas.append(rng.normal(size=(batch, 40)))
                 inputs.append(traces.weight[0].copy())
                 accumulate_gradients(acc, 0, spec.layers[0], deltas[-1], traces, SynergyMode.W)
+            assert len(calls) == fold + 1 and traces.stacks[0].rows == 0
             delta, wt = np.concatenate(deltas), np.concatenate(inputs)
-            assert np.array_equal(acc.dw[0], start + np.dot(delta.T, wt))
-        assert len(blocks) == 2 * (4 if stack else 3)  # 12+12+12+4 or 16+16+8 rows per fold
-        assert all(stack_bytes + block <= learning.numerics.COLUMN_BUDGET for block in blocks)
+            assert np.array_equal(dw, start + np.dot(delta.T, wt))
+        assert acc.dw[0] is dw and all(np.shares_memory(c, dw) for c in calls)
 
 
 def _apply(params, acc, rates, samples=1):
