@@ -22,23 +22,34 @@ all spatial positions they touch), thresholds get d * (threshold_trace - 1)
 -- the constant -1 carries the error path that bypasses the membrane
 through the firing comparison -- and leakages get d * leakage_trace.
 
-Everything here streams: after a time-step advances, no per-time-step
-tensor from earlier steps is retained. The reference implementations that
-do keep full history live in the oracle subpackage.
+Everything here streams: no per-time-step tensor outlives the backward
+sweep that reads it, and a sweep covers at most K steps, K set by the
+network and the batch, never by the window. The reference implementations
+that do keep full history live in the oracle subpackage.
 
 States, traces and errors always carry a leading batch axis, so one call
-learns a whole mini-batch. Each dense layer copies every step's (delta,
-weight trace) rows into its StepStack and adds K steps at once into dw
-with one in-place BLAS GEMM (scipy's dgemm, beta = 1), building no
-temporary of dw's size: at a batch of one, one pass over dw instead of K.
-K fits a quarter of numerics.COLUMN_BUDGET and is capped at the network's
-time_steps. Stacking sums in another order, within the oracle battery's
-1e-9; at K = 1 the steps add in order. A convolution's weight gradient is
-one im2col GEMM per batch slice of that budget. A step allocates no
-state: the forward sweep works in place, and errors and threshold/leakage
-products go into scratch buffers the size of the largest neuron layer
-(the second only when thresholds or leakages learn), allocated once per
-window, like the stacks. Memory stays constant in the window length;
+learns a whole mini-batch. Because errors never cross time, the backward
+passes of K consecutive steps are one pass over K*B rows: each step
+copies the rows its pass reads (every neuron layer's potentials and
+traces, and the output spikes) into a WindowStack, and every K steps, and
+once at the window's end, one sweep runs the error, adjoint and
+accumulation helpers once per layer on all of them. A dense layer adds
+its rows into dw with one in-place BLAS GEMM (scipy's dgemm, beta = 1)
+that builds no temporary of dw's size; a convolution's weight gradient is
+one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K fits a fifth
+of that budget and is capped at the network's time_steps: K = 5 on the
+event-long net 128-128-10 and 3 on the dense-teacher net 100-100-100-100-4
+at a batch of one, and 1 on the W1 image net and on all three at a batch
+of 32. At K = 1 the stack's rows are the live arrays and nothing is
+copied; a dense layer then stacks its own (error, trace) rows as deep as
+a quarter of the budget allows and folds them when full (4 + 2 steps per
+window for W1's 1568->256 layer at a batch of one). Stacking sums in
+another order, within the oracle battery's 1e-9; at K = 1 without a fold
+stack the steps add in order. A step allocates no state: the forward
+sweep works in place, and a sweep's errors and threshold/leakage
+products go into scratch buffers of K*B rows the size of the largest
+neuron layer (the second only when thresholds or leakages learn),
+allocated once per window, like the stack. Memory stays constant in the window length;
 states, traces and errors grow linearly in the batch, the kernels' blocks
 do not. One sample is a batch of one: learn_sample adds the axis and
 learns through learn_batch.
@@ -173,18 +184,11 @@ class TraceSet:
     Weight traces are keyed by presynaptic unit (input shape of the layer),
     independent of the layer's own width; threshold and leakage traces are
     allocated only for the parameter families the synergy mode trains.
-    products is scratch for leakage residuals and threshold/leakage
-    gradient products, one view per neuron layer of a shared buffer; it is
-    allocated only when the mode trains thresholds or leakages. stacks
-    holds a StepStack for every dense layer, through which its weight
-    gradient is folded once per K steps, and None elsewhere.
     """
 
     weight: list[Tensor | None]
     threshold: list[Tensor | None]
     leakage: list[Tensor | None]
-    products: list[Tensor | None]
-    stacks: list["StepStack | None"]
 
     @classmethod
     def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int) -> "TraceSet":
@@ -199,11 +203,7 @@ class TraceSet:
                 weight.append(None)
                 threshold.append(None)
                 leakage.append(None)
-        products = (_layer_scratch(spec, batch) if mode.trains_thresholds or mode.trains_leakages
-                    else [None] * len(spec.layers))
-        stacks = [StepStack(layer, batch, spec.time_steps) if layer.kind is LayerKind.DENSE else None
-                  for layer in spec.layers]
-        return cls(weight=weight, threshold=threshold, leakage=leakage, products=products, stacks=stacks)
+        return cls(weight=weight, threshold=threshold, leakage=leakage)
 
     def live_tensor_count(self) -> int:
         return sum(t is not None for group in (self.weight, self.threshold, self.leakage) for t in group)
@@ -308,48 +308,138 @@ def accumulate_gradients(
     index: int,
     layer: LayerSpec,
     delta: Tensor,
-    traces: TraceSet,
+    stack: "WindowStack",
     mode: SynergyMode,
 ) -> GradAccumulator:
-    """Fold one layer's error/trace products for the current time-step into acc.
+    """Fold one layer's error/trace products over a backward sweep's rows into acc.
 
-    The (B, ...) delta is summed over the batch. A dense layer pushes its
-    delta and weight trace onto its StepStack, which folds into dw when
-    full (learn_batch folds the rest at the window's end); a convolution
-    adds its im2col GEMM at once. Thresholds and leakages take one
-    batch-sum each, of products formed in traces.products.
+    delta holds the sweep's (n, ...) errors, which pair with the first n
+    rows of the stack; the products are summed over those rows: one
+    in-place dgemm into a dense layer's dw (or a push onto its fold stack,
+    see WindowStack), one im2col GEMM for a convolution, and one batch-sum
+    each for thresholds and leakages, of products formed in the stack's
+    product scratch.
     """
-    wt = traces.weight[index]
-    if layer.kind is LayerKind.DENSE:
-        traces.stacks[index].push(delta, wt, acc.dw[index])
-    else:
+    rows = len(delta)
+    wt = stack.weight[index][:rows]
+    if layer.kind is LayerKind.CONV:
         acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
-    product = traces.products[index]
+    elif stack.folds[index] is None:
+        _fold_dense(acc.dw[index], delta, wt)
+    else:
+        stack.folds[index].push(acc.dw[index], delta, wt)
     if mode.trains_thresholds:
-        np.subtract(traces.threshold[index], 1.0, out=product)
+        product = np.subtract(stack.threshold[index][:rows], 1.0, out=stack.products[index][:rows])
         product *= delta
         acc.dtheta[index] += product.sum(axis=0)
     if mode.trains_leakages:
-        acc.dalpha[index] += np.multiply(delta, traces.leakage[index], out=product).sum(axis=0)
+        product = np.multiply(delta, stack.leakage[index][:rows], out=stack.products[index][:rows])
+        acc.dalpha[index] += product.sum(axis=0)
     return acc
 
 
-class StepStack:
-    """Up to K steps of one dense layer's (B, out) errors and (B, in) weight traces, folded into dw as one GEMM.
+def _fold_dense(dw: Tensor, deltas: Tensor, inputs: Tensor) -> None:
+    """dw += deltas^T @ inputs, in place, for C-ordered (n, out) deltas and (n, in) inputs.
 
-    K = max(1, min(time_steps, (COLUMN_BUDGET // 4) // (8*B*(in + out)))): the steps that fit a
-    quarter of the budget, capped at the network's time_steps and so never sized by the window
-    given. The rows are copies, since the weight traces advance in place; rows counts those filled.
+    dgemm with beta = 1 adds into the C-ordered dw's Fortran-ordered transpose in place. All
+    operands are Fortran-ordered views, so none is copied; a copy of c would drop the sum.
+    """
+    dgemm(1.0, inputs.T, deltas.T, beta=1.0, c=dw.T, trans_b=1, overwrite_c=1)
+
+
+# shares of numerics.COLUMN_BUDGET: a window stack fits a fifth of it, and at K = 1 each dense
+# layer's fold stack a quarter (W1's 1568->256 layer at a batch of one folds 4 + 2 steps)
+WINDOW_SHARE, FOLD_SHARE = 5, 4
+
+
+def _steps_that_fit(spec: NetworkSpec, step_bytes: int, share: int) -> int:
+    """Steps of step_bytes within 1/share of numerics.COLUMN_BUDGET, at least one, at most time_steps."""
+    return max(1, min(spec.time_steps, numerics.COLUMN_BUDGET // share // step_bytes))
+
+
+def window_depth(spec: NetworkSpec, mode: SynergyMode, batch: int) -> int:
+    """K, the time-steps whose rows one WindowStack holds.
+
+    One sample's row of a step holds each neuron layer's potentials and
+    weight trace, its threshold and leakage traces when they learn, the
+    output spikes, and the sweep's error and product scratch (each as wide
+    as the widest neuron layer). K is the number of B such rows that fit
+    a fifth of the budget, capped at the network's time_steps, so it does
+    not grow with the window.
+    """
+    layers = [spec.layers[i] for i in spec.lif_indices]
+    traces = 1 + mode.trains_thresholds + mode.trains_leakages
+    scratch = 1 + (mode.trains_thresholds or mode.trains_leakages)
+    width = (sum(layer.fan_in + traces * layer.fan_out for layer in layers) + spec.num_classes
+             + scratch * max(layer.fan_out for layer in layers))
+    return _steps_that_fit(spec, 8 * batch * width, WINDOW_SHARE)
+
+
+class WindowStack:
+    """The rows a backward sweep reads, for up to K = window_depth time-steps, shared by every neuron layer.
+
+    Each block (potentials, weight, threshold and leakage traces per layer,
+    the output spikes) is (K*B, ...), rows s*B to (s+1)*B holding step s;
+    at K = 1 it is the live array itself. errors and products are the
+    sweep's scratch. folds[i] is a dense layer's fold stack at K = 1, where
+    more than one step fits a quarter of the budget, and None elsewhere.
     """
 
-    def __init__(self, layer: LayerSpec, batch: int, time_steps: int):
-        steps = max(1, min(time_steps, (numerics.COLUMN_BUDGET // 4) // (8 * batch * (layer.fan_in + layer.fan_out))))
+    def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, traces: TraceSet):
+        top = spec.lif_indices[-1]
+        self.batch = batch = len(states[top].spikes)
+        self.depth = depth = window_depth(spec, mode, batch)
+        self.steps = 0
+        self._copies: list[tuple[Tensor, Tensor]] = []
+
+        def block(live: Tensor | None) -> Tensor | None:
+            if live is None or depth == 1:
+                return live
+            rows = np.empty((depth * batch, *live.shape[1:]))
+            self._copies.append((rows, live))
+            return rows
+
+        self.potentials = [block(state.potentials) for state in states]
+        self.weight = [block(t) for t in traces.weight]
+        self.threshold = [block(t) for t in traces.threshold]
+        self.leakage = [block(t) for t in traces.leakage]
+        self.output = block(states[top].spikes)
+        self.errors = _layer_scratch(spec, depth * batch)
+        self.products = (_layer_scratch(spec, depth * batch) if mode.trains_thresholds or mode.trains_leakages
+                         else [None] * len(spec.layers))
+        self.folds: list[_FoldStack | None] = [None] * len(spec.layers)
+        for i in spec.lif_indices if depth == 1 else ():
+            layer = spec.layers[i]
+            if layer.kind is LayerKind.DENSE:
+                steps = _steps_that_fit(spec, 8 * batch * (layer.fan_in + layer.fan_out), FOLD_SHARE)
+                self.folds[i] = _FoldStack(layer, batch, steps) if steps > 1 else None
+
+    def push(self) -> bool:
+        """Copy the live arrays into the next step's rows; True when all K steps are filled."""
+        if self._copies:
+            rows = slice(self.steps * self.batch, (self.steps + 1) * self.batch)
+            for block, live in self._copies:
+                block[rows] = live
+        self.steps += 1
+        return self.steps == self.depth
+
+    def finish(self, acc: GradAccumulator) -> None:
+        """Fold the rows the fold stacks hold at the window's end."""
+        for i, fold in enumerate(self.folds):
+            if fold is not None:
+                fold.fold(acc.dw[i])
+
+
+class _FoldStack:
+    """At K = 1, up to D steps of one dense layer's (B, out) errors and (B, in) weight traces, folded as one GEMM."""
+
+    def __init__(self, layer: LayerSpec, batch: int, steps: int):
         self.deltas = np.empty((steps * batch, layer.fan_out))
         self.inputs = np.empty((steps * batch, layer.fan_in))
         self.rows = 0
 
-    def push(self, delta: Tensor, inputs: Tensor, dw: Tensor) -> None:
-        """Copy one step's (B, out) delta and (B, in) weight trace in; fold into dw when full."""
+    def push(self, dw: Tensor, delta: Tensor, inputs: Tensor) -> None:
+        """Copy one step's rows in (the weight traces advance in place); fold into dw when full."""
         end = self.rows + len(delta)
         self.deltas[self.rows:end] = delta
         self.inputs[self.rows:end] = inputs
@@ -358,14 +448,8 @@ class StepStack:
             self.fold(dw)
 
     def fold(self, dw: Tensor) -> None:
-        """dw += deltas^T @ inputs over the filled rows, then empty the stack.
-
-        dgemm with beta = 1 adds into the C-ordered dw's Fortran-ordered transpose in place. All
-        operands are Fortran-ordered views, so none is copied; a copy of c would drop the sum.
-        """
         if self.rows:
-            dgemm(1.0, self.inputs[:self.rows].T, self.deltas[:self.rows].T, beta=1.0, c=dw.T,
-                  trans_b=1, overwrite_c=1)
+            _fold_dense(dw, self.deltas[:self.rows], self.inputs[:self.rows])
             self.rows = 0
 
 
@@ -396,39 +480,42 @@ def learn_batch(
 
     frames yields one (B, ...) input batch per time-step, and target holds
     the B one-hot rows. Each time-step performs the forward sweep (dynamics
-    plus trace updates), then backpropagates the instantaneous loss
-    spatially and folds the error/trace products, summed over the batch,
-    into the accumulator. No per-time-step history survives the step; pass
-    an audit dict to receive the count of retained step-carried tensors,
-    the total loss and one decoded prediction per sample. A target that is
-    not (B, C), a frame that does not fit the network input and the
-    target's batch, or a window with no frames raises ShapeError; trace and
-    error shapes are fixed with the states, so the helpers recheck none.
+    plus trace updates) and stacks the rows its backward pass reads; every
+    K steps, and once at the window's end, one backward sweep over the
+    stacked rows backpropagates the instantaneous losses spatially and
+    folds the error/trace products, summed over the rows, into the
+    accumulator. No history survives the sweep; pass an audit dict to
+    receive the count of retained step-carried tensors, the total loss and
+    one decoded prediction per sample. A target that is not (B, C), a frame
+    that does not fit the network input and the target's batch, or a
+    window with no frames raises ShapeError; trace and error shapes are
+    fixed with the states, so the helpers recheck none.
     """
     target = validate_one_hot(target)
     batch = len(target)
     states = reset_network(spec, batch)
     traces = TraceSet.zeros(spec, mode, batch)
+    stack = WindowStack(spec, mode, states, traces)
+    targets = np.tile(target, (stack.depth, 1))  # the target of every stacked row
     acc = GradAccumulator.zeros(spec, mode)
     lif_indices = spec.lif_indices
-    first, top = lif_indices[0], lif_indices[-1]
+    top = lif_indices[-1]
     total_loss = 0.0
     output_counts = np.zeros((batch, spec.num_classes))
-    errors = _layer_scratch(spec, batch)  # each layer's neuron errors, written top-down
     thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
     trains_thresholds, trains_leakages = mode.trains_thresholds, mode.trains_leakages
 
     t = -1  # stays -1 when the window has no frames
     for t, frame in enumerate(frames):
-        delta_spikes: Tensor | None = None  # the last step's input adjoint is not kept through this sweep
         # threshold and leakage traces read the previous step's state before the step overwrites
         # it; from the rest state (t = 0) they would stay zero
         for i in lif_indices if t else ():
             p, st = params[i], states[i]
             if trains_thresholds:
                 update_threshold_traces(traces.threshold[i], st.spikes, p.leak)
-            if trains_leakages:
-                update_leakage_traces(traces.leakage[i], st.potentials, st.spikes, thetas[i], p.leak, traces.products[i])
+            if trains_leakages:  # the sweep's product scratch is free; its first B rows take the residual
+                update_leakage_traces(traces.leakage[i], st.potentials, st.spikes, thetas[i], p.leak,
+                                      stack.products[i][:batch])
         forward_timestep(spec, params, states, frame, spike_mode)
 
         current = frame  # forward_timestep has checked it against the states
@@ -436,31 +523,15 @@ def learn_batch(
             if layer.is_lif:
                 update_weight_traces(traces.weight[i], current, params[i].leak)
             current = states[i].spikes
-
-        total_loss += loss_value(states[top].spikes, target, loss)
         output_counts += states[top].spikes
-
-        # no error is needed below the first neuron layer
-        for i in reversed(range(first, len(spec.layers))):
-            layer = spec.layers[i]
-            if layer.is_lif:
-                st = states[i]
-                if i == top:
-                    delta = output_error(st.spikes, target, st.potentials, thetas[i], loss, spec.surrogate,
-                                         spike_mode, errors[i])
-                else:
-                    delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate, spike_mode, errors[i])
-                accumulate_gradients(acc, i, layer, delta, traces, mode)
-                if i > first:
-                    delta_spikes = weight_adjoint(layer, params[i], delta)
-            else:
-                delta_spikes = passthrough_adjoint(layer, delta_spikes)
+        if stack.push():
+            total_loss += _backward_sweep(spec, params, stack, targets, thetas, acc, mode, loss, spike_mode)
 
     if t < 0:
         raise ShapeError("the window has no frames")
-    for i, stack in enumerate(traces.stacks):  # the steps stacked since the last fold
-        if stack is not None:
-            stack.fold(acc.dw[i])
+    if stack.steps:  # the steps stacked since the last sweep
+        total_loss += _backward_sweep(spec, params, stack, targets, thetas, acc, mode, loss, spike_mode)
+    stack.finish(acc)
     acc.samples = batch
     if audit is not None:
         # each neuron layer carries its potentials and spikes from step to step
@@ -468,6 +539,35 @@ def learn_batch(
         audit["loss"] = total_loss
         audit["prediction"] = np.argmax(output_counts, axis=-1).tolist()
     return acc
+
+
+def _backward_sweep(spec, params, stack: WindowStack, targets, thetas, acc, mode, loss, spike_mode) -> float:
+    """One backward pass over the stack's filled rows, which it then empties; returns their summed loss.
+
+    The error at a step reads only that step's potentials, spikes and
+    traces, so the stacked steps go down the layers as one batch of rows.
+    No error is needed below the first neuron layer.
+    """
+    rows = stack.steps * stack.batch
+    first, top = spec.lif_indices[0], spec.lif_indices[-1]
+    output, target = stack.output[:rows], targets[:rows]
+    sweep_loss = loss_value(output, target, loss)
+    delta_spikes = None
+    for i in reversed(range(first, len(spec.layers))):
+        layer = spec.layers[i]
+        if layer.is_lif:
+            potentials, out = stack.potentials[i][:rows], stack.errors[i][:rows]
+            if i == top:
+                delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spike_mode, out)
+            else:
+                delta = hidden_error(delta_spikes, potentials, thetas[i], spec.surrogate, spike_mode, out)
+            accumulate_gradients(acc, i, layer, delta, stack, mode)
+            if i > first:
+                delta_spikes = weight_adjoint(layer, params[i], delta)
+        else:
+            delta_spikes = passthrough_adjoint(layer, delta_spikes)
+    stack.steps = 0
+    return sweep_loss
 
 
 def learn_sample(spec: NetworkSpec, params: list[LayerParams | None], frames, target: Tensor,

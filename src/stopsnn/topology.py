@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -55,10 +55,11 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     window: int = 0
+    # read on every layer-step, so set once here rather than derived per read
+    is_lif: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_lif(self) -> bool:
-        return self.kind in (LayerKind.DENSE, LayerKind.CONV)
+    def __post_init__(self):
+        object.__setattr__(self, "is_lif", self.kind in (LayerKind.DENSE, LayerKind.CONV))
 
     @property
     def fan_in(self) -> int:
@@ -116,6 +117,7 @@ class NetworkSpec:
     num_classes: int
     time_steps: int = 6
     surrogate: SurrogateKind = SurrogateKind.EXP_ABS
+    lif_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -129,10 +131,7 @@ class NetworkSpec:
             prev = layer.out_shape
         if math.prod(prev) != self.num_classes:
             raise ShapeError(f"final layer width {prev} does not match class count {self.num_classes}")
-
-    @property
-    def lif_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.layers) if l.is_lif]
+        object.__setattr__(self, "lif_indices", tuple(i for i, l in enumerate(self.layers) if l.is_lif))
 
 
 @dataclass

@@ -294,10 +294,18 @@ def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
     return None
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a string, bool or null is a TypeError."""
+    if type(value) not in (int, float):  # bool is a subclass of int, not a number here
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def checkpoint_load(path, expected_digest: str | None = None):
     """Load (params, optimizer, epoch, config_dict); refuse foreign digests, unreadable or
-    malformed files, epochs that are not non-negative integers, tensors whose shapes disagree
-    with the architecture of the stored config, and out-of-range parameter values."""
+    malformed files, epochs that are not non-negative integers, leaks and leak velocities that
+    are not JSON numbers, tensors whose shapes disagree with the architecture of the stored
+    config, and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -314,7 +322,7 @@ def checkpoint_load(path, expected_digest: str | None = None):
             None if entry is None else LayerParams(
                 weights=_decode_array(entry["weights"]),
                 thresholds=_decode_array(entry["thresholds"]),
-                leak=float(entry["leak"]),
+                leak=_json_number(entry["leak"]),
             )
             for entry in payload["params"]
         ]
@@ -325,7 +333,7 @@ def checkpoint_load(path, expected_digest: str | None = None):
                 None if v is None else _decode_array(v) for v in opt_blob["threshold_velocities"]
             ],
             leak_velocities=None if opt_blob["leak_velocities"] is None else [
-                None if v is None else float(v) for v in opt_blob["leak_velocities"]
+                None if v is None else _json_number(v) for v in opt_blob["leak_velocities"]
             ],
             epoch=opt_blob["epoch"],
         )

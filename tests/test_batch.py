@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.linalg.blas import dgemm
+
 from stopsnn import learning, numerics, trainer
 from stopsnn.checks import STREAMING_VS_NAIVE_TOL
 from stopsnn.config import TrainConfig
@@ -21,13 +23,31 @@ from stopsnn.learning import (
     SynergyMode,
     TraceSet,
     UpdateRates,
+    WindowStack,
     accumulate_gradients,
     apply_updates,
+    hidden_error,
     learn_batch,
     learn_sample,
+    loss_value,
+    output_error,
+    update_leakage_traces,
+    update_threshold_traces,
+    update_weight_traces,
+    weight_adjoint,
+    window_depth,
 )
+from stopsnn.lif import SpikeMode
 from stopsnn.oracle import compare_gradients, naive_stop_gradients, unrolled_stbp_gradients
-from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture
+from stopsnn.topology import (
+    LayerKind,
+    broadcast_thresholds,
+    forward_timestep,
+    init_params,
+    parse_architecture,
+    passthrough_adjoint,
+    reset_network,
+)
 
 NETS = {
     "dense": ("7-5-3", (6,)),
@@ -140,12 +160,93 @@ class TestBatchedKernels:
         assert abs(np.vdot(y, d) - np.vdot(x, back)) <= 1e-12 * max(1.0, abs(np.vdot(y, d)))
 
 
+# the benchmark's three networks at their modes: W1 images, the W2 teacher student, long event streams
+WORKLOAD_NETS = {
+    "conv-image": ("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10, 6, SynergyMode.WTL),
+    "dense-teacher": ("100-100-100-100-4", (1, 10, 10), 4, 6, SynergyMode.WTL),
+    "event-long": ("128-128-10", (2, 16, 16), 10, 32, SynergyMode.W),
+}
+
+
+def _workload_net(name):
+    arch, input_shape, classes, steps, mode = WORKLOAD_NETS[name]
+    return parse_architecture(arch, input_shape, classes, time_steps=steps), mode
+
+
+def _per_step_reference(spec, params, frames, target, mode, loss, audit, fold_steps):
+    """A backward pass after every time-step, each layer's products added in step order.
+
+    A dense layer i collects fold_steps[i] steps of (delta, weight trace) rows and adds them
+    into dw with the engine's in-place dgemm call, at the window's end too.
+    """
+    batch = len(target)
+    pending = {i: [] for i in fold_steps}
+
+    def fold(i, rows):
+        pending[i].append(rows)
+        if len(pending[i]) == fold_steps[i] or rows is None:
+            done = [r for r in pending[i] if r is not None]
+            if done:
+                delta, wt = (np.concatenate(parts) for parts in zip(*done))
+                dgemm(1.0, wt.T, delta.T, beta=1.0, c=acc.dw[i].T, trans_b=1, overwrite_c=1)
+            pending[i] = []
+
+    states, traces = reset_network(spec, batch), TraceSet.zeros(spec, mode, batch)
+    acc = GradAccumulator.zeros(spec, mode)
+    lif = spec.lif_indices
+    thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
+    total, counts = 0.0, np.zeros((batch, spec.num_classes))
+    for t, frame in enumerate(frames):
+        for i in lif if t else ():
+            if mode.trains_thresholds:
+                update_threshold_traces(traces.threshold[i], states[i].spikes, params[i].leak)
+            if mode.trains_leakages:
+                update_leakage_traces(traces.leakage[i], states[i].potentials, states[i].spikes, thetas[i],
+                                      params[i].leak)
+        forward_timestep(spec, params, states, frame)
+        current = frame
+        for i, layer in enumerate(spec.layers):
+            if layer.is_lif:
+                update_weight_traces(traces.weight[i], current, params[i].leak)
+            current = states[i].spikes
+        out = states[lif[-1]].spikes
+        total += loss_value(out, target, loss)
+        counts += out
+        delta_spikes = None
+        for i in reversed(range(lif[0], len(spec.layers))):
+            layer, st = spec.layers[i], states[i]
+            if not layer.is_lif:
+                delta_spikes = passthrough_adjoint(layer, delta_spikes)
+                continue
+            if i == lif[-1]:
+                delta = output_error(out, target, st.potentials, thetas[i], loss, spec.surrogate)
+            else:
+                delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate)
+            wt = traces.weight[i]
+            if layer.kind is LayerKind.DENSE:
+                fold(i, (delta.copy(), wt.copy()))
+            else:
+                acc.dw[i] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
+            if mode.trains_thresholds:
+                acc.dtheta[i] += ((traces.threshold[i] - 1.0) * delta).sum(axis=0)
+            if mode.trains_leakages:
+                acc.dalpha[i] += (delta * traces.leakage[i]).sum(axis=0)
+            if i > lif[0]:
+                delta_spikes = weight_adjoint(layer, params[i], delta)
+    for i in fold_steps:
+        fold(i, None)
+    audit["loss"], audit["prediction"] = total, np.argmax(counts, axis=-1).tolist()
+    return acc
+
+
 class TestStackedDenseFold:
+    """Every neuron layer's backward rows stack K steps deep in one WindowStack."""
+
     def _net(self, monkeypatch):
-        # a budget of 8000 bytes makes the 40->30 layer stack K = 3 steps at a batch of one: a
-        # quarter of the budget, 2000 bytes, holds three 560-byte (delta, trace) rows; the 30->4
-        # layer's 272-byte rows stack all 7 steps of the window. At a batch of three one step of
-        # the 40->30 layer takes 1680 bytes, so K = 1 there.
+        # a budget of 8000 bytes: its fifth, 1600, holds no two of the 40-30-4 net's window rows
+        # (1104 bytes a sample-step in mode W, 1888 in WTL), so K = 1, and its quarter, 2000,
+        # gives the dense layers' fold stacks D = 3 steps of the 40->30 layer's 560-byte
+        # (delta, trace) rows and all 7 of the 30->4 layer's 272-byte rows
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", 8000)
         spec = parse_architecture("30-4", (40,), 4, time_steps=7)
         params = init_params(spec, seed=3)
@@ -162,70 +263,115 @@ class TestStackedDenseFold:
     @pytest.mark.parametrize("mode", list(SynergyMode))
     @pytest.mark.parametrize("loss", [LossKind.CE, LossKind.MSE])
     def test_stacked_sample_equals_naive(self, monkeypatch, mode, loss):
-        # T = 7 steps fold as 3 + 3 during the window and the last 1 at its end on the 40->30
-        # layer, and as one fold of 7 on the 30->4 layer
+        # T = 7 steps, in both spike modes: at K = 3 (three sweeps, of 3, 3 and 1 steps, each
+        # adding its rows into dw at once), and at K = 1 (a sweep per step; the fold stacks fold
+        # the 40->30 layer as 3 + 3 during the window and 1 at its end, the 30->4 layer as 7)
         spec, params = self._net(monkeypatch)
-        stacks = TraceSet.zeros(spec, mode, 1).stacks
-        assert (len(stacks[0].deltas), len(stacks[1].deltas)) == (3, 7)
-        folded = {}
-        real_fold = learning.StepStack.fold
-
-        def counting_fold(stack, dw):
-            if stack.rows:
-                folded.setdefault(stack.inputs.shape[1], []).append(stack.rows)
-            real_fold(stack, dw)
-
-        monkeypatch.setattr(learning.StepStack, "fold", counting_fold)
         frames, target = self._window(spec, 1, seed=4)
-        acc = learn_sample(spec, params, [f[0] for f in frames], target[0], mode=mode, loss=loss)
-        assert folded == {40: [3, 3, 1], 30: [7]}
-        ref = naive_stop_gradients(spec, params, [f[0] for f in frames], target[0], mode, loss=loss.value)
-        report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
-                                   {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha})
-        assert report.max_rel <= STREAMING_VS_NAIVE_TOL, str(report)
-        assert np.any(acc.dw[0]) and np.any(acc.dw[1])
+        frames = [f[0] for f in frames]
+        sweeps, folded = [], {}
+        real_output, real_fold = learning.output_error, learning._fold_dense
 
-    def test_batch_with_one_step_stacks_folds_each_step_in_order(self, monkeypatch):
-        spec, params = self._net(monkeypatch)
-        assert len(TraceSet.zeros(spec, SynergyMode.WTL, 3).stacks[0].deltas) == 3  # K = 1 at B = 3
-        steps = []
-        real = learning.accumulate_gradients
+        def counting_output(output_spikes, *a, **k):
+            sweeps.append(len(output_spikes))
+            return real_output(output_spikes, *a, **k)
 
-        def recording(acc, index, layer, delta, traces, mode):
-            if index == 0:
-                steps.append((delta.copy(), traces.weight[0].copy()))
-            return real(acc, index, layer, delta, traces, mode)
+        def counting_fold(dw, deltas, inputs):
+            folded.setdefault(dw.shape[1], []).append(len(deltas))
+            real_fold(dw, deltas, inputs)
 
-        monkeypatch.setattr(learning, "accumulate_gradients", recording)
-        frames, targets = self._window(spec, 3, seed=5)
-        acc = learn_batch(spec, params, frames, targets, mode=SynergyMode.WTL)
-        # each step's whole product, added in step order
-        want = np.zeros((30, 40))
-        for delta, wt in steps:
-            want += np.dot(delta.T, wt)
-        assert len(steps) == 7 and np.any(want)
-        np.testing.assert_allclose(acc.dw[0], want, rtol=1e-14, atol=0)
+        monkeypatch.setattr(learning, "output_error", counting_output)
+        monkeypatch.setattr(learning, "_fold_dense", counting_fold)
+        real_depth = learning.window_depth
+        for depth, want_sweeps, want_folds in ((3, [3, 3, 1], {40: [3, 3, 1], 30: [3, 3, 1]}),
+                                               (1, [1] * 7, {40: [3, 3, 1], 30: [7]})):
+            monkeypatch.setattr(learning, "window_depth", lambda *a, k=depth: k)
+            assert real_depth(spec, mode, 1) == 1  # K = 3 is forced; the budget gives K = 1
+            for spike_mode in SpikeMode:
+                sweeps.clear()
+                folded.clear()
+                acc = learn_sample(spec, params, frames, target[0], mode=mode, loss=loss, spike_mode=spike_mode)
+                assert sweeps == want_sweeps and folded == want_folds
+                ref = naive_stop_gradients(spec, params, frames, target[0], mode, loss=loss.value,
+                                           spike_mode=spike_mode)
+                report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
+                                           {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha})
+                assert report.max_rel <= STREAMING_VS_NAIVE_TOL, (depth, spike_mode, str(report))
+                assert np.any(acc.dw[0]) and np.any(acc.dw[1])
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_NETS))
+    def test_window_depth_of_the_workload_networks(self, name):
+        # a fifth of numerics.COLUMN_BUDGET (256 KiB) holds 5 of event-long's 9376-byte
+        # sample-steps and 3 of dense-teacher's 15328; one W1 sample-step takes 504 KB
+        spec, mode = _workload_net(name)
+        assert (window_depth(spec, mode, 1), window_depth(spec, mode, 32)) == {
+            "conv-image": (1, 1), "dense-teacher": (3, 1), "event-long": (5, 1)}[name]
+
+    def test_batch_with_one_step_stacks_folds_each_step_in_order(self):
+        # at B = 32 every workload network stacks K = 1 step, so a learn call is a backward pass
+        # after each step, on the live arrays, bit for bit; only the dense-teacher net's 100->4
+        # layer folds two steps at a time (its 26624-byte rows fit a quarter of the budget twice)
+        rng = np.random.default_rng(5)
+        for name in WORKLOAD_NETS:
+            spec, mode = _workload_net(name)
+            params = init_params(spec, seed=1)
+            for p in params:
+                if p is not None:
+                    p.weights *= 2.0
+            frames = [rng.uniform(size=(32, *spec.input_shape)) for _ in range(spec.time_steps)]
+            target = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=32)]
+            stack = WindowStack(spec, mode, reset_network(spec, 32), TraceSet.zeros(spec, mode, 32))
+            folds = {i: len(f.deltas) // 32 for i, f in enumerate(stack.folds) if f is not None}
+            assert stack.depth == 1 and folds == ({5: 2} if name == "dense-teacher" else {}), name
+            fold_steps = {i: folds.get(i, 1) for i in spec.lif_indices if spec.layers[i].kind is LayerKind.DENSE}
+            audit, ref_audit = {}, {}
+            acc = learn_batch(spec, params, frames, target, mode=mode, audit=audit)
+            ref = _per_step_reference(spec, params, frames, target, mode, LossKind.CE, ref_audit, fold_steps)
+            for mine, theirs in ((acc.dw, ref.dw), (acc.dtheta, ref.dtheta), (acc.dalpha, ref.dalpha)):
+                for i in spec.lif_indices:
+                    assert np.array_equal(mine[i], theirs[i]), (name, i)
+            assert np.any(acc.dw[spec.lif_indices[0]]), name
+            assert (audit["loss"], audit["prediction"]) == (ref_audit["loss"], ref_audit["prediction"]), name
+
+    def test_image_network_folds_its_dense_layer_twice_per_window(self, monkeypatch):
+        # W1 at a batch of one: K = 1, and the 1568->256 layer's 14592-byte (delta, trace) rows
+        # stack D = 4 deep, so its 3.2 MB gradient takes two passes in T = 6 steps; the 256->10
+        # layer's stack holds all 6 steps
+        spec, mode = _workload_net("conv-image")
+        params = init_params(spec, seed=0)
+        folded = {}
+        real_fold = learning._fold_dense
+
+        def counting_fold(dw, deltas, inputs):
+            folded.setdefault(dw.shape, []).append(len(deltas))
+            real_fold(dw, deltas, inputs)
+
+        monkeypatch.setattr(learning, "_fold_dense", counting_fold)
+        frames = np.random.default_rng(2).uniform(size=(6, *spec.input_shape))
+        learn_sample(spec, params, frames, np.eye(10)[3], mode=mode)
+        assert folded == {(256, 1568): [4, 2], (10, 256): [6]}
 
     def test_fold_adds_into_dw_in_place(self):
-        # W1's 1568->256 layer at a batch of one stacks K = 4 steps; the fourth push folds them
-        # into the 3.2 MB gradient, and a copy of it would show in the traced peak
-        spec = NetworkSpec(input_shape=(1568,), layers=(dense_layer(1568, 256),), num_classes=256)
-        traces = TraceSet.zeros(spec, SynergyMode.W, 1)
-        assert len(traces.stacks[0].deltas) == 4
-        acc = GradAccumulator.zeros(spec, SynergyMode.W)
+        # the fourth step of W1's 1568->256 layer at a batch of one fills its fold stack, which
+        # then folds into the 3.2 MB gradient; a copy of it would show in the traced peak
+        spec, mode = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10), SynergyMode.W
+        traces = TraceSet.zeros(spec, mode, 1)
+        stack = WindowStack(spec, mode, reset_network(spec, 1), traces)
+        assert len(stack.folds[5].deltas) == 4 and stack.weight[5] is traces.weight[5]
+        acc = GradAccumulator.zeros(spec, mode)
         rng = np.random.default_rng(8)
-        dw = acc.dw[0]
+        dw = acc.dw[5]
         dw[...] = rng.normal(size=dw.shape)
         start = dw.copy()
         delta, wt = rng.normal(size=(4, 256)), rng.normal(size=(4, 1568))
         for step in range(3):
-            traces.weight[0][...] = wt[step]
-            accumulate_gradients(acc, 0, spec.layers[0], delta[step:step + 1], traces, SynergyMode.W)
-        traces.weight[0][...] = wt[3]
-        peak = _peak_bytes(lambda: accumulate_gradients(acc, 0, spec.layers[0], delta[3:], traces, SynergyMode.W))
-        assert traces.stacks[0].rows == 0
+            traces.weight[5][...] = wt[step]
+            accumulate_gradients(acc, 5, spec.layers[5], delta[step:step + 1], stack, mode)
+        traces.weight[5][...] = wt[3]
+        peak = _peak_bytes(lambda: accumulate_gradients(acc, 5, spec.layers[5], delta[3:], stack, mode))
+        assert stack.folds[5].rows == 0
         assert peak < dw.nbytes / 4, peak
-        assert acc.dw[0] is dw
+        assert acc.dw[5] is dw
         np.testing.assert_allclose(dw, start + delta.T @ wt, rtol=1e-14, atol=0)
 
 
@@ -300,10 +446,10 @@ class TestBatchedMemory:
         assert long <= 6 * 2**20, long / 2**20
 
     def test_one_sample_memory_with_a_stacked_dense_layer_is_flat_over_a_long_window(self):
-        # at a batch of one the 512->128 layer's 512 KiB gradient stacks K = 12 steps; the stack
+        # at a batch of one the window stack holds K = 7 of this net's 7328-byte sample-steps; it
         # is sized by numerics.COLUMN_BUDGET, not by the window
         spec = parse_architecture("128-10", (2, 16, 16), 10, time_steps=32)
-        assert len(TraceSet.zeros(spec, SynergyMode.W, 1).stacks[1].deltas) == 12
+        assert window_depth(spec, SynergyMode.W, 1) == 7
         params = init_params(spec, seed=0)
         frame = (np.random.default_rng(0).uniform(size=(2, 16, 16)) < 0.3).astype(float)
         target = np.eye(10)[3]
@@ -315,8 +461,7 @@ class TestBatchedMemory:
         assert long <= 1.05 * short, (short, long)
 
     def test_one_sample_memory_of_the_dense_teacher_net_is_flat_over_a_long_window(self):
-        # every dense layer stacks, but K is capped at the network's time_steps (6), not at the
-        # window it is given
+        # the window stack holds K = 3 steps, sized by the network, not by the window it is given
         spec = parse_architecture("100-100-100-100-4", (1, 10, 10), 4)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 10, 10))

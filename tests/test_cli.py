@@ -358,6 +358,26 @@ class TestBadInputExitsData:
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         assert "has optimizer epoch 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("leak", ["0.5", True, None], ids=["string", "bool", "null"])
+    def test_checkpoint_leak_is_not_a_number(self, tmp_path, capsys, leak):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload["params"][0]["leak"] = leak
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{leak!r} is not a number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("velocity", ["0.0", False], ids=["string", "bool"])
+    def test_checkpoint_leak_velocity_is_not_a_number(self, tmp_path, capsys, velocity):
+        config = write_config(tmp_path, arch="6-2", input_shape=[4], epochs=1, momentum=0.5, momentum_scope="all")
+        assert cli.main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "ck.json"
+        payload = json.loads(path.read_text())
+        payload["optimizer"]["leak_velocities"][0] = velocity
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        assert f"{velocity!r} is not a number" in capsys.readouterr().err
+
     def test_checkpoint_path_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["eval", "--checkpoint", str(tmp_path)]) == 2
 

@@ -11,6 +11,7 @@ from stopsnn.learning import (
     SynergyMode,
     TraceSet,
     UpdateRates,
+    WindowStack,
     accumulate_gradients,
     apply_updates,
     complexity_estimate,
@@ -25,9 +26,10 @@ from stopsnn.learning import (
     update_leakage_traces,
     update_threshold_traces,
     update_weight_traces,
+    window_depth,
 )
 from stopsnn.lif import SpikeMode, SurrogateKind
-from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture
+from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture, reset_network
 from stopsnn.trainer import evaluate
 
 
@@ -259,39 +261,49 @@ class TestTraceStorage:
         assert traces.threshold[0] is None and traces.leakage[0] is None
 
 
+def _window(spec, mode, batch):
+    """A window's live traces and the stack the backward sweep reads them through."""
+    traces = TraceSet.zeros(spec, mode, batch)
+    return traces, WindowStack(spec, mode, reset_network(spec, batch), traces)
+
+
 class TestAccumulate:
     def _tiny(self):
+        # the 2->1 layer stacks all 6 steps of the window, so each sweep folds its rows at once
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
         acc = GradAccumulator.zeros(spec)
-        traces = TraceSet.zeros(spec, SynergyMode.WTL, 1)
-        return spec, acc, traces
+        _, stack = _window(spec, SynergyMode.WTL, 1)
+        assert stack.depth == 6 and stack.folds == [None]
+        return spec, acc, stack
 
     def test_product_accumulation(self):
-        spec, acc, traces = self._tiny()
-        traces.weight[0] = np.array([[1.5, 0.0]])
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.1]]), traces, SynergyMode.WTL)
-        traces.stacks[0].fold(acc.dw[0])  # the step waits in the layer's stack until a fold
+        spec, acc, stack = self._tiny()
+        stack.weight[0][0] = [1.5, 0.0]
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.1]]), stack, SynergyMode.WTL)
         assert acc.dw[0][0, 0] == pytest.approx(0.15)
 
     def test_threshold_gets_minus_delta_with_zero_trace(self):
-        spec, acc, traces = self._tiny()
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), traces, SynergyMode.WTL)
+        spec, acc, stack = self._tiny()
+        stack.threshold[0][0] = 0.0
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), stack, SynergyMode.WTL)
         assert acc.dtheta[0][0] == pytest.approx(-0.3)
 
     def test_mode_w_leaves_theta_alpha_untouched(self):
-        spec, acc, traces = self._tiny()
-        traces.weight[0] = np.ones((1, 2))
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), traces, SynergyMode.W)
+        spec, acc, stack = self._tiny()
+        stack.weight[0][0] = 1.0
+        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), stack, SynergyMode.W)
         assert np.array_equal(acc.dtheta[0], np.zeros(1))
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
-        # a budget of 8192 bytes: at a batch of one a quarter of it holds K = 2 of the 64->40
-        # layer's 832-byte (delta, trace) rows, and a window of one step caps K at 1; at a batch
-        # of four one step takes 3328 bytes, so K = 1. Each full stack folds as one dgemm call.
-        # (OpenBLAS sends products much smaller than these through a small-matrix kernel whose
-        # last bit can differ from a GEMM's)
+        # a budget of 8192 bytes: one sample-step of the 64->40 net's window rows (potentials,
+        # weight trace, output spikes, error scratch) takes 1472 bytes, more than half of its
+        # fifth, so the window holds K = 1 step; a quarter of it holds D = 2 of the dense layer's
+        # 832-byte (delta, trace) rows at a batch of one, and a window of one step caps D at 1.
+        # At a batch of four one step takes 3328 bytes, so D = 1 and each sweep folds at once.
+        # Each fold is one dgemm call. (OpenBLAS sends products much smaller than these through
+        # a small-matrix kernel whose last bit can differ from a GEMM's)
         monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 16 * 64 * 8)
         calls = []
         real_dgemm = learning.dgemm
@@ -303,24 +315,28 @@ class TestAccumulate:
         monkeypatch.setattr(learning, "dgemm", recording_dgemm)
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
         one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
-        assert len(TraceSet.zeros(one_step, SynergyMode.W, batch).stacks[0].deltas) == batch
+        assert window_depth(spec, SynergyMode.W, batch) == 1
+        assert _window(one_step, SynergyMode.W, batch)[1].folds == [None]
         rng = np.random.default_rng(4)
-        traces = TraceSet.zeros(spec, SynergyMode.W, batch)
+        traces, stack = _window(spec, SynergyMode.W, batch)
+        assert stack.weight[0] is traces.weight[0]  # a block one step deep is the live array
         steps = 2 if batch == 1 else 1
-        assert traces.stacks[0].deltas.shape == (steps * batch, 40)
-        assert traces.stacks[0].inputs.shape == (steps * batch, 64)
+        if batch == 1:
+            assert stack.folds[0].deltas.shape == (steps, 40) and stack.folds[0].inputs.shape == (steps, 64)
+        else:
+            assert stack.folds == [None]
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
         dw = acc.dw[0]
-        for fold in range(2):  # two full folds of the stack
+        for fold in range(2):  # two full folds
             start = dw.copy()
             deltas, inputs = [], []
             for _ in range(steps):
                 traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
                 deltas.append(rng.normal(size=(batch, 40)))
                 inputs.append(traces.weight[0].copy())
-                accumulate_gradients(acc, 0, spec.layers[0], deltas[-1], traces, SynergyMode.W)
-            assert len(calls) == fold + 1 and traces.stacks[0].rows == 0
+                accumulate_gradients(acc, 0, spec.layers[0], deltas[-1], stack, SynergyMode.W)
+            assert len(calls) == fold + 1 and (stack.folds[0] is None or stack.folds[0].rows == 0)
             delta, wt = np.concatenate(deltas), np.concatenate(inputs)
             assert np.array_equal(dw, start + np.dot(delta.T, wt))
         assert acc.dw[0] is dw and all(np.shares_memory(c, dw) for c in calls)
@@ -501,12 +517,14 @@ class TestLearnSample:
         assert counts[SynergyMode.WTL] == 10
 
     def test_one_error_evaluation_per_layer_per_step(self, monkeypatch):
-        calls = {"output": 0, "hidden": 0}
+        # one output and one hidden error per neuron layer and backward sweep, over every
+        # stacked row at once: one sweep per K steps and one for the rest, so one per step at K = 1
+        calls = {"output": [], "hidden": 0}
         real_output, real_hidden = learning.output_error, learning.hidden_error
 
-        def counting_output(*a, **k):
-            calls["output"] += 1
-            return real_output(*a, **k)
+        def counting_output(output_spikes, *a, **k):
+            calls["output"].append(len(output_spikes))
+            return real_output(output_spikes, *a, **k)
 
         def counting_hidden(*a, **k):
             calls["hidden"] += 1
@@ -518,11 +536,17 @@ class TestLearnSample:
         params = init_params(spec, seed=0)
         frames = [np.full((1, 4, 4), 0.5)] * 5
         target = np.array([1.0, 0.0, 0.0])
-        for mode in (SynergyMode.W, SynergyMode.WTL):
-            calls["output"] = calls["hidden"] = 0
-            learn_sample(spec, params, frames, target, mode=mode)
-            assert calls["output"] == 5  # once per time-step
-            assert calls["hidden"] == 10  # two hidden neuron layers x 5 steps
+        # a budget of 15000 bytes leaves the stack 3000: two 1424-byte sample-steps in mode W,
+        # none of WTL's 3136 (K = 1)
+        for budget, sweeps in ((None, {SynergyMode.W: [5], SynergyMode.WTL: [5]}),
+                               (15000, {SynergyMode.W: [2, 2, 1], SynergyMode.WTL: [1] * 5})):
+            if budget is not None:
+                monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", budget)
+            for mode in (SynergyMode.W, SynergyMode.WTL):
+                calls["output"], calls["hidden"] = [], 0
+                learn_sample(spec, params, frames, target, mode=mode)
+                assert calls["output"] == sweeps[mode]  # the rows of each sweep
+                assert calls["hidden"] == 2 * len(sweeps[mode])  # two hidden neuron layers per sweep
 
 
 class TestComplexityEstimate:
