@@ -40,12 +40,13 @@ one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K fits a fifth
 of that budget and is capped at the network's time_steps: K = 5 on the
 event-long net 128-128-10 and 3 on the dense-teacher net 100-100-100-100-4
 at a batch of one, and 1 on the W1 image net and on all three at a batch
-of 32. At K = 1 the stack's rows are the live arrays and nothing is
-copied; a dense layer then stacks its own (error, trace) rows as deep as
-a quarter of the budget allows and folds them when full (4 + 2 steps per
-window for W1's 1568->256 layer at a batch of one). Stacking sums in
-another order, within the oracle battery's 1e-9; at K = 1 without a fold
-stack the steps add in order. A step allocates no state: the forward
+of 32. A dense layer's error and weight-trace rows span D steps of the
+same stack: D = K, or at K = 1, where the other rows are the live arrays
+and nothing else is copied, as many steps of the layer's own rows as fit
+that fifth (3 + 3 steps per window for W1's 1568->256 layer at a batch of
+one); they fold when full and at the window's end. Stacking sums in
+another order, within the oracle battery's 1e-9; at K = D = 1 the steps
+add in order. A step allocates no state: the forward
 sweep works in place, and a sweep's errors and threshold/leakage
 products go into scratch buffers of K*B rows the size of the largest
 neuron layer (the second only when thresholds or leakages learn),
@@ -314,20 +315,26 @@ def accumulate_gradients(
     """Fold one layer's error/trace products over a backward sweep's rows into acc.
 
     delta holds the sweep's (n, ...) errors, which pair with the first n
-    rows of the stack; the products are summed over those rows: one
-    in-place dgemm into a dense layer's dw (or a push onto its fold stack,
-    see WindowStack), one im2col GEMM for a convolution, and one batch-sum
-    each for thresholds and leakages, of products formed in the stack's
-    product scratch.
+    rows of the stack; in a dense layer whose rows span more steps than a
+    sweep, they pair with its weight-trace rows after the held[index] rows
+    earlier sweeps left (delta is then the error rows that follow those).
+    The products are summed over the rows: a dense layer adds its held
+    rows and delta's into dw with one in-place dgemm once its span has no
+    room for another sweep, a convolution runs one im2col GEMM, and
+    thresholds and leakages take one batch-sum each, of products formed in
+    the stack's product scratch.
     """
     rows = len(delta)
-    wt = stack.weight[index][:rows]
     if layer.kind is LayerKind.CONV:
-        acc.dw[index] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
-    elif stack.folds[index] is None:
-        _fold_dense(acc.dw[index], delta, wt)
+        acc.dw[index] += numerics.conv2d_weight_grad(stack.weight[index][:rows], delta,
+                                                     stride=layer.stride, padding=layer.padding)
     else:
-        stack.folds[index].push(acc.dw[index], delta, wt)
+        held = stack.held[index]
+        end = held + rows
+        if end + stack.depth * stack.batch > len(stack.weight[index]):  # no room for another sweep
+            _fold_dense(acc.dw[index], stack.errors[index][:end] if held else delta, stack.weight[index][:end])
+            end = 0
+        stack.held[index] = end
     if mode.trains_thresholds:
         product = np.subtract(stack.threshold[index][:rows], 1.0, out=stack.products[index][:rows])
         product *= delta
@@ -347,14 +354,9 @@ def _fold_dense(dw: Tensor, deltas: Tensor, inputs: Tensor) -> None:
     dgemm(1.0, inputs.T, deltas.T, beta=1.0, c=dw.T, trans_b=1, overwrite_c=1)
 
 
-# shares of numerics.COLUMN_BUDGET: a window stack fits a fifth of it, and at K = 1 each dense
-# layer's fold stack a quarter (W1's 1568->256 layer at a batch of one folds 4 + 2 steps)
-WINDOW_SHARE, FOLD_SHARE = 5, 4
-
-
-def _steps_that_fit(spec: NetworkSpec, step_bytes: int, share: int) -> int:
-    """Steps of step_bytes within 1/share of numerics.COLUMN_BUDGET, at least one, at most time_steps."""
-    return max(1, min(spec.time_steps, numerics.COLUMN_BUDGET // share // step_bytes))
+def _steps_that_fit(spec: NetworkSpec, step_bytes: int) -> int:
+    """Steps of step_bytes within a fifth of numerics.COLUMN_BUDGET, at least one, at most time_steps."""
+    return max(1, min(spec.time_steps, numerics.COLUMN_BUDGET // 5 // step_bytes))
 
 
 def window_depth(spec: NetworkSpec, mode: SynergyMode, batch: int) -> int:
@@ -372,7 +374,7 @@ def window_depth(spec: NetworkSpec, mode: SynergyMode, batch: int) -> int:
     scratch = 1 + (mode.trains_thresholds or mode.trains_leakages)
     width = (sum(layer.fan_in + traces * layer.fan_out for layer in layers) + spec.num_classes
              + scratch * max(layer.fan_out for layer in layers))
-    return _steps_that_fit(spec, 8 * batch * width, WINDOW_SHARE)
+    return _steps_that_fit(spec, 8 * batch * width)
 
 
 class WindowStack:
@@ -381,8 +383,11 @@ class WindowStack:
     Each block (potentials, weight, threshold and leakage traces per layer,
     the output spikes) is (K*B, ...), rows s*B to (s+1)*B holding step s;
     at K = 1 it is the live array itself. errors and products are the
-    sweep's scratch. folds[i] is a dense layer's fold stack at K = 1, where
-    more than one step fits a quarter of the budget, and None elsewhere.
+    sweep's scratch. A dense layer's weight-trace and error rows span D
+    steps: D = K, or at K = 1 as many steps of the layer's own rows as fit
+    the same fifth of the budget. held[i] counts the rows of a dense
+    layer's span that earlier sweeps filled; the next step's rows follow
+    them, and the span is folded into dw when full and at the window's end.
     """
 
     def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, traces: TraceSet):
@@ -390,6 +395,7 @@ class WindowStack:
         self.batch = batch = len(states[top].spikes)
         self.depth = depth = window_depth(spec, mode, batch)
         self.steps = 0
+        self.held = [0] * len(spec.layers)
         self._copies: list[tuple[Tensor, Tensor]] = []
 
         def block(live: Tensor | None) -> Tensor | None:
@@ -407,50 +413,30 @@ class WindowStack:
         self.errors = _layer_scratch(spec, depth * batch)
         self.products = (_layer_scratch(spec, depth * batch) if mode.trains_thresholds or mode.trains_leakages
                          else [None] * len(spec.layers))
-        self.folds: list[_FoldStack | None] = [None] * len(spec.layers)
+        self._spans: tuple[tuple[int, Tensor], ...] = ()  # (layer, live weight trace) per span deeper than K
         for i in spec.lif_indices if depth == 1 else ():
             layer = spec.layers[i]
-            if layer.kind is LayerKind.DENSE:
-                steps = _steps_that_fit(spec, 8 * batch * (layer.fan_in + layer.fan_out), FOLD_SHARE)
-                self.folds[i] = _FoldStack(layer, batch, steps) if steps > 1 else None
+            span = _steps_that_fit(spec, 8 * batch * (layer.fan_in + layer.fan_out))
+            if layer.kind is LayerKind.DENSE and span > 1:
+                self.weight[i] = np.empty((span * batch, layer.fan_in))
+                self.errors[i] = np.empty((span * batch, layer.fan_out))
+                self._spans += ((i, traces.weight[i]),)
 
     def push(self) -> bool:
         """Copy the live arrays into the next step's rows; True when all K steps are filled."""
-        if self._copies:
-            rows = slice(self.steps * self.batch, (self.steps + 1) * self.batch)
-            for block, live in self._copies:
-                block[rows] = live
+        rows = slice(self.steps * self.batch, (self.steps + 1) * self.batch)
+        for block, live in self._copies:
+            block[rows] = live
+        for i, live in self._spans:  # at K = 1, after the rows the span holds
+            self.weight[i][self.held[i]:self.held[i] + self.batch] = live
         self.steps += 1
         return self.steps == self.depth
 
     def finish(self, acc: GradAccumulator) -> None:
-        """Fold the rows the fold stacks hold at the window's end."""
-        for i, fold in enumerate(self.folds):
-            if fold is not None:
-                fold.fold(acc.dw[i])
-
-
-class _FoldStack:
-    """At K = 1, up to D steps of one dense layer's (B, out) errors and (B, in) weight traces, folded as one GEMM."""
-
-    def __init__(self, layer: LayerSpec, batch: int, steps: int):
-        self.deltas = np.empty((steps * batch, layer.fan_out))
-        self.inputs = np.empty((steps * batch, layer.fan_in))
-        self.rows = 0
-
-    def push(self, dw: Tensor, delta: Tensor, inputs: Tensor) -> None:
-        """Copy one step's rows in (the weight traces advance in place); fold into dw when full."""
-        end = self.rows + len(delta)
-        self.deltas[self.rows:end] = delta
-        self.inputs[self.rows:end] = inputs
-        self.rows = end
-        if end == len(self.deltas):
-            self.fold(dw)
-
-    def fold(self, dw: Tensor) -> None:
-        if self.rows:
-            _fold_dense(dw, self.deltas[:self.rows], self.inputs[:self.rows])
-            self.rows = 0
+        """Fold the rows the dense layers' spans hold at the window's end."""
+        for i, held in enumerate(self.held):
+            if held:
+                _fold_dense(acc.dw[i], self.errors[i][:held], self.weight[i][:held])
 
 
 def _layer_scratch(spec: NetworkSpec, batch: int) -> list[Tensor | None]:
@@ -556,7 +542,8 @@ def _backward_sweep(spec, params, stack: WindowStack, targets, thetas, acc, mode
     for i in reversed(range(first, len(spec.layers))):
         layer = spec.layers[i]
         if layer.is_lif:
-            potentials, out = stack.potentials[i][:rows], stack.errors[i][:rows]
+            held = stack.held[i]
+            potentials, out = stack.potentials[i][:rows], stack.errors[i][held:held + rows]
             if i == top:
                 delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spike_mode, out)
             else:

@@ -311,7 +311,9 @@ def forward_timestep(
     """
     input_frame = np.asarray(input_frame, dtype=np.float64)
     if input_frame.shape[1:] != spec.input_shape:
-        raise ShapeError(f"input frame {input_frame.shape} does not match {spec.input_shape}")
+        if input_frame.shape == spec.input_shape:
+            raise ShapeError(f"input frame {input_frame.shape} has no (B, ...) batch axis")
+        raise ShapeError(f"input frame {input_frame.shape} does not match (B, {', '.join(map(str, spec.input_shape))})")
     current = input_frame
     for layer, layer_params, state in zip(spec.layers, params, states):
         if layer.is_lif:

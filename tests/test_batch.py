@@ -173,24 +173,13 @@ def _workload_net(name):
     return parse_architecture(arch, input_shape, classes, time_steps=steps), mode
 
 
-def _per_step_reference(spec, params, frames, target, mode, loss, audit, fold_steps):
+def _per_step_reference(spec, params, frames, target, mode, loss, audit):
     """A backward pass after every time-step, each layer's products added in step order.
 
-    A dense layer i collects fold_steps[i] steps of (delta, weight trace) rows and adds them
-    into dw with the engine's in-place dgemm call, at the window's end too.
+    A dense layer adds each step's (delta, weight trace) rows into dw with the engine's in-place
+    dgemm call.
     """
     batch = len(target)
-    pending = {i: [] for i in fold_steps}
-
-    def fold(i, rows):
-        pending[i].append(rows)
-        if len(pending[i]) == fold_steps[i] or rows is None:
-            done = [r for r in pending[i] if r is not None]
-            if done:
-                delta, wt = (np.concatenate(parts) for parts in zip(*done))
-                dgemm(1.0, wt.T, delta.T, beta=1.0, c=acc.dw[i].T, trans_b=1, overwrite_c=1)
-            pending[i] = []
-
     states, traces = reset_network(spec, batch), TraceSet.zeros(spec, mode, batch)
     acc = GradAccumulator.zeros(spec, mode)
     lif = spec.lif_indices
@@ -224,7 +213,7 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit, fold_st
                 delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate)
             wt = traces.weight[i]
             if layer.kind is LayerKind.DENSE:
-                fold(i, (delta.copy(), wt.copy()))
+                dgemm(1.0, wt.T, delta.T, beta=1.0, c=acc.dw[i].T, trans_b=1, overwrite_c=1)
             else:
                 acc.dw[i] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
             if mode.trains_thresholds:
@@ -233,8 +222,6 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit, fold_st
                 acc.dalpha[i] += (delta * traces.leakage[i]).sum(axis=0)
             if i > lif[0]:
                 delta_spikes = weight_adjoint(layer, params[i], delta)
-    for i in fold_steps:
-        fold(i, None)
     audit["loss"], audit["prediction"] = total, np.argmax(counts, axis=-1).tolist()
     return acc
 
@@ -244,9 +231,9 @@ class TestStackedDenseFold:
 
     def _net(self, monkeypatch):
         # a budget of 8000 bytes: its fifth, 1600, holds no two of the 40-30-4 net's window rows
-        # (1104 bytes a sample-step in mode W, 1888 in WTL), so K = 1, and its quarter, 2000,
-        # gives the dense layers' fold stacks D = 3 steps of the 40->30 layer's 560-byte
-        # (delta, trace) rows and all 7 of the 30->4 layer's 272-byte rows
+        # (1104 bytes a sample-step in mode W, 1888 in WTL), so K = 1, and the dense layers' own
+        # rows span D = 2 steps of the 40->30 layer's 560-byte (delta, trace) rows and 5 of the
+        # 30->4 layer's 272-byte rows
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", 8000)
         spec = parse_architecture("30-4", (40,), 4, time_steps=7)
         params = init_params(spec, seed=3)
@@ -264,8 +251,9 @@ class TestStackedDenseFold:
     @pytest.mark.parametrize("loss", [LossKind.CE, LossKind.MSE])
     def test_stacked_sample_equals_naive(self, monkeypatch, mode, loss):
         # T = 7 steps, in both spike modes: at K = 3 (three sweeps, of 3, 3 and 1 steps, each
-        # adding its rows into dw at once), and at K = 1 (a sweep per step; the fold stacks fold
-        # the 40->30 layer as 3 + 3 during the window and 1 at its end, the 30->4 layer as 7)
+        # adding its rows into dw at once), and at K = 1 (a sweep per step; the dense spans fold
+        # the 40->30 layer as 2 + 2 + 2 during the window and 1 at its end, the 30->4 layer as
+        # 5 and 2)
         spec, params = self._net(monkeypatch)
         frames, target = self._window(spec, 1, seed=4)
         frames = [f[0] for f in frames]
@@ -284,7 +272,7 @@ class TestStackedDenseFold:
         monkeypatch.setattr(learning, "_fold_dense", counting_fold)
         real_depth = learning.window_depth
         for depth, want_sweeps, want_folds in ((3, [3, 3, 1], {40: [3, 3, 1], 30: [3, 3, 1]}),
-                                               (1, [1] * 7, {40: [3, 3, 1], 30: [7]})):
+                                               (1, [1] * 7, {40: [2, 2, 2, 1], 30: [5, 2]})):
             monkeypatch.setattr(learning, "window_depth", lambda *a, k=depth: k)
             assert real_depth(spec, mode, 1) == 1  # K = 3 is forced; the budget gives K = 1
             for spike_mode in SpikeMode:
@@ -302,15 +290,22 @@ class TestStackedDenseFold:
     @pytest.mark.parametrize("name", list(WORKLOAD_NETS))
     def test_window_depth_of_the_workload_networks(self, name):
         # a fifth of numerics.COLUMN_BUDGET (256 KiB) holds 5 of event-long's 9376-byte
-        # sample-steps and 3 of dense-teacher's 15328; one W1 sample-step takes 504 KB
+        # sample-steps and 3 of dense-teacher's 15328; one W1 sample-step takes 504 KB. A dense
+        # layer's own rows (at K = 1 and more than one step deep) stay within that fifth too
         spec, mode = _workload_net(name)
         assert (window_depth(spec, mode, 1), window_depth(spec, mode, 32)) == {
             "conv-image": (1, 1), "dense-teacher": (3, 1), "event-long": (5, 1)}[name]
+        for batch in (1, 32):
+            stack = WindowStack(spec, mode, reset_network(spec, batch), TraceSet.zeros(spec, mode, batch))
+            own = [i for i in spec.lif_indices if len(stack.errors[i]) > stack.depth * batch]
+            assert all(stack.weight[i].nbytes + stack.errors[i].nbytes <= numerics.COLUMN_BUDGET // 5
+                       for i in own), batch
 
     def test_batch_with_one_step_stacks_folds_each_step_in_order(self):
-        # at B = 32 every workload network stacks K = 1 step, so a learn call is a backward pass
-        # after each step, on the live arrays, bit for bit; only the dense-teacher net's 100->4
-        # layer folds two steps at a time (its 26624-byte rows fit a quarter of the budget twice)
+        # at B = 32 every workload network stacks K = 1 step and every dense layer's rows span one
+        # step (the largest fit, the dense-teacher net's 100->4 layer's 26624 bytes, is over half
+        # of the budget's fifth), so a learn call is a backward pass after each step, on the live
+        # arrays, bit for bit
         rng = np.random.default_rng(5)
         for name in WORKLOAD_NETS:
             spec, mode = _workload_net(name)
@@ -320,13 +315,12 @@ class TestStackedDenseFold:
                     p.weights *= 2.0
             frames = [rng.uniform(size=(32, *spec.input_shape)) for _ in range(spec.time_steps)]
             target = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=32)]
-            stack = WindowStack(spec, mode, reset_network(spec, 32), TraceSet.zeros(spec, mode, 32))
-            folds = {i: len(f.deltas) // 32 for i, f in enumerate(stack.folds) if f is not None}
-            assert stack.depth == 1 and folds == ({5: 2} if name == "dense-teacher" else {}), name
-            fold_steps = {i: folds.get(i, 1) for i in spec.lif_indices if spec.layers[i].kind is LayerKind.DENSE}
+            traces = TraceSet.zeros(spec, mode, 32)
+            stack = WindowStack(spec, mode, reset_network(spec, 32), traces)
+            assert stack.depth == 1 and all(w is t for w, t in zip(stack.weight, traces.weight)), name
             audit, ref_audit = {}, {}
             acc = learn_batch(spec, params, frames, target, mode=mode, audit=audit)
-            ref = _per_step_reference(spec, params, frames, target, mode, LossKind.CE, ref_audit, fold_steps)
+            ref = _per_step_reference(spec, params, frames, target, mode, LossKind.CE, ref_audit)
             for mine, theirs in ((acc.dw, ref.dw), (acc.dtheta, ref.dtheta), (acc.dalpha, ref.dalpha)):
                 for i in spec.lif_indices:
                     assert np.array_equal(mine[i], theirs[i]), (name, i)
@@ -334,9 +328,9 @@ class TestStackedDenseFold:
             assert (audit["loss"], audit["prediction"]) == (ref_audit["loss"], ref_audit["prediction"]), name
 
     def test_image_network_folds_its_dense_layer_twice_per_window(self, monkeypatch):
-        # W1 at a batch of one: K = 1, and the 1568->256 layer's 14592-byte (delta, trace) rows
-        # stack D = 4 deep, so its 3.2 MB gradient takes two passes in T = 6 steps; the 256->10
-        # layer's stack holds all 6 steps
+        # W1 at a batch of one: K = 1, and the 1568->256 layer's own 14592-byte (delta, trace)
+        # rows span D = 3 steps, so its 3.2 MB gradient takes two passes in T = 6 steps; the
+        # 256->10 layer's rows span all 6 steps
         spec, mode = _workload_net("conv-image")
         params = init_params(spec, seed=0)
         folded = {}
@@ -349,27 +343,35 @@ class TestStackedDenseFold:
         monkeypatch.setattr(learning, "_fold_dense", counting_fold)
         frames = np.random.default_rng(2).uniform(size=(6, *spec.input_shape))
         learn_sample(spec, params, frames, np.eye(10)[3], mode=mode)
-        assert folded == {(256, 1568): [4, 2], (10, 256): [6]}
+        assert folded == {(256, 1568): [3, 3], (10, 256): [6]}
 
     def test_fold_adds_into_dw_in_place(self):
-        # the fourth step of W1's 1568->256 layer at a batch of one fills its fold stack, which
+        # the third step of W1's 1568->256 layer at a batch of one fills the layer's span, which
         # then folds into the 3.2 MB gradient; a copy of it would show in the traced peak
         spec, mode = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10), SynergyMode.W
         traces = TraceSet.zeros(spec, mode, 1)
         stack = WindowStack(spec, mode, reset_network(spec, 1), traces)
-        assert len(stack.folds[5].deltas) == 4 and stack.weight[5] is traces.weight[5]
+        assert stack.depth == 1 and stack.weight[5].shape == (3, 1568) and stack.errors[5].shape == (3, 256)
         acc = GradAccumulator.zeros(spec, mode)
         rng = np.random.default_rng(8)
         dw = acc.dw[5]
         dw[...] = rng.normal(size=dw.shape)
         start = dw.copy()
-        delta, wt = rng.normal(size=(4, 256)), rng.normal(size=(4, 1568))
-        for step in range(3):
-            traces.weight[5][...] = wt[step]
-            accumulate_gradients(acc, 5, spec.layers[5], delta[step:step + 1], stack, mode)
-        traces.weight[5][...] = wt[3]
-        peak = _peak_bytes(lambda: accumulate_gradients(acc, 5, spec.layers[5], delta[3:], stack, mode))
-        assert stack.folds[5].rows == 0
+        delta, wt = rng.normal(size=(3, 256)), rng.normal(size=(3, 1568))
+
+        def step(s):  # what a step and its sweep do with the layer's rows
+            traces.weight[5][...] = wt[s]
+            stack.push()
+            stack.steps = 0
+            rows = stack.errors[5][s:s + 1]
+            rows[...] = delta[s]
+            accumulate_gradients(acc, 5, spec.layers[5], rows, stack, mode)
+
+        step(0)
+        step(1)
+        assert stack.held[5] == 2 and np.array_equal(dw, start)
+        peak = _peak_bytes(lambda: step(2))
+        assert stack.held[5] == 0
         assert peak < dw.nbytes / 4, peak
         assert acc.dw[5] is dw
         np.testing.assert_allclose(dw, start + delta.T @ wt, rtol=1e-14, atol=0)
@@ -432,7 +434,7 @@ class TestBatchedMemory:
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB and
         # the largest transient is the conv2 input adjoint's 1.2 MiB patch matrix; the dense
-        # layers' step stacks add 70 KiB. The peak measured 5.90 MiB.
+        # layers' own rows add 55 KiB. The peak measured 5.88 MiB.
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 28, 28))

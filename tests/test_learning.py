@@ -269,11 +269,11 @@ def _window(spec, mode, batch):
 
 class TestAccumulate:
     def _tiny(self):
-        # the 2->1 layer stacks all 6 steps of the window, so each sweep folds its rows at once
+        # the 2->1 layer's rows span the window stack's 6 steps, so each sweep folds its rows at once
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
         acc = GradAccumulator.zeros(spec)
         _, stack = _window(spec, SynergyMode.WTL, 1)
-        assert stack.depth == 6 and stack.folds == [None]
+        assert stack.depth == 6 and len(stack.weight[0]) == len(stack.errors[0]) == 6
         return spec, acc, stack
 
     def test_product_accumulation(self):
@@ -297,14 +297,14 @@ class TestAccumulate:
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
-        # a budget of 8192 bytes: one sample-step of the 64->40 net's window rows (potentials,
+        # a budget of 10240 bytes: one sample-step of the 64->40 net's window rows (potentials,
         # weight trace, output spikes, error scratch) takes 1472 bytes, more than half of its
-        # fifth, so the window holds K = 1 step; a quarter of it holds D = 2 of the dense layer's
+        # fifth, so the window holds K = 1 step; the fifth holds D = 2 of the dense layer's own
         # 832-byte (delta, trace) rows at a batch of one, and a window of one step caps D at 1.
         # At a batch of four one step takes 3328 bytes, so D = 1 and each sweep folds at once.
         # Each fold is one dgemm call. (OpenBLAS sends products much smaller than these through
         # a small-matrix kernel whose last bit can differ from a GEMM's)
-        monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 16 * 64 * 8)
+        monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 20 * 64 * 8)
         calls = []
         real_dgemm = learning.dgemm
 
@@ -316,27 +316,29 @@ class TestAccumulate:
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
         one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
         assert window_depth(spec, SynergyMode.W, batch) == 1
-        assert _window(one_step, SynergyMode.W, batch)[1].folds == [None]
+        one_traces, one_stack = _window(one_step, SynergyMode.W, batch)
+        assert one_stack.weight[0] is one_traces.weight[0]  # rows one step deep are the live array
         rng = np.random.default_rng(4)
         traces, stack = _window(spec, SynergyMode.W, batch)
-        assert stack.weight[0] is traces.weight[0]  # a block one step deep is the live array
         steps = 2 if batch == 1 else 1
-        if batch == 1:
-            assert stack.folds[0].deltas.shape == (steps, 40) and stack.folds[0].inputs.shape == (steps, 64)
-        else:
-            assert stack.folds == [None]
+        assert stack.depth == 1 and stack.weight[0].shape == (steps * batch, 64)
+        assert (stack.weight[0] is traces.weight[0]) == (steps == 1)
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
         dw = acc.dw[0]
         for fold in range(2):  # two full folds
             start = dw.copy()
             deltas, inputs = [], []
-            for _ in range(steps):
+            for _ in range(steps):  # what a step and its sweep do with the layer's rows
                 traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
-                deltas.append(rng.normal(size=(batch, 40)))
+                stack.push()
+                stack.steps = 0
+                rows = stack.errors[0][stack.held[0]:stack.held[0] + batch]
+                rows[...] = rng.normal(size=(batch, 40))
+                deltas.append(rows.copy())
                 inputs.append(traces.weight[0].copy())
-                accumulate_gradients(acc, 0, spec.layers[0], deltas[-1], stack, SynergyMode.W)
-            assert len(calls) == fold + 1 and (stack.folds[0] is None or stack.folds[0].rows == 0)
+                accumulate_gradients(acc, 0, spec.layers[0], rows, stack, SynergyMode.W)
+            assert len(calls) == fold + 1 and stack.held == [0]
             delta, wt = np.concatenate(deltas), np.concatenate(inputs)
             assert np.array_equal(dw, start + np.dot(delta.T, wt))
         assert acc.dw[0] is dw and all(np.shares_memory(c, dw) for c in calls)
@@ -446,6 +448,10 @@ class TestLearnSample:
                 learn_batch(spec, params, [frame, frame], target)
         with pytest.raises(ShapeError):  # one sample's frame
             infer_batch(spec, params, [np.ones(4)] * 2)
+        # a frame of the input's own shape lacks the batch axis, and says so
+        one = parse_architecture("5", (5,), 5)
+        with pytest.raises(ShapeError, match=r"\(5,\) has no \(B, \.\.\.\) batch axis"):
+            infer_batch(one, init_params(one, seed=0), [np.ones(5)])
 
     def test_empty_window_is_shape_error(self):
         spec = parse_architecture("6-2", (4,), 2, time_steps=2)
