@@ -11,7 +11,7 @@ noise floor of a central difference at step 1e-5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class CheckResult:
 
 def random_network(rng: np.random.Generator, max_width: int = 16,
                    time_steps: int | None = None) -> tuple[NetworkSpec, list]:
-    """A small random mixed dense/conv architecture with lively dynamics."""
+    """A small random mixed dense/conv architecture with lively dynamics, hard spikes."""
     spatial = rng.random() < 0.5
     layers = []
     if spatial:
@@ -161,10 +161,9 @@ def check_t1_finite_diff(trials: int = 20, seed: int = 1) -> CheckResult:
 
     def trial_fn(rng, trial):
         spec, params = random_network(rng, max_width=8, time_steps=1)
+        spec = replace(spec, spike_mode=SpikeMode.SOFT)
         frames, target = random_sample(rng, spec)
-        acc = learn_sample(
-            spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE, spike_mode=SpikeMode.SOFT
-        )
+        acc = learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE)
         dtheta, dleak = _fold_to_parameter_shapes(spec, acc)
         numeric = finite_diff_all(spec, params, frames, target, loss="ce")
         report = compare_gradients(
@@ -183,13 +182,10 @@ def check_output_layer_detached(trials: int = 20, seed: int = 2) -> CheckResult:
     def trial_fn(rng, trial):
         steps = int(rng.integers(1, 7))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
+        spec = replace(spec, spike_mode=SpikeMode.SOFT)
         frames, target = random_sample(rng, spec)
-        acc = learn_sample(
-            spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE, spike_mode=SpikeMode.SOFT
-        )
-        ref = unrolled_stbp_gradients(
-            spec, params, frames, target, loss="ce", include_illusory=False, spike_mode=SpikeMode.SOFT
-        )
+        acc = learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE)
+        ref = unrolled_stbp_gradients(spec, params, frames, target, loss="ce", include_illusory=False)
         top = spec.lif_indices[-1]
         report = compare_gradients(
             {"dw": acc.dw[top], "dtheta": acc.dtheta[top]},
@@ -206,10 +202,9 @@ def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3) -> CheckResult:
     def trial_fn(rng, trial):
         steps = int(rng.integers(1, 6))
         spec, params = random_network(rng, max_width=8, time_steps=steps)
+        spec = replace(spec, spike_mode=SpikeMode.SOFT)
         frames, target = random_sample(rng, spec)
-        ref = unrolled_stbp_gradients(
-            spec, params, frames, target, loss="ce", include_illusory=True, spike_mode=SpikeMode.SOFT
-        )
+        ref = unrolled_stbp_gradients(spec, params, frames, target, loss="ce", include_illusory=True)
         numeric = finite_diff_all(spec, params, frames, target, loss="ce")
         report = compare_gradients(
             {"dw": ref.dw, "dtheta": ref.dtheta, "dleak": ref.dleak},

@@ -128,9 +128,6 @@ class TrainConfig:
     def load(cls, path, overrides: dict | None = None) -> "TrainConfig":
         return cls.from_dict(read_json(path, "config"), overrides)
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
     def with_overrides(self, **overrides) -> "TrainConfig":
         return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 

@@ -304,27 +304,21 @@ def weight_adjoint(layer: LayerSpec, params: LayerParams, delta: Tensor) -> Tens
     return numerics.conv2d_adjoint_input(delta, params.weights, stride=layer.stride, padding=layer.padding)
 
 
-def accumulate_gradients(
-    acc: GradAccumulator,
-    index: int,
-    layer: LayerSpec,
-    delta: Tensor,
-    stack: "WindowStack",
-    mode: SynergyMode,
-) -> GradAccumulator:
+def accumulate_gradients(acc: GradAccumulator, index: int, delta: Tensor, stack: "WindowStack") -> GradAccumulator:
     """Fold one layer's error/trace products over a backward sweep's rows into acc.
 
-    delta holds the sweep's (n, ...) errors, which pair with the first n
-    rows of the stack; in a dense layer whose rows span more steps than a
-    sweep, they pair with its weight-trace rows after the held[index] rows
-    earlier sweeps left (delta is then the error rows that follow those).
-    The products are summed over the rows: a dense layer adds its held
-    rows and delta's into dw with one in-place dgemm once its span has no
-    room for another sweep, a convolution runs one im2col GEMM, and
-    thresholds and leakages take one batch-sum each, of products formed in
-    the stack's product scratch.
+    The layer is acc.spec.layers[index], and acc.mode says which families
+    learn. delta holds the sweep's (n, ...) errors, which pair with the
+    first n rows of the stack; in a dense layer whose rows span more steps
+    than a sweep, they pair with its weight-trace rows after the
+    held[index] rows earlier sweeps left (delta is then the error rows
+    that follow those). The products are summed over the rows: a dense
+    layer adds its held rows and delta's into dw with one in-place dgemm
+    once its span has no room for another sweep, a convolution runs one
+    im2col GEMM, and thresholds and leakages take one batch-sum each, of
+    products formed in the stack's product scratch.
     """
-    rows = len(delta)
+    rows, layer, mode = len(delta), acc.spec.layers[index], acc.mode
     if layer.kind is LayerKind.CONV:
         acc.dw[index] += numerics.conv2d_weight_grad(stack.weight[index][:rows], delta,
                                                      stride=layer.stride, padding=layer.padding)
@@ -459,10 +453,9 @@ def learn_batch(
     target: Tensor,
     mode: SynergyMode = SynergyMode.WTL,
     loss: LossKind = LossKind.CE,
-    spike_mode: SpikeMode = SpikeMode.HARD,
     audit: dict | None = None,
 ) -> GradAccumulator:
-    """Run a mini-batch through the full learning procedure.
+    """Run a mini-batch through the full learning procedure, in the spec's spike mode.
 
     frames yields one (B, ...) input batch per time-step, and target holds
     the B one-hot rows. Each time-step performs the forward sweep (dynamics
@@ -502,7 +495,7 @@ def learn_batch(
             if trains_leakages:  # the sweep's product scratch is free; its first B rows take the residual
                 update_leakage_traces(traces.leakage[i], st.potentials, st.spikes, thetas[i], p.leak,
                                       stack.products[i][:batch])
-        forward_timestep(spec, params, states, frame, spike_mode)
+        forward_timestep(spec, params, states, frame)
 
         current = frame  # forward_timestep has checked it against the states
         for i, layer in enumerate(spec.layers):
@@ -511,12 +504,12 @@ def learn_batch(
             current = states[i].spikes
         output_counts += states[top].spikes
         if stack.push():
-            total_loss += _backward_sweep(spec, params, stack, targets, thetas, acc, mode, loss, spike_mode)
+            total_loss += _backward_sweep(params, stack, targets, thetas, acc, loss)
 
     if t < 0:
         raise ShapeError("the window has no frames")
     if stack.steps:  # the steps stacked since the last sweep
-        total_loss += _backward_sweep(spec, params, stack, targets, thetas, acc, mode, loss, spike_mode)
+        total_loss += _backward_sweep(params, stack, targets, thetas, acc, loss)
     stack.finish(acc)
     acc.samples = batch
     if audit is not None:
@@ -527,14 +520,14 @@ def learn_batch(
     return acc
 
 
-def _backward_sweep(spec, params, stack: WindowStack, targets, thetas, acc, mode, loss, spike_mode) -> float:
+def _backward_sweep(params, stack: WindowStack, targets, thetas, acc: GradAccumulator, loss) -> float:
     """One backward pass over the stack's filled rows, which it then empties; returns their summed loss.
 
     The error at a step reads only that step's potentials, spikes and
-    traces, so the stacked steps go down the layers as one batch of rows.
-    No error is needed below the first neuron layer.
+    traces, so the stacked steps go down acc.spec's layers as one batch of
+    rows. No error is needed below the first neuron layer.
     """
-    rows = stack.steps * stack.batch
+    spec, rows = acc.spec, stack.steps * stack.batch
     first, top = spec.lif_indices[0], spec.lif_indices[-1]
     output, target = stack.output[:rows], targets[:rows]
     sweep_loss = loss_value(output, target, loss)
@@ -545,10 +538,10 @@ def _backward_sweep(spec, params, stack: WindowStack, targets, thetas, acc, mode
             held = stack.held[i]
             potentials, out = stack.potentials[i][:rows], stack.errors[i][held:held + rows]
             if i == top:
-                delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spike_mode, out)
+                delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spec.spike_mode, out)
             else:
-                delta = hidden_error(delta_spikes, potentials, thetas[i], spec.surrogate, spike_mode, out)
-            accumulate_gradients(acc, i, layer, delta, stack, mode)
+                delta = hidden_error(delta_spikes, potentials, thetas[i], spec.surrogate, spec.spike_mode, out)
+            accumulate_gradients(acc, i, delta, stack)
             if i > first:
                 delta_spikes = weight_adjoint(layer, params[i], delta)
         else:
@@ -559,13 +552,13 @@ def _backward_sweep(spec, params, stack: WindowStack, targets, thetas, acc, mode
 
 def learn_sample(spec: NetworkSpec, params: list[LayerParams | None], frames, target: Tensor,
                  mode: SynergyMode = SynergyMode.WTL, loss: LossKind = LossKind.CE,
-                 spike_mode: SpikeMode = SpikeMode.HARD, audit: dict | None = None) -> GradAccumulator:
+                 audit: dict | None = None) -> GradAccumulator:
     """learn_batch on one sample: its frames and one-hot target gain a batch axis of one.
 
     The audit's prediction is the sample's one class.
     """
     acc = learn_batch(spec, params, (np.asarray(f)[None] for f in frames), np.asarray(target)[None],
-                      mode, loss, spike_mode, audit)
+                      mode, loss, audit)
     if audit is not None:
         (audit["prediction"],) = audit["prediction"]
     return acc
@@ -576,7 +569,7 @@ def learn_sample(spec: NetworkSpec, params: list[LayerParams | None], frames, ta
 
 def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, targets: Tensor | None = None,
                 loss: LossKind = LossKind.CE) -> tuple[list[int], float]:
-    """(predictions, total loss) of a hard-mode window run from rest.
+    """(predictions, total loss) of a window run from rest in the spec's spike mode.
 
     frames yields one (B, ...) input batch per time-step, and there is one
     prediction per sample: the class with the most output spikes, ties
@@ -596,7 +589,7 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
             counts = np.zeros((len(frame), spec.num_classes))
             if targets is not None and targets.shape != counts.shape:
                 raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
-        states, out = forward_timestep(spec, params, states, frame, SpikeMode.HARD)
+        states, out = forward_timestep(spec, params, states, frame)
         counts += out
         if targets is not None:
             total_loss += loss_value(out, targets, loss)

@@ -4,8 +4,10 @@ A neuron integrates weighted input onto its membrane potential, leaks it
 multiplicatively by the layer's leakage factor each step, fires when the
 potential reaches its threshold, and resets by subtracting the threshold.
 Hard mode fires binary spikes through a step function; soft mode is a
-smooth relaxation used only by the numerical-gradient oracles. A step
-advances its state in place.
+smooth relaxation used only by the numerical-gradient checks. These
+kernels take the spike mode as an argument; everything above them reads
+it from the network, NetworkSpec.spike_mode. A step advances its state in
+place.
 """
 from __future__ import annotations
 

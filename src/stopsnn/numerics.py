@@ -72,9 +72,9 @@ def _pad2d(x: Tensor, padding: int) -> Tensor:
 
 
 def budget_slices(count: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices of whole samples whose patch matrices fit COLUMN_BUDGET bytes, at least one each."""
+    """Slices of whole samples, at least one each, whose patch matrices fit COLUMN_BUDGET bytes; one empty for none."""
     step = max(1, COLUMN_BUDGET // item_bytes)
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+    return [slice(start, min(start + step, count)) for start in range(0, max(count, 1), step)]
 
 
 def _patches(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> Tensor:

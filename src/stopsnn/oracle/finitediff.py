@@ -16,13 +16,11 @@ from .unrolled import TrueGradients, record_tape
 DEFAULT_STEP = 1e-5
 
 
-def total_relaxed_loss(
-    spec: NetworkSpec, params, frames, target, loss: str = "ce", spike_mode: SpikeMode = SpikeMode.SOFT
-) -> float:
-    """Sum of instantaneous losses over the presentation window."""
+def total_relaxed_loss(spec: NetworkSpec, params, frames, target, loss: str = "ce") -> float:
+    """Sum of instantaneous losses over the presentation window, in the spec's spike mode."""
     loss = getattr(loss, "value", loss)
     target = np.asarray(target, dtype=np.float64)
-    tape = record_tape(spec, params, frames, spike_mode)
+    tape = record_tape(spec, params, frames)
     top = tape.network.lif_indices[-1]
     return sum(loss_of(spikes[top], target, loss) for spikes in tape.spikes)
 
@@ -49,14 +47,14 @@ def finite_diff_gradient(
     coordinate: tuple,
     loss: str = "ce",
     h: float = DEFAULT_STEP,
-    spike_mode: SpikeMode = SpikeMode.SOFT,
 ) -> float:
     """Central-difference derivative of the total loss at one coordinate.
 
     coordinate is (layer_index, kind, flat_index) with kind one of
-    "weight", "threshold", "leak" (flat_index ignored for "leak").
+    "weight", "threshold", "leak" (flat_index ignored for "leak"). A spec
+    with hard spikes raises UnsupportedModeError.
     """
-    if spike_mode is not SpikeMode.SOFT:
+    if spec.spike_mode is not SpikeMode.SOFT:
         raise UnsupportedModeError("finite differences require soft spikes; the hard loss is piecewise constant")
     layer_index, kind, flat_index = coordinate
     up = total_relaxed_loss(spec, _perturbed(params, layer_index, kind, flat_index, +h), frames, target, loss)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lif import SpikeMode, fire
+from ..lif import fire
 from ..topology import LayerKind, LayerParams, LayerSpec, NetworkSpec
 
 
@@ -98,8 +98,8 @@ class FlatNetwork:
         }
         self.leaks = {i: float(params[i].leak) for i in self.lif_indices}
 
-    def step(self, potentials, spikes, frame, mode: SpikeMode):
-        """One forward time-step by direct recursion on flat vectors.
+    def step(self, potentials, spikes, frame):
+        """One forward time-step by direct recursion on flat vectors, in the spec's spike mode.
 
         Returns (potentials, spikes, inputs, drives): the new per-lif-layer
         state plus, per layer, the input vector it consumed and the
@@ -115,7 +115,7 @@ class FlatNetwork:
                 v = self.matrices[i] @ x
                 theta = self.thresholds[i]
                 u = self.leaks[i] * (potentials[i] - theta * spikes[i]) + v
-                s = fire(u, theta, spec.surrogate, mode)
+                s = fire(u, theta, spec.surrogate, spec.spike_mode)
                 drives[i] = v
                 new_u[i], new_s[i] = u, s
                 x = s

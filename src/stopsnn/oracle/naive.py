@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SizeGuardError
-from ..lif import SpikeMode, firing_derivative
+from ..lif import firing_derivative
 from ..topology import LayerKind, NetworkSpec
 from .linearize import conv_placements, loss_grad_of, parameter_count
 from .unrolled import record_tape
@@ -42,7 +42,6 @@ def naive_stop_gradients(
     target,
     mode,
     loss: str = "ce",
-    spike_mode: SpikeMode = SpikeMode.HARD,
 ) -> NaiveGradients:
     if parameter_count(spec, params) > NAIVE_PARAMETER_GUARD:
         raise SizeGuardError(
@@ -51,7 +50,7 @@ def naive_stop_gradients(
     loss = getattr(loss, "value", loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
-    tape = record_tape(spec, params, frames, spike_mode)
+    tape = record_tape(spec, params, frames)
     net = tape.network
     layers = spec.layers
     lif_set = set(net.lif_indices)
@@ -86,7 +85,7 @@ def naive_stop_gradients(
         d = None
         for i in reversed(range(len(layers))):
             if i in lif_set:
-                slope = firing_derivative(tape.potentials[t][i] - net.thresholds[i], spec.surrogate, spike_mode)
+                slope = firing_derivative(tape.potentials[t][i] - net.thresholds[i], spec.surrogate, spec.spike_mode)
                 if i == top:
                     delta = loss_grad_of(tape.spikes[t][i], target, loss) * slope
                 else:

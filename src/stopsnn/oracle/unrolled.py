@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lif import SpikeMode, firing_derivative
+from ..lif import firing_derivative
 from ..topology import LayerKind, NetworkSpec
 from .linearize import FlatNetwork, conv_placements, loss_grad_of
 
@@ -64,12 +64,13 @@ class TrueGradients:
     dleak: list
 
 
-def record_tape(spec: NetworkSpec, params, frames, spike_mode: SpikeMode = SpikeMode.HARD) -> UnrolledTape:
+def record_tape(spec: NetworkSpec, params, frames) -> UnrolledTape:
+    """The forward window in the spec's spike mode, every step kept."""
     net = FlatNetwork(spec, params)
     potentials, spikes = net.zero_state()
     tape = UnrolledTape(network=net)
     for frame in frames:
-        potentials, spikes, inputs, drives = net.step(potentials, spikes, frame, spike_mode)
+        potentials, spikes, inputs, drives = net.step(potentials, spikes, frame)
         tape.potentials.append({i: potentials[i].copy() for i in net.lif_indices})
         tape.spikes.append({i: spikes[i].copy() for i in net.lif_indices})
         tape.inputs.append(inputs)
@@ -85,7 +86,6 @@ def unrolled_stbp_gradients(
     mode=None,
     loss: str = "ce",
     include_illusory: bool = True,
-    spike_mode: SpikeMode = SpikeMode.HARD,
 ) -> TrueGradients:
     """Reverse sweep over the unrolled graph through layers and time.
 
@@ -98,7 +98,7 @@ def unrolled_stbp_gradients(
     loss = getattr(loss, "value", loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
-    tape = record_tape(spec, params, frames, spike_mode)
+    tape = record_tape(spec, params, frames)
     net = tape.network
     layers = spec.layers
     lif_set = set(net.lif_indices)
@@ -118,7 +118,7 @@ def unrolled_stbp_gradients(
                 leak = net.leaks[i]
                 theta = net.thresholds[i]
                 margin = tape.potentials[t][i] - theta
-                slope = firing_derivative(margin, spec.surrogate, spike_mode)
+                slope = firing_derivative(margin, spec.surrogate, spec.spike_mode)
                 gs = loss_grad_of(tape.spikes[t][i], target, loss) if i == top else d
                 if include_illusory:
                     gs = gs - leak * theta * gu_next[i]

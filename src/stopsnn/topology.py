@@ -110,13 +110,14 @@ def flatten_layer(in_shape: tuple[int, ...]) -> LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Static architecture plus simulation-wide settings."""
+    """Static architecture plus simulation-wide settings; parse_architecture builds hard-spike networks."""
 
     input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
     num_classes: int
     time_steps: int = 6
     surrogate: SurrogateKind = SurrogateKind.EXP_ABS
+    spike_mode: SpikeMode = SpikeMode.HARD
     lif_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -298,9 +299,8 @@ def forward_timestep(
     params: list[LayerParams | None],
     states: list[LifState],
     input_frame: Tensor,
-    mode: SpikeMode = SpikeMode.HARD,
 ) -> tuple[list[LifState], Tensor]:
-    """Advance every layer one time-step, bottom-up, in place.
+    """Advance every layer one time-step, bottom-up, in place, in the spec's spike mode.
 
     Neuron layers integrate their synaptic input and fire into the arrays
     reset_network allocated, and pooling layers pool into theirs; a
@@ -319,7 +319,8 @@ def forward_timestep(
         if layer.is_lif:
             # the drive lives only for this call, not while the next layer computes its own
             theta = broadcast_thresholds(layer, layer_params.thresholds)
-            lif_step(state, synaptic_input(layer, layer_params, current), theta, layer_params.leak, spec.surrogate, mode)
+            lif_step(state, synaptic_input(layer, layer_params, current), theta, layer_params.leak, spec.surrogate,
+                     spec.spike_mode)
         else:
             state.spikes = passthrough(layer, current, state.spikes)
         current = state.spikes

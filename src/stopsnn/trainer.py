@@ -144,21 +144,32 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
     """Materialize (train, test) sample lists for the configured source.
 
     Options are resolved by DATASET_OPTIONS: an unknown or malformed one
-    raises ConfigError; unreadable or malformed files raise DataError. The
-    teacher kind splits each class's draws between train and test.
+    raises ConfigError; unreadable or malformed files raise DataError, and
+    so does a file whose frames do not have config.input_shape. Glyphs of
+    another side than input_shape's are a ConfigError. The teacher kind
+    splits each class's draws between train and test.
     """
     kind, opt = _resolve_options(config)
-    steps = config.time_steps
+    steps, shape = config.time_steps, config.input_shape
+
+    def fits(frame_shape: tuple, path) -> None:
+        if frame_shape != shape:
+            raise DataError(f"{path} holds frames of shape {frame_shape}, but input_shape is {shape}")
+
     if kind == "idx":
         splits = []
         for split in ("train", "test"):
             images, labels = ds.load_idx(opt[f"{split}_images"], opt[f"{split}_labels"])
+            fits((1, *images.shape[1:]), opt[f"{split}_images"])
             splits.append(ds.dataset_from_images(images, labels, time_steps=steps,
                                                  num_classes=config.num_classes, max_value=opt["max_value"]))
         return splits[0], splits[1]
     if kind == "glyphs":
-        n_train = opt["n_train"]
-        images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=opt["side"], noise=opt["noise"])
+        n_train, side = opt["n_train"], opt["side"]
+        if shape != (1, side, side):
+            raise ConfigError(f"dataset option 'side' {side} makes glyphs of shape {(1, side, side)}, "
+                              f"but input_shape is {shape}")
+        images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=side, noise=opt["noise"])
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
     if kind == "teacher":
@@ -173,6 +184,7 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
         samples = []
         for path, label in _load_manifest(opt[key]):
             stream = ds.load_event_stream(path)
+            fits((2, stream.height, stream.width), path)
             frames = ds.slice_events(stream, steps, normalize=opt["normalize"])
             samples.append(ds.Sample.from_frames(frames, label, config.num_classes))
         out.append(samples)
@@ -195,7 +207,7 @@ EVAL_BATCH = 32
 
 
 def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -> tuple[float, float]:
-    """(accuracy, mean total loss) of hard-mode inference over a dataset, one infer_batch call per slice."""
+    """(accuracy, mean total loss) of inference over a dataset, one infer_batch call per slice."""
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
     hits, total_loss = 0, 0.0
@@ -227,8 +239,8 @@ def _write_atomic(path, chunks) -> None:
 _SPLICE = re.compile(r'"\\u0000(\d+)"')
 
 
-def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config: TrainConfig) -> None:
-    """Write a versioned, portable checkpoint atomically (temp then rename).
+def checkpoint_save(path, params, optimizer: OptimizerState, config: TrainConfig) -> None:
+    """Write a versioned, portable checkpoint of optimizer.epoch atomically (temp then rename).
 
     The bytes are json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with each tensor as {"shape", "data": base64 of its little-endian
@@ -250,7 +262,7 @@ def checkpoint_save(path, params, optimizer: OptimizerState, epoch: int, config:
     skeleton = {
         "version": CHECKPOINT_VERSION,
         "digest": config.model_digest(),
-        "epoch": epoch,
+        "epoch": optimizer.epoch,
         "config": spliced(json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()),
         "params": [
             None if p is None else {"weights": tensor(p.weights), "thresholds": tensor(p.thresholds), "leak": p.leak}
@@ -474,7 +486,7 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
         metrics.append(row)
         optimizer.epoch = epoch
         _write_metrics(config.metrics_path, metrics)
-        checkpoint_save(config.checkpoint_path, params, optimizer, epoch, config)
+        checkpoint_save(config.checkpoint_path, params, optimizer, config)
         say(
             f"epoch {epoch}: train loss {train_loss:.4f}, train acc {train_acc:.3f}, "
             f"test acc {test_acc:.3f} ({row['wall_seconds']:.1f}s)"

@@ -5,6 +5,7 @@ gradients, its memory must stay flat in the window length, and batched
 evaluation must agree with one sample at a time.
 """
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,10 +279,10 @@ class TestStackedDenseFold:
             for spike_mode in SpikeMode:
                 sweeps.clear()
                 folded.clear()
-                acc = learn_sample(spec, params, frames, target[0], mode=mode, loss=loss, spike_mode=spike_mode)
+                net = replace(spec, spike_mode=spike_mode)
+                acc = learn_sample(net, params, frames, target[0], mode=mode, loss=loss)
                 assert sweeps == want_sweeps and folded == want_folds
-                ref = naive_stop_gradients(spec, params, frames, target[0], mode, loss=loss.value,
-                                           spike_mode=spike_mode)
+                ref = naive_stop_gradients(net, params, frames, target[0], mode, loss=loss.value)
                 report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
                                            {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha})
                 assert report.max_rel <= STREAMING_VS_NAIVE_TOL, (depth, spike_mode, str(report))
@@ -365,7 +366,7 @@ class TestStackedDenseFold:
             stack.steps = 0
             rows = stack.errors[5][s:s + 1]
             rows[...] = delta[s]
-            accumulate_gradients(acc, 5, spec.layers[5], rows, stack, mode)
+            accumulate_gradients(acc, 5, rows, stack)
 
         step(0)
         step(1)

@@ -8,7 +8,7 @@ import pytest
 from stopsnn import cli
 from stopsnn.checks import CheckResult
 from stopsnn.config import TrainConfig
-from stopsnn.datasets import save_event_stream, synthetic_event_stream
+from stopsnn.datasets import save_event_stream, synthetic_event_stream, synthetic_glyphs, write_idx
 from stopsnn.trainer import _decode_array
 
 
@@ -388,3 +388,36 @@ class TestBadInputExitsData:
         config = write_config(tmp_path, arch="4-2", input_shape=[1, 2, 2], dataset=dataset)
         assert cli.main(["train", "--config", str(config)]) == 2
         assert "cannot read IDX image file" in capsys.readouterr().err
+
+
+def _idx_8x8(tmp_path):
+    images, labels = synthetic_glyphs(seed=0, n_samples=8, side=8)
+    write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", images, labels % 2)
+    files = {"train_images": "img.idx", "train_labels": "lbl.idx", "test_images": "img.idx", "test_labels": "lbl.idx"}
+    dataset = {"kind": "idx", **{key: str(tmp_path / name) for key, name in files.items()}}
+    return write_config(tmp_path, arch="4-2", input_shape=[1, 10, 10], dataset=dataset), str(tmp_path / "img.idx")
+
+
+def _events_8x8(tmp_path):
+    save_event_stream(tmp_path / "ev.txt", synthetic_event_stream(seed=0, n_events=40, width=8, height=8))
+    (tmp_path / "manifest.txt").write_text("ev.txt 0\nev.txt 1\n")
+    manifest = str(tmp_path / "manifest.txt")
+    dataset = {"kind": "events", "train_manifest": manifest, "test_manifest": manifest}
+    return write_config(tmp_path, arch="6-2", input_shape=[2, 4, 4], dataset=dataset), str(tmp_path / "ev.txt")
+
+
+def _glyphs_of_side_12(tmp_path):
+    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4, "side": 12}
+    return write_config(tmp_path, arch="4-10", input_shape=[1, 10, 10], num_classes=10, dataset=dataset), "'side'"
+
+
+@pytest.mark.parametrize("build, code, prefix", [
+    (_idx_8x8, 2, "data error:"), (_events_8x8, 2, "data error:"), (_glyphs_of_side_12, 1, "error:"),
+], ids=["idx", "events", "glyphs"])
+def test_dataset_geometry_is_checked_before_training(tmp_path, capsys, build, code, prefix):
+    config, named = build(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith(prefix)]
+    assert len(errors) == 1 and named in errors[0] and "Traceback" not in err, err
+    assert not any((tmp_path / name).exists() for name in ("ck.json", "metrics.jsonl", "metrics.csv"))

@@ -28,7 +28,7 @@ from stopsnn.learning import (
     update_weight_traces,
     window_depth,
 )
-from stopsnn.lif import SpikeMode, SurrogateKind
+from stopsnn.lif import SurrogateKind
 from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture, reset_network
 from stopsnn.trainer import evaluate
 
@@ -268,30 +268,30 @@ def _window(spec, mode, batch):
 
 
 class TestAccumulate:
-    def _tiny(self):
+    def _tiny(self, mode=SynergyMode.WTL):
         # the 2->1 layer's rows span the window stack's 6 steps, so each sweep folds its rows at once
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
-        acc = GradAccumulator.zeros(spec)
-        _, stack = _window(spec, SynergyMode.WTL, 1)
+        acc = GradAccumulator.zeros(spec, mode)
+        _, stack = _window(spec, mode, 1)
         assert stack.depth == 6 and len(stack.weight[0]) == len(stack.errors[0]) == 6
         return spec, acc, stack
 
     def test_product_accumulation(self):
         spec, acc, stack = self._tiny()
         stack.weight[0][0] = [1.5, 0.0]
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.1]]), stack, SynergyMode.WTL)
+        accumulate_gradients(acc, 0, np.array([[0.1]]), stack)
         assert acc.dw[0][0, 0] == pytest.approx(0.15)
 
     def test_threshold_gets_minus_delta_with_zero_trace(self):
         spec, acc, stack = self._tiny()
         stack.threshold[0][0] = 0.0
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), stack, SynergyMode.WTL)
+        accumulate_gradients(acc, 0, np.array([[0.3]]), stack)
         assert acc.dtheta[0][0] == pytest.approx(-0.3)
 
     def test_mode_w_leaves_theta_alpha_untouched(self):
-        spec, acc, stack = self._tiny()
+        spec, acc, stack = self._tiny(SynergyMode.W)
         stack.weight[0][0] = 1.0
-        accumulate_gradients(acc, 0, spec.layers[0], np.array([[0.3]]), stack, SynergyMode.W)
+        accumulate_gradients(acc, 0, np.array([[0.3]]), stack)
         assert np.array_equal(acc.dtheta[0], np.zeros(1))
         assert np.array_equal(acc.dalpha[0], np.zeros(1))
 
@@ -337,7 +337,7 @@ class TestAccumulate:
                 rows[...] = rng.normal(size=(batch, 40))
                 deltas.append(rows.copy())
                 inputs.append(traces.weight[0].copy())
-                accumulate_gradients(acc, 0, spec.layers[0], rows, stack, SynergyMode.W)
+                accumulate_gradients(acc, 0, rows, stack)
             assert len(calls) == fold + 1 and stack.held == [0]
             delta, wt = np.concatenate(deltas), np.concatenate(inputs)
             assert np.array_equal(dw, start + np.dot(delta.T, wt))

@@ -91,10 +91,12 @@ class TestConvAdjointInput:
         cin, cout, h = 2, 3, 5 if stride == 1 else 5
         x = rng.normal(size=(cin, h, h))
         kernels = rng.normal(size=(cout, cin, k, k))
-        y = numerics.conv2d(x, kernels, stride=stride, padding=padding)
-        d = rng.normal(size=y.shape)
-        back = numerics.conv2d_adjoint_input(d, kernels, stride=stride, padding=padding)
-        assert abs(inner(y, d) - inner(x, back)) <= 1e-12 * max(1.0, abs(inner(y, d)))
+        for x in (x, np.ones((0, cin, h, h))):  # one map, and an empty batch (B = 0)
+            y = numerics.conv2d(x, kernels, stride=stride, padding=padding)
+            d = rng.normal(size=y.shape)
+            back = numerics.conv2d_adjoint_input(d, kernels, stride=stride, padding=padding)
+            assert back.shape == x.shape
+            assert abs(inner(y, d) - inner(x, back)) <= 1e-12 * max(1.0, abs(inner(y, d)))
 
 
 class TestConvWeightGrad:
@@ -140,10 +142,13 @@ class TestConvWeightGrad:
         rng = np.random.default_rng(11)
         traces = rng.normal(size=(2, 4, 4))
         kernels = rng.normal(size=(3, 2, 3, 3))
-        y = numerics.conv2d(traces, kernels, padding=1)
-        d = rng.normal(size=y.shape)
-        g = numerics.conv2d_weight_grad(traces, d, padding=1)
-        assert abs(inner(y, d) - inner(kernels, g)) <= 1e-12 * max(1.0, abs(inner(y, d)))
+        for traces in (traces, np.ones((0, 2, 4, 4))):  # one map, and an empty batch (B = 0)
+            y = numerics.conv2d(traces, kernels, padding=1)
+            d = rng.normal(size=y.shape)
+            g = numerics.conv2d_weight_grad(traces, d, padding=1)
+            assert g.shape == kernels.shape
+            assert abs(inner(y, d) - inner(kernels, g)) <= 1e-12 * max(1.0, abs(inner(y, d)))
+        assert np.array_equal(g, np.zeros_like(kernels))  # the empty batch's gradient
 
 
 def _patch_bytes(channels, kernel, h_out, w_out):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,19 +29,24 @@ def small_net(arch="4-3", shape=(4,), classes=3, steps=3, seed=0):
     return spec, params, frames, target
 
 
+def soft(spec):
+    return replace(spec, spike_mode=SpikeMode.SOFT)
+
+
 class TestFlatNetwork:
     @pytest.mark.parametrize("mode", [SpikeMode.HARD, SpikeMode.SOFT])
     def test_matches_layered_forward(self, mode):
         rng = np.random.default_rng(42)
         for _ in range(10):
             spec, params = checks.random_network(rng)
+            spec = replace(spec, spike_mode=mode)
             frames, _ = checks.random_sample(rng, spec, low=0.0)
             net = FlatNetwork(spec, params)
             potentials, spikes = net.zero_state()
             states = reset_network(spec, 1)
             for frame in frames:
-                potentials, spikes, _, _ = net.step(potentials, spikes, frame, mode)
-                states, out = forward_timestep(spec, params, states, frame[None], mode)
+                potentials, spikes, _, _ = net.step(potentials, spikes, frame)
+                states, out = forward_timestep(spec, params, states, frame[None])
             for i in spec.lif_indices:
                 np.testing.assert_allclose(potentials[i], states[i].potentials.ravel(), atol=1e-11)
                 np.testing.assert_allclose(spikes[i], states[i].spikes.ravel(), atol=1e-11)
@@ -108,12 +115,9 @@ class TestUnrolled:
 
     def test_illusory_flag_irrelevant_at_single_step(self):
         spec, params, frames, target = small_net(steps=1, seed=5)
-        with_term = unrolled_stbp_gradients(
-            spec, params, frames, target, include_illusory=True, spike_mode=SpikeMode.SOFT
-        )
-        without = unrolled_stbp_gradients(
-            spec, params, frames, target, include_illusory=False, spike_mode=SpikeMode.SOFT
-        )
+        spec = soft(spec)
+        with_term = unrolled_stbp_gradients(spec, params, frames, target, include_illusory=True)
+        without = unrolled_stbp_gradients(spec, params, frames, target, include_illusory=False)
         report = compare_gradients(
             {"dw": with_term.dw, "dtheta": with_term.dtheta, "dleak": with_term.dleak},
             {"dw": without.dw, "dtheta": without.dtheta, "dleak": without.dleak},
@@ -134,16 +138,16 @@ class TestUnrolled:
 
 class TestFiniteDiff:
     def test_hard_mode_unsupported(self):
-        spec, params, frames, target = small_net()
+        spec, params, frames, target = small_net()  # a hard spec is refused
+        assert spec.spike_mode is SpikeMode.HARD
         with pytest.raises(UnsupportedModeError):
-            finite_diff_gradient(spec, params, frames, target, (0, "weight", 0), spike_mode=SpikeMode.HARD)
+            finite_diff_gradient(spec, params, frames, target, (0, "weight", 0))
 
     def test_second_order_convergence(self):
         spec, params, frames, target = small_net(steps=2, seed=7)
+        spec = soft(spec)
         coordinate = (0, "weight", 1)
-        exact = unrolled_stbp_gradients(
-            spec, params, frames, target, include_illusory=True, spike_mode=SpikeMode.SOFT
-        ).dw[0].flat[1]
+        exact = unrolled_stbp_gradients(spec, params, frames, target, include_illusory=True).dw[0].flat[1]
         err_coarse = abs(finite_diff_gradient(spec, params, frames, target, coordinate, h=2e-4) - exact)
         err_fine = abs(finite_diff_gradient(spec, params, frames, target, coordinate, h=1e-4) - exact)
         assert err_fine < err_coarse
@@ -153,7 +157,7 @@ class TestFiniteDiff:
         # two output neurons fed identically and a symmetric (uniform-target-like)
         # situation: the loss is symmetric under swapping them, so moving the
         # shared input weight of one against the other cancels at first order
-        spec = parse_architecture("2", (1,), 2, time_steps=1)
+        spec = soft(parse_architecture("2", (1,), 2, time_steps=1))
         params = init_params(spec, seed=0)
         params[0].weights[:] = 1.0  # both neurons identical
         frames = [np.array([0.7])]
@@ -175,7 +179,7 @@ class TestFiniteDiff:
 
     def test_relaxed_loss_is_finite_and_positive(self):
         spec, params, frames, target = small_net()
-        value = total_relaxed_loss(spec, params, frames, target)
+        value = total_relaxed_loss(soft(spec), params, frames, target)
         assert np.isfinite(value) and value > 0.0
 
 
@@ -205,9 +209,9 @@ class TestMutationDetection:
     def test_threshold_sign_flip_is_caught(self, monkeypatch):
         real = learning.accumulate_gradients
 
-        def flipped(acc, index, layer, delta, traces, mode):
-            real(acc, index, layer, delta, traces, mode)
-            if mode.trains_thresholds:
+        def flipped(acc, index, delta, traces):
+            real(acc, index, delta, traces)
+            if acc.mode.trains_thresholds:
                 # undo and re-apply with the wrong sign
                 acc.dtheta[index] -= 2.0 * (delta * (traces.threshold[index] - 1.0)).sum(axis=0)
             return acc

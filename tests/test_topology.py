@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,10 +207,10 @@ class TestForward:
             forward_timestep(spec, params, reset_network(spec, 1), np.ones((1, 5)))
 
     def test_soft_mode_outputs_fractional(self):
-        spec = parse_architecture("6-3", (4,), 3)
+        spec = replace(parse_architecture("6-3", (4,), 3), spike_mode=SpikeMode.SOFT)
         params = init_params(spec, seed=5)
         states = reset_network(spec, 1)
-        states, out = forward_timestep(spec, params, states, np.ones((1, 4)), mode=SpikeMode.SOFT)
+        states, out = forward_timestep(spec, params, states, np.ones((1, 4)))
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_sweep_touches_each_neuron_layer_exactly_once(self, monkeypatch):

@@ -105,7 +105,8 @@ class TestCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 4, config)
+        optimizer.epoch = 4
+        checkpoint_save(path, params, optimizer, config)
         loaded, opt, epoch, config_dict = checkpoint_load(path, expected_digest=config.model_digest())
         assert epoch == 4
         for p, q in zip(params, loaded):
@@ -116,7 +117,7 @@ class TestCheckpoints:
             assert np.array_equal(p.thresholds, q.thresholds)
             assert p.leak == q.leak
         second = tmp_path / "b.json"
-        checkpoint_save(second, loaded, opt, epoch, TrainConfig.from_dict(config_dict))
+        checkpoint_save(second, loaded, opt, TrainConfig.from_dict(config_dict))
         assert path.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("text", [
@@ -135,6 +136,7 @@ class TestCheckpoints:
                 if v is not None:
                     v += rng.normal(size=v.shape)
         optimizer.leak_velocities = [None if v is None else 0.25 for v in optimizer.leak_velocities]
+        optimizer.epoch = 2
 
         def encode(arr):
             data = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
@@ -155,13 +157,13 @@ class TestCheckpoints:
             },
         }
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 2, config)
+        checkpoint_save(path, params, optimizer, config)
         assert path.read_bytes() == json.dumps(reference, sort_keys=True, separators=(",", ":")).encode()
 
     def test_digest_mismatch_refused(self, tmp_path):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 0, config)
+        checkpoint_save(path, params, optimizer, config)
         other = config.with_overrides(arch="16-2")
         with pytest.raises(DataError, match="digest"):
             checkpoint_load(path, expected_digest=other.model_digest())
@@ -175,7 +177,7 @@ class TestCheckpoints:
     def test_version_check(self, tmp_path):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 0, config)
+        checkpoint_save(path, params, optimizer, config)
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
@@ -186,7 +188,7 @@ class TestCheckpoints:
     def test_missing_section_is_data_error(self, tmp_path, missing):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 0, config)
+        checkpoint_save(path, params, optimizer, config)
         payload = json.loads(path.read_text())
         del payload[missing]
         path.write_text(json.dumps(payload))
@@ -200,7 +202,7 @@ class TestCheckpoints:
             current = getattr(params[0], name)
             setattr(params[0], name, value if np.isscalar(current) else np.full_like(current, value))
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, optimizer, 0, config)
+        checkpoint_save(path, params, optimizer, config)
         return checkpoint_load(path)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
@@ -239,7 +241,7 @@ class TestCheckpoints:
     def test_tensors_must_fit_the_stored_architecture(self, tmp_path, section, key, value, message):
         config, params, _ = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), 0, config)
+        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), config)
         payload = json.loads(path.read_text())
         if section == "params" and key == len(payload["params"]):
             payload["params"].append(value)
@@ -471,13 +473,13 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         config = teacher_config(tmp_path)
         path = tmp_path / "config.json"
-        config.save(path)
+        path.write_text(json.dumps(config.to_dict()))
         loaded = TrainConfig.load(path)
         assert loaded == config
 
     def test_overrides(self, tmp_path):
         config = teacher_config(tmp_path)
-        config.save(tmp_path / "c.json")
+        (tmp_path / "c.json").write_text(json.dumps(config.to_dict()))
         loaded = TrainConfig.load(tmp_path / "c.json", {"epochs": 9, "seed": None})
         assert loaded.epochs == 9
         assert loaded.seed == config.seed  # None overrides are ignored
