@@ -7,14 +7,14 @@ surrogate-gradient curves with their smooth firing counterparts.
 """
 import numpy as np
 
-from stopsnn.lif import LifState, SurrogateKind, lif_step, soft_spike, surrogate_eval
+from stopsnn.lif import LifState, SpikeMode, SurrogateKind, lif_step, soft_spike, surrogate_eval
 
 
 def trajectory(drives, threshold=1.0, leak=0.5):
     state = LifState(potentials=np.zeros(1), spikes=np.zeros(1))
     rows = []
     for t, drive in enumerate(drives, start=1):
-        state = lif_step(state, np.array([drive]), np.array([threshold]), leak, SurrogateKind.EXP_ABS)
+        state = lif_step(state, np.array([drive]), np.array([threshold]), leak, SurrogateKind.EXP_ABS, SpikeMode.HARD)
         rows.append((t, drive, state.potentials[0], int(state.spikes[0])))
     return rows
 

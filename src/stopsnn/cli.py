@@ -127,6 +127,8 @@ def _cmd_gradcheck(args) -> int:
         return EXIT_OK
     for result in results:
         print(result.line())
+        if not result.ok:
+            print(f"    worst case: {result.worst_case}")
     if not all(r.ok for r in results):
         raise NumericError("gradient check tolerance breach")
     return EXIT_OK

@@ -36,15 +36,14 @@ once at the window's end, one sweep runs the error, adjoint and
 accumulation helpers once per layer on all of them. A dense layer adds
 its rows into dw with one in-place BLAS GEMM (scipy's dgemm, beta = 1)
 that builds no temporary of dw's size; a convolution's weight gradient is
-one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K fits a fifth
-of that budget and is capped at the network's time_steps: K = 5 on the
-event-long net 128-128-10 and 3 on the dense-teacher net 100-100-100-100-4
-at a batch of one, and 1 on the W1 image net and on all three at a batch
-of 32. A dense layer's error and weight-trace rows span D steps of the
-same stack: D = K, or at K = 1, where the other rows are the live arrays
-and nothing else is copied, as many steps of the layer's own rows as fit
-that fifth (3 + 3 steps per window for W1's 1568->256 layer at a batch of
-one); they fold when full and at the window's end. Stacking sums in
+one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K is as many
+steps as fit a fifth of that budget, capped at the network's time_steps,
+so the stack is bounded by the network and the batch, never by the
+window (window_depth; the README lists K for the benchmark networks). A
+dense layer's error and weight-trace rows span D steps of the same
+stack: D = K, or at K = 1, where the other rows are the live arrays and
+nothing else is copied, as many steps of the layer's own rows as fit
+that fifth; they fold when full and at the window's end. Stacking sums in
 another order, within the oracle battery's 1e-9; at K = D = 1 the steps
 add in order. A step allocates no state: the forward
 sweep works in place, and a sweep's errors and threshold/leakage
@@ -264,7 +263,7 @@ def output_error(
     thresholds: Tensor,
     loss: LossKind,
     surrogate: SurrogateKind,
-    mode: SpikeMode = SpikeMode.HARD,
+    mode: SpikeMode,
     out: Tensor | None = None,
 ) -> Tensor:
     """Neuron error of the output layer at the current time-step, written into out when given."""
@@ -277,7 +276,7 @@ def hidden_error(
     potentials: Tensor,
     thresholds: Tensor,
     surrogate: SurrogateKind,
-    mode: SpikeMode = SpikeMode.HARD,
+    mode: SpikeMode,
     out: Tensor | None = None,
 ) -> Tensor:
     """Neuron error of a hidden layer at the current time-step.

@@ -112,7 +112,7 @@ def lif_step(
     thresholds: Tensor,
     leakage: float,
     surrogate: SurrogateKind,
-    mode: SpikeMode = SpikeMode.HARD,
+    mode: SpikeMode,
 ) -> LifState:
     """Advance one time-step of leaky integrate-and-fire dynamics, in place.
 

@@ -21,10 +21,9 @@ from .errors import ShapeError
 Tensor = np.ndarray
 
 # bytes of one im2col patch matrix; on the W1 kernels at batch 32 this measured equal or
-# faster than 2 MiB slices. A fifth of it sizes learning's window stack: K steps of every
-# neuron layer's backward rows (K = 5 on the event-long net and 3 on the dense-teacher net at
-# a batch of one, 1 on W1 and at a batch of 32) and, at K = 1, as many steps of each dense
-# layer's own error and weight-trace rows as fit it.
+# faster than 2 MiB slices. A fifth of it sizes learning's window stack, so the stack stays
+# bounded whatever the window: K steps of every neuron layer's backward rows and, at K = 1,
+# as many steps of each dense layer's own error and weight-trace rows as fit it.
 COLUMN_BUDGET = 256 * 1024
 
 

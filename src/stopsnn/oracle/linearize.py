@@ -101,13 +101,13 @@ class FlatNetwork:
     def step(self, potentials, spikes, frame):
         """One forward time-step by direct recursion on flat vectors, in the spec's spike mode.
 
-        Returns (potentials, spikes, inputs, drives): the new per-lif-layer
-        state plus, per layer, the input vector it consumed and the
-        synaptic drive of lif layers.
+        Returns (potentials, spikes, inputs): the new per-lif-layer state
+        plus, per layer, the input vector it consumed. Every call builds new
+        arrays, so a caller may keep them without copying.
         """
         spec = self.spec
         x = np.asarray(frame, dtype=np.float64).ravel()
-        inputs, drives = [], {}
+        inputs = []
         new_u, new_s = {}, {}
         for i, layer in enumerate(spec.layers):
             inputs.append(x)
@@ -116,12 +116,11 @@ class FlatNetwork:
                 theta = self.thresholds[i]
                 u = self.leaks[i] * (potentials[i] - theta * spikes[i]) + v
                 s = fire(u, theta, spec.surrogate, spec.spike_mode)
-                drives[i] = v
                 new_u[i], new_s[i] = u, s
                 x = s
             else:
                 x = self.matrices[i] @ x
-        return new_u, new_s, inputs, drives
+        return new_u, new_s, inputs
 
     def zero_state(self):
         potentials = {i: np.zeros(self.spec.layers[i].fan_out) for i in self.lif_indices}

@@ -24,7 +24,7 @@ class UnrolledTape:
     """Complete per-time-step record of the forward pass, flat vectors.
 
     potentials/spikes are keyed [t][lif_layer_index]; inputs holds the
-    vector each layer consumed, drives the synaptic input of lif layers.
+    vector each layer consumed. These are what the reverse sweep reads.
     network is the materialized network that ran, so a sweep over the tape
     reuses its matrices and thresholds.
     """
@@ -33,7 +33,6 @@ class UnrolledTape:
     potentials: list = field(default_factory=list)
     spikes: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
-    drives: list = field(default_factory=list)
 
     @property
     def length(self) -> int:
@@ -41,11 +40,9 @@ class UnrolledTape:
 
     def retained_tensor_count(self) -> int:
         total = 0
-        for group in (self.potentials, self.spikes, self.drives):
+        for group in (self.potentials, self.spikes, self.inputs):
             for step in group:
                 total += len(step)
-        for step in self.inputs:
-            total += len(step)
         return total
 
 
@@ -70,11 +67,10 @@ def record_tape(spec: NetworkSpec, params, frames) -> UnrolledTape:
     potentials, spikes = net.zero_state()
     tape = UnrolledTape(network=net)
     for frame in frames:
-        potentials, spikes, inputs, drives = net.step(potentials, spikes, frame)
-        tape.potentials.append({i: potentials[i].copy() for i in net.lif_indices})
-        tape.spikes.append({i: spikes[i].copy() for i in net.lif_indices})
+        potentials, spikes, inputs = net.step(potentials, spikes, frame)
+        tape.potentials.append(potentials)
+        tape.spikes.append(spikes)
         tape.inputs.append(inputs)
-        tape.drives.append(drives)
     return tape
 
 

@@ -315,9 +315,9 @@ def _json_number(value) -> float:
 
 def checkpoint_load(path, expected_digest: str | None = None):
     """Load (params, optimizer, epoch, config_dict); refuse foreign digests, unreadable or
-    malformed files, epochs that are not non-negative integers, leaks and leak velocities that
-    are not JSON numbers, tensors whose shapes disagree with the architecture of the stored
-    config, and out-of-range parameter values."""
+    malformed files, epochs that are not non-negative integers or that differ between the file
+    and its optimizer, leaks and leak velocities that are not JSON numbers, tensors whose shapes
+    disagree with the architecture of the stored config, and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -355,6 +355,8 @@ def checkpoint_load(path, expected_digest: str | None = None):
     for what, value in (("epoch", epoch), ("optimizer epoch", optimizer.epoch)):
         if type(value) is not int or value < 0:  # a bool is not an epoch
             raise DataError(f"checkpoint {path} has {what} {value!r}, not a non-negative integer")
+    if epoch != optimizer.epoch:
+        raise DataError(f"checkpoint {path} has epoch {epoch} but optimizer epoch {optimizer.epoch}")
     try:
         spec = build_network(TrainConfig.from_dict(config))
     except (TypeError, ValueError) as exc:

@@ -209,9 +209,9 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
                 delta_spikes = passthrough_adjoint(layer, delta_spikes)
                 continue
             if i == lif[-1]:
-                delta = output_error(out, target, st.potentials, thetas[i], loss, spec.surrogate)
+                delta = output_error(out, target, st.potentials, thetas[i], loss, spec.surrogate, spec.spike_mode)
             else:
-                delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate)
+                delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate, spec.spike_mode)
             wt = traces.weight[i]
             if layer.kind is LayerKind.DENSE:
                 dgemm(1.0, wt.T, delta.T, beta=1.0, c=acc.dw[i].T, trans_b=1, overwrite_c=1)

@@ -7,7 +7,6 @@ import pytest
 
 from stopsnn import cli
 from stopsnn.checks import CheckResult
-from stopsnn.config import TrainConfig
 from stopsnn.datasets import save_event_stream, synthetic_event_stream, synthetic_glyphs, write_idx
 from stopsnn.trainer import _decode_array
 
@@ -130,12 +129,16 @@ class TestGradcheck:
 
     def test_breach_exits_numeric(self, capsys, monkeypatch):
         def fake_run_all(trials=None, seed=0):
-            return [CheckResult("fake", 1, worst_rel=1.0, tolerance=1e-9)]
+            return [CheckResult("good", 2, worst_rel=1e-12, tolerance=1e-9, worst_case="trial 0: fine"),
+                    CheckResult("bad", 2, worst_rel=1.0, tolerance=1e-9, worst_case="trial 1 (T=3): max rel at dw[0]")]
 
         monkeypatch.setattr(cli, "run_all", fake_run_all)
-        code = cli.main(["gradcheck"])
-        assert code == 3
-        assert "[FAIL]" in capsys.readouterr().out
+        assert cli.main(["gradcheck"]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] good: worst rel 1.000e-12 (tolerance 1e-09, 2 trials)",
+            "[FAIL] bad: worst rel 1.000e+00 (tolerance 1e-09, 2 trials)",
+            "    worst case: trial 1 (T=3): max rel at dw[0]",
+        ]
 
 
 class TestTrainEval:

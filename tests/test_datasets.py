@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from stopsnn import datasets
 from stopsnn.datasets import (
     EventStream,
     Sample,

@@ -28,7 +28,7 @@ from stopsnn.learning import (
     update_weight_traces,
     window_depth,
 )
-from stopsnn.lif import SurrogateKind
+from stopsnn.lif import SpikeMode, SurrogateKind
 from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture, reset_network
 from stopsnn.trainer import evaluate
 
@@ -114,7 +114,8 @@ class TestLeakageTraces:
 class TestLossAndErrors:
     def test_mse_zero_residual(self):
         target = np.array([0.0, 1.0, 0.0])
-        delta = output_error(target, target, np.zeros(3), np.ones(3), LossKind.MSE, SurrogateKind.EXP_ABS)
+        delta = output_error(target, target, np.zeros(3), np.ones(3), LossKind.MSE, SurrogateKind.EXP_ABS,
+                             SpikeMode.HARD)
         assert np.array_equal(delta, np.zeros(3))
 
     def test_ce_derivative_value(self):
@@ -140,21 +141,21 @@ class TestLossAndErrors:
         spikes = np.array([1.0])
         target = np.array([1.0])
         potentials = np.array([1.5])  # margin 0.5 above threshold 1
-        delta = output_error(spikes, target, potentials, np.ones(1), LossKind.CE, SurrogateKind.EXP_ABS)
+        delta = output_error(spikes, target, potentials, np.ones(1), LossKind.CE, SurrogateKind.EXP_ABS, SpikeMode.HARD)
         expected = (softmax(spikes) - target) * np.exp(-0.5)
         np.testing.assert_allclose(delta, expected, rtol=1e-15)
 
     def test_hidden_error_hand_value(self):
         # one downstream neuron: weighted delta 0.2*0.5, margin 0.5
-        delta = hidden_error(np.array([0.1]), np.array([1.5]), np.ones(1), SurrogateKind.EXP_ABS)
+        delta = hidden_error(np.array([0.1]), np.array([1.5]), np.ones(1), SurrogateKind.EXP_ABS, SpikeMode.HARD)
         assert delta[0] == pytest.approx(0.1 * 0.6065306597126334, abs=1e-15)
 
     def test_far_from_threshold_attenuates(self):
-        delta = hidden_error(np.array([1.0]), np.array([11.0]), np.ones(1), SurrogateKind.EXP_ABS)
+        delta = hidden_error(np.array([1.0]), np.array([11.0]), np.ones(1), SurrogateKind.EXP_ABS, SpikeMode.HARD)
         assert delta[0] == pytest.approx(np.exp(-10.0), rel=1e-12)
 
     def test_zero_downstream_error(self):
-        delta = hidden_error(np.zeros(4), np.ones(4), np.ones(4), SurrogateKind.INV_QUAD)
+        delta = hidden_error(np.zeros(4), np.ones(4), np.ones(4), SurrogateKind.INV_QUAD, SpikeMode.HARD)
         assert np.array_equal(delta, np.zeros(4))
 
 

@@ -67,7 +67,7 @@ class TestLifStep:
     def test_zero_input_stays_silent(self):
         state = zeros_state(3)
         for _ in range(5):
-            state = lif.lif_step(state, np.zeros(3), np.ones(3), 0.5, SurrogateKind.EXP_ABS)
+            state = lif.lif_step(state, np.zeros(3), np.ones(3), 0.5, SurrogateKind.EXP_ABS, SpikeMode.HARD)
             assert np.array_equal(state.potentials, np.zeros(3))
             assert np.array_equal(state.spikes, np.zeros(3))
 
@@ -75,22 +75,23 @@ class TestLifStep:
         # threshold 1, leak 0.5, constant drive 1.0: fires every step
         state = zeros_state(1)
         for _ in range(4):
-            state = lif.lif_step(state, np.array([1.0]), np.array([1.0]), 0.5, SurrogateKind.EXP_ABS)
+            state = lif.lif_step(state, np.array([1.0]), np.array([1.0]), 0.5, SurrogateKind.EXP_ABS, SpikeMode.HARD)
             assert state.potentials[0] == 1.0
             assert state.spikes[0] == 1.0
 
     def test_single_pulse_decays(self):
         state = zeros_state(1)
         theta, leak = np.array([1.0]), 0.5
-        state = lif.lif_step(state, np.array([1.5]), theta, leak, SurrogateKind.EXP_ABS)
+        state = lif.lif_step(state, np.array([1.5]), theta, leak, SurrogateKind.EXP_ABS, SpikeMode.HARD)
         assert state.potentials[0] == 1.5 and state.spikes[0] == 1.0
-        state = lif.lif_step(state, np.array([0.0]), theta, leak, SurrogateKind.EXP_ABS)
+        state = lif.lif_step(state, np.array([0.0]), theta, leak, SurrogateKind.EXP_ABS, SpikeMode.HARD)
         assert state.potentials[0] == 0.25 and state.spikes[0] == 0.0
-        state = lif.lif_step(state, np.array([0.0]), theta, leak, SurrogateKind.EXP_ABS)
+        state = lif.lif_step(state, np.array([0.0]), theta, leak, SurrogateKind.EXP_ABS, SpikeMode.HARD)
         assert state.potentials[0] == 0.125 and state.spikes[0] == 0.0
 
     def test_fires_exactly_at_threshold(self):
-        state = lif.lif_step(zeros_state(1), np.array([1.0]), np.array([1.0]), 0.5, SurrogateKind.EXP_ABS)
+        state = lif.lif_step(zeros_state(1), np.array([1.0]), np.array([1.0]), 0.5, SurrogateKind.EXP_ABS,
+                             SpikeMode.HARD)
         assert state.spikes[0] == 1.0
 
     def test_pure_accumulation_with_no_leak_loss(self):
@@ -101,20 +102,20 @@ class TestLifStep:
         for _ in range(6):
             drive = float(rng.uniform(0, 1))
             total += drive
-            state = lif.lif_step(state, np.array([drive]), np.array([1e9]), 1.0, SurrogateKind.EXP_ABS)
+            state = lif.lif_step(state, np.array([drive]), np.array([1e9]), 1.0, SurrogateKind.EXP_ABS, SpikeMode.HARD)
             assert state.potentials[0] == pytest.approx(total, rel=1e-15)
 
     def test_memoryless_with_full_leak(self):
         state = zeros_state(1)
         for drive in (0.3, 1.7, 0.2):
-            state = lif.lif_step(state, np.array([drive]), np.array([1.0]), 0.0, SurrogateKind.EXP_ABS)
+            state = lif.lif_step(state, np.array([drive]), np.array([1.0]), 0.0, SurrogateKind.EXP_ABS, SpikeMode.HARD)
             assert state.potentials[0] == drive
 
     def test_hard_spikes_are_binary(self):
         rng = np.random.default_rng(1)
         state = zeros_state(50)
         for _ in range(10):
-            state = lif.lif_step(state, rng.normal(size=50), np.ones(50), 0.7, SurrogateKind.INV_QUAD)
+            state = lif.lif_step(state, rng.normal(size=50), np.ones(50), 0.7, SurrogateKind.INV_QUAD, SpikeMode.HARD)
             assert set(np.unique(state.spikes)) <= {0.0, 1.0}
 
     def test_soft_spikes_fractional(self):
@@ -126,7 +127,7 @@ class TestLifStep:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            lif.lif_step(zeros_state(2), np.zeros(3), np.ones(3), 0.5, SurrogateKind.EXP_ABS)
+            lif.lif_step(zeros_state(2), np.zeros(3), np.ones(3), 0.5, SurrogateKind.EXP_ABS, SpikeMode.HARD)
 
 
 class TestEncodeDirect:

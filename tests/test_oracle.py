@@ -5,7 +5,7 @@ import pytest
 
 from stopsnn import checks, learning
 from stopsnn.errors import ShapeError, SizeGuardError, UnsupportedModeError
-from stopsnn.learning import LossKind, SynergyMode, learn_sample
+from stopsnn.learning import SynergyMode, learn_sample
 from stopsnn.lif import SpikeMode
 from stopsnn.oracle import (
     compare_gradients,
@@ -45,7 +45,7 @@ class TestFlatNetwork:
             potentials, spikes = net.zero_state()
             states = reset_network(spec, 1)
             for frame in frames:
-                potentials, spikes, _, _ = net.step(potentials, spikes, frame)
+                potentials, spikes, _ = net.step(potentials, spikes, frame)
                 states, out = forward_timestep(spec, params, states, frame[None])
             for i in spec.lif_indices:
                 np.testing.assert_allclose(potentials[i], states[i].potentials.ravel(), atol=1e-11)

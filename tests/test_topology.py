@@ -6,12 +6,11 @@ import pytest
 
 from stopsnn import topology
 from stopsnn.errors import ParseError, ShapeError
-from stopsnn.lif import SpikeMode, SurrogateKind
+from stopsnn.lif import SpikeMode
 from stopsnn.topology import (
     InitMode,
     LayerKind,
     NetworkSpec,
-    conv_layer,
     dense_layer,
     forward_timestep,
     init_params,

@@ -9,7 +9,6 @@ from stopsnn import trainer
 from stopsnn.config import TrainConfig
 from stopsnn.datasets import Sample, synthetic_teacher
 from stopsnn.errors import ConfigError, DataError, NumericError
-from stopsnn.learning import LossKind
 from stopsnn.topology import InitMode, init_params, parse_architecture
 from stopsnn.trainer import (
     OptimizerState,
@@ -237,6 +236,7 @@ class TestCheckpoints:
         ("config", "arch", "12Q-2", "unusable config"),
         ("config", "arch", "10-2", "layer 0 weights, thresholds"),
         ("config", "epochs", "3", "unusable config"),
+        ("optimizer", "epoch", 7, "has epoch 0 but optimizer epoch 7"),
     ])
     def test_tensors_must_fit_the_stored_architecture(self, tmp_path, section, key, value, message):
         config, params, _ = self._setup(tmp_path)
