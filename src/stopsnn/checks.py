@@ -24,15 +24,7 @@ from .oracle import (
     naive_stop_gradients,
     unrolled_stbp_gradients,
 )
-from .topology import (
-    LayerKind,
-    NetworkSpec,
-    avgpool_layer,
-    conv_layer,
-    dense_layer,
-    flatten_layer,
-    init_params,
-)
+from .topology import LayerKind, NetworkSpec, init_params, parse_architecture
 
 STREAMING_VS_NAIVE_TOL = 1e-9
 OUTPUT_LAYER_TOL = 1e-9
@@ -62,37 +54,23 @@ class CheckResult:
 def random_network(rng: np.random.Generator, max_width: int = 16,
                    time_steps: int | None = None) -> tuple[NetworkSpec, list]:
     """A small random mixed dense/conv architecture with lively dynamics, hard spikes."""
-    spatial = rng.random() < 0.5
-    layers = []
-    if spatial:
+    tokens = []
+    if rng.random() < 0.5:
         cin = int(rng.integers(1, 3))
         side = int(rng.choice([4, 6]))
         input_shape = (cin, side, side)
-        shape = input_shape
         for _ in range(int(rng.integers(1, 3))):
-            layers.append(conv_layer(shape, int(rng.integers(2, 4)), 3, stride=1, padding=1))
-            shape = layers[-1].out_shape
-            if shape[1] % 2 == 0 and rng.random() < 0.5:
-                layers.append(avgpool_layer(shape, 2))
-                shape = layers[-1].out_shape
-        layers.append(flatten_layer(shape))
-        shape = layers[-1].out_shape
+            tokens.append(f"{int(rng.integers(2, 4))}C3")
+            if side % 2 == 0 and rng.random() < 0.5:
+                tokens.append("P2")
+                side //= 2
     else:
-        width = int(rng.integers(2, max_width + 1))
-        input_shape = (width,)
-        shape = input_shape
-        for _ in range(int(rng.integers(1, 4))):
-            layers.append(dense_layer(shape[0], int(rng.integers(2, max_width + 1))))
-            shape = layers[-1].out_shape
+        input_shape = (int(rng.integers(2, max_width + 1)),)
+        tokens += [str(int(rng.integers(2, max_width + 1))) for _ in range(int(rng.integers(1, 4)))]
     classes = int(rng.integers(2, 5))
-    layers.append(dense_layer(shape[0], classes))
-    spec = NetworkSpec(
-        input_shape=input_shape,
-        layers=tuple(layers),
-        num_classes=classes,
-        time_steps=time_steps or int(rng.integers(1, 7)),
-        surrogate=rng.choice(list(SurrogateKind)),
-    )
+    tokens.append(str(classes))
+    spec = parse_architecture("-".join(tokens), input_shape, classes, time_steps=time_steps or int(rng.integers(1, 7)),
+                              surrogate=rng.choice(list(SurrogateKind)))
     params = init_params(spec, seed=int(rng.integers(0, 2**31)))
     for p in params:
         if p is not None:
@@ -130,7 +108,7 @@ def check_streaming_vs_naive(trials: int = 100, seed: int = 0) -> CheckResult:
         mode = modes[trial % len(modes)]
         loss = LossKind.CE if trial % 2 == 0 else LossKind.MSE
         acc = learn_sample(spec, params, frames, target, mode=mode, loss=loss)
-        ref = naive_stop_gradients(spec, params, frames, target, mode, loss=loss.value)
+        ref = naive_stop_gradients(spec, params, frames, target, mode, loss=loss)
         report = compare_gradients(
             {"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
             {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha},
@@ -165,7 +143,7 @@ def check_t1_finite_diff(trials: int = 20, seed: int = 1) -> CheckResult:
         frames, target = random_sample(rng, spec)
         acc = learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE)
         dtheta, dleak = _fold_to_parameter_shapes(spec, acc)
-        numeric = finite_diff_all(spec, params, frames, target, loss="ce")
+        numeric = finite_diff_all(spec, params, frames, target, loss=LossKind.CE)
         report = compare_gradients(
             {"dw": acc.dw, "dtheta": dtheta, "dleak": dleak},
             {"dw": numeric.dw, "dtheta": numeric.dtheta, "dleak": numeric.dleak},
@@ -185,7 +163,7 @@ def check_output_layer_detached(trials: int = 20, seed: int = 2) -> CheckResult:
         spec = replace(spec, spike_mode=SpikeMode.SOFT)
         frames, target = random_sample(rng, spec)
         acc = learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, loss=LossKind.CE)
-        ref = unrolled_stbp_gradients(spec, params, frames, target, loss="ce", include_illusory=False)
+        ref = unrolled_stbp_gradients(spec, params, frames, target, loss=LossKind.CE, include_illusory=False)
         top = spec.lif_indices[-1]
         report = compare_gradients(
             {"dw": acc.dw[top], "dtheta": acc.dtheta[top]},
@@ -204,8 +182,8 @@ def check_stbp_vs_finite_diff(trials: int = 10, seed: int = 3) -> CheckResult:
         spec, params = random_network(rng, max_width=8, time_steps=steps)
         spec = replace(spec, spike_mode=SpikeMode.SOFT)
         frames, target = random_sample(rng, spec)
-        ref = unrolled_stbp_gradients(spec, params, frames, target, loss="ce", include_illusory=True)
-        numeric = finite_diff_all(spec, params, frames, target, loss="ce")
+        ref = unrolled_stbp_gradients(spec, params, frames, target, loss=LossKind.CE, include_illusory=True)
+        numeric = finite_diff_all(spec, params, frames, target, loss=LossKind.CE)
         report = compare_gradients(
             {"dw": ref.dw, "dtheta": ref.dtheta, "dleak": ref.dleak},
             {"dw": numeric.dw, "dtheta": numeric.dtheta, "dleak": numeric.dleak},

@@ -18,7 +18,7 @@ from .ablation import run_ablation
 from .checks import run_all
 from .config import TrainConfig, read_json
 from .errors import ConfigError, DataError, NumericError, ParseError, StopSnnError
-from .learning import LossKind, SynergyMode, complexity_estimate, learn_sample
+from .learning import COMPLEXITY_RULES, LossKind, SynergyMode, complexity_estimate, learn_sample
 from .topology import parse_architecture
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def _learn_peak_bytes(spec, params, frames, target) -> int:
 
 def _cmd_profile(args) -> int:
     l, n, t = args.layers, args.width, args.timesteps
-    costs = {rule: complexity_estimate(l, n, t, rule) for rule in ("STBP", "STOP-W", "STOP-WTL")}
+    costs = {rule: complexity_estimate(l, n, t, rule) for rule in COMPLEXITY_RULES}
     print(f"analytic cost model for depth {l}, width {n}, window {t}:")
     print(f"  {'rule':<10} {'memory units':>14} {'multiplies':>16}")
     for rule, (mem, mul) in costs.items():

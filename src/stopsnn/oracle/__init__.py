@@ -5,7 +5,9 @@ code: layers are materialized as explicit connection matrices over
 flattened vectors, dynamics are re-simulated by direct recursion, and
 gradients are accumulated per scalar or by a full unrolled reverse sweep.
 These paths are orders of magnitude slower than the production rule; they
-exist to pin its correctness.
+exist to pin its correctness. Their only import from `learning` is its
+vocabulary: `SynergyMode` names the trained parameter families and
+`LossKind` the loss.
 """
 from .compare import ComparisonReport, compare_gradients
 from .finitediff import finite_diff_all, finite_diff_gradient, total_relaxed_loss

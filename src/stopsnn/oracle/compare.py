@@ -35,14 +35,14 @@ def _leaves(value, label):
     yield label, np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
-def compare_gradients(a, b, label: str = "grad") -> ComparisonReport:
+def compare_gradients(a, b) -> ComparisonReport:
     """Worst absolute and relative deviation across two gradient structures.
 
     Relative error uses |a - b| / max(|a|, |b|, 1e-12) elementwise; the
     report names the coordinate where the relative deviation peaks.
     """
-    left = list(_leaves(a, label))
-    right = list(_leaves(b, label))
+    left = list(_leaves(a, "grad"))
+    right = list(_leaves(b, "grad"))
     if [l for l, _ in left] != [l for l, _ in right]:
         raise ShapeError("gradient structures do not align")
     max_abs = 0.0

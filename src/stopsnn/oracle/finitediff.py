@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UnsupportedModeError
+from ..learning import LossKind
 from ..lif import SpikeMode
 from ..topology import NetworkSpec
 from .linearize import loss_of
@@ -16,9 +17,9 @@ from .unrolled import TrueGradients, record_tape
 DEFAULT_STEP = 1e-5
 
 
-def total_relaxed_loss(spec: NetworkSpec, params, frames, target, loss: str = "ce") -> float:
+def total_relaxed_loss(spec: NetworkSpec, params, frames, target, loss: LossKind | str = LossKind.CE) -> float:
     """Sum of instantaneous losses over the presentation window, in the spec's spike mode."""
-    loss = getattr(loss, "value", loss)
+    loss = LossKind(loss)
     target = np.asarray(target, dtype=np.float64)
     tape = record_tape(spec, params, frames)
     top = tape.network.lif_indices[-1]
@@ -45,7 +46,7 @@ def finite_diff_gradient(
     frames,
     target,
     coordinate: tuple,
-    loss: str = "ce",
+    loss: LossKind | str = LossKind.CE,
     h: float = DEFAULT_STEP,
 ) -> float:
     """Central-difference derivative of the total loss at one coordinate.
@@ -62,9 +63,7 @@ def finite_diff_gradient(
     return (up - down) / (2.0 * h)
 
 
-def finite_diff_all(
-    spec: NetworkSpec, params, frames, target, loss: str = "ce", h: float = DEFAULT_STEP
-) -> TrueGradients:
+def finite_diff_all(spec: NetworkSpec, params, frames, target, loss: LossKind | str = LossKind.CE) -> TrueGradients:
     """Finite differences at every parameter coordinate, parameter-shaped."""
     dw = [None] * len(spec.layers)
     dtheta = [None] * len(spec.layers)
@@ -75,11 +74,11 @@ def finite_diff_all(
         p = params[i]
         gw = np.zeros_like(p.weights)
         for flat in range(p.weights.size):
-            gw.flat[flat] = finite_diff_gradient(spec, params, frames, target, (i, "weight", flat), loss, h)
+            gw.flat[flat] = finite_diff_gradient(spec, params, frames, target, (i, "weight", flat), loss)
         gt = np.zeros_like(p.thresholds)
         for flat in range(p.thresholds.size):
-            gt.flat[flat] = finite_diff_gradient(spec, params, frames, target, (i, "threshold", flat), loss, h)
+            gt.flat[flat] = finite_diff_gradient(spec, params, frames, target, (i, "threshold", flat), loss)
         dw[i] = gw
         dtheta[i] = gt
-        dleak[i] = finite_diff_gradient(spec, params, frames, target, (i, "leak", None), loss, h)
+        dleak[i] = finite_diff_gradient(spec, params, frames, target, (i, "leak", None), loss)
     return TrueGradients(dw=dw, dtheta=dtheta, dleak=dleak)

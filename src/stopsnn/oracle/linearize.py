@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..learning import LossKind
 from ..lif import fire
 from ..topology import LayerKind, LayerParams, LayerSpec, NetworkSpec
 
@@ -70,16 +71,16 @@ def flat_thresholds(layer: LayerSpec, params: LayerParams) -> np.ndarray:
     return np.repeat(params.thresholds, h_out * w_out)
 
 
-def loss_of(spikes: np.ndarray, target: np.ndarray, loss: str) -> float:
-    if loss == "ce":
+def loss_of(spikes: np.ndarray, target: np.ndarray, loss: LossKind) -> float:
+    if loss is LossKind.CE:
         shifted = spikes - np.max(spikes)
         probs = np.exp(shifted) / np.sum(np.exp(shifted))
         return float(-np.sum(target * np.log(np.maximum(probs, 1e-300))))
     return float(0.5 * np.sum((spikes - target) ** 2))
 
 
-def loss_grad_of(spikes: np.ndarray, target: np.ndarray, loss: str) -> np.ndarray:
-    if loss == "ce":
+def loss_grad_of(spikes: np.ndarray, target: np.ndarray, loss: LossKind) -> np.ndarray:
+    if loss is LossKind.CE:
         shifted = spikes - np.max(spikes)
         probs = np.exp(shifted) / np.sum(np.exp(shifted))
         return probs - target

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SizeGuardError
+from ..learning import LossKind, SynergyMode
 from ..lif import firing_derivative
 from ..topology import LayerKind, NetworkSpec
 from .linearize import conv_placements, loss_grad_of, parameter_count
@@ -40,14 +41,14 @@ def naive_stop_gradients(
     params,
     frames,
     target,
-    mode,
-    loss: str = "ce",
+    mode: SynergyMode,
+    loss: LossKind | str = LossKind.CE,
 ) -> NaiveGradients:
     if parameter_count(spec, params) > NAIVE_PARAMETER_GUARD:
         raise SizeGuardError(
             f"network exceeds the {NAIVE_PARAMETER_GUARD}-parameter enumeration guard"
         )
-    loss = getattr(loss, "value", loss)
+    loss = LossKind(loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
     tape = record_tape(spec, params, frames)
@@ -55,8 +56,6 @@ def naive_stop_gradients(
     layers = spec.layers
     lif_set = set(net.lif_indices)
     top = net.lif_indices[-1]
-    trains_thresholds = mode.name in ("WT", "WTL")
-    trains_leakages = mode.name in ("WL", "WTL")
 
     # --- traces by direct recursion over the recorded forward window ---------
     zeros = {i: np.zeros(layers[i].fan_out) for i in lif_set}
@@ -75,9 +74,9 @@ def naive_stop_gradients(
             wtr[i] = leak * wtr[i] + tape.inputs[t][i]
             ttr[i] = leak * (ttr[i] - prev_s[i])
             atr[i] = leak * atr[i] + (prev_u[i] - theta * prev_s[i])
-            wtr_hist[i].append(wtr[i].copy())
-            ttr_hist[i].append(ttr[i].copy())
-            atr_hist[i].append(atr[i].copy())
+            wtr_hist[i].append(wtr[i])
+            ttr_hist[i].append(ttr[i])
+            atr_hist[i].append(atr[i])
 
     # --- neuron errors per time-step, spatial sweep only --------------------
     delta_hist = {i: [] for i in lif_set}
@@ -126,9 +125,9 @@ def naive_stop_gradients(
         for t in range(len(frames)):
             delta = delta_hist[i][t]
             for j in range(n):
-                if trains_thresholds:
+                if mode.trains_thresholds:
                     gt[j] += delta[j] * (ttr_hist[i][t][j] - 1.0)
-                if trains_leakages:
+                if mode.trains_leakages:
                     ga[j] += delta[j] * atr_hist[i][t][j]
         dtheta[i] = gt.reshape(layer.out_shape)
         dalpha[i] = ga.reshape(layer.out_shape)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..learning import LossKind, SynergyMode
 from ..lif import firing_derivative
 from ..topology import LayerKind, NetworkSpec
 from .linearize import FlatNetwork, conv_placements, loss_grad_of
@@ -79,8 +80,8 @@ def unrolled_stbp_gradients(
     params,
     frames,
     target,
-    mode=None,
-    loss: str = "ce",
+    mode: SynergyMode = SynergyMode.WTL,
+    loss: LossKind | str = LossKind.CE,
     include_illusory: bool = True,
 ) -> TrueGradients:
     """Reverse sweep over the unrolled graph through layers and time.
@@ -89,9 +90,10 @@ def unrolled_stbp_gradients(
     recurrence: when set, the error at a step inherits
     leak * (1 - threshold * slope) times the next step's error; when clear
     only the plain leak * next-step term survives (detached reset). The
-    synergy mode only masks which gradient families are reported.
+    synergy mode only masks which gradient families are reported, all of
+    them by default. The loss is a LossKind or its value.
     """
-    loss = getattr(loss, "value", loss)
+    loss = LossKind(loss)
     frames = list(frames)
     target = np.asarray(target, dtype=np.float64)
     tape = record_tape(spec, params, frames)
@@ -135,14 +137,12 @@ def unrolled_stbp_gradients(
     dw = [None] * len(layers)
     dtheta = [None] * len(layers)
     dleak = [None] * len(layers)
-    trains_thresholds = mode is None or mode.name in ("WT", "WTL")
-    trains_leakages = mode is None or mode.name in ("WL", "WTL")
     for i, layer in enumerate(layers):
         if i not in lif_set:
             continue
         if layer.kind is LayerKind.DENSE:
             dw[i] = gw_flat[i].copy()
-            dtheta[i] = gtheta[i].copy() if trains_thresholds else np.zeros(layer.fan_out)
+            dtheta[i] = gtheta[i].copy() if mode.trains_thresholds else np.zeros(layer.fan_out)
         else:
             cout = layer.out_shape[0]
             cin = layer.in_shape[0]
@@ -151,6 +151,6 @@ def unrolled_stbp_gradients(
                 g[o, c, ki, kj] += gw_flat[i][out_flat, in_flat]
             dw[i] = g
             per_channel = gtheta[i].reshape(layer.out_shape).sum(axis=(1, 2))
-            dtheta[i] = per_channel if trains_thresholds else np.zeros(cout)
-        dleak[i] = gleak[i] if trains_leakages else 0.0
+            dtheta[i] = per_channel if mode.trains_thresholds else np.zeros(cout)
+        dleak[i] = gleak[i] if mode.trains_leakages else 0.0
     return TrueGradients(dw=dw, dtheta=dtheta, dleak=dleak)

@@ -87,27 +87,6 @@ def dense_layer(fan_in: int, fan_out: int) -> LayerSpec:
     return LayerSpec(LayerKind.DENSE, (fan_in,), (fan_out,))
 
 
-def conv_layer(in_shape: tuple[int, int, int], channels: int, kernel: int, stride: int = 1, padding: int = 0) -> LayerSpec:
-    cin, h, w = in_shape
-    h_out = numerics._conv_out_len(h, kernel, stride, padding)
-    w_out = numerics._conv_out_len(w, kernel, stride, padding)
-    return LayerSpec(
-        LayerKind.CONV, (cin, h, w), (channels, h_out, w_out),
-        kernel=kernel, stride=stride, padding=padding,
-    )
-
-
-def avgpool_layer(in_shape: tuple[int, int, int], window: int) -> LayerSpec:
-    c, h, w = in_shape
-    if h % window != 0 or w % window != 0:
-        raise ShapeError(f"pool window {window} does not divide {h}x{w}")
-    return LayerSpec(LayerKind.AVGPOOL, (c, h, w), (c, h // window, w // window), window=window)
-
-
-def flatten_layer(in_shape: tuple[int, ...]) -> LayerSpec:
-    return LayerSpec(LayerKind.FLATTEN, in_shape, (math.prod(in_shape),))
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Static architecture plus simulation-wide settings; parse_architecture builds hard-spike networks."""
@@ -168,42 +147,43 @@ def parse_architecture(
     if isinstance(input_shape, int):
         input_shape = (input_shape,)
     input_shape = tuple(int(d) for d in input_shape)
-    tokens = [t for t in arch.strip().split("-")]
-    if not arch.strip() or not tokens:
+    if not arch.strip():
         raise ParseError("empty architecture string")
+    tokens = arch.strip().split("-")
     layers: list[LayerSpec] = []
     shape = input_shape
     for pos, token in enumerate(tokens):
-        if m := _CONV_TOKEN.match(token):
-            channels, kernel = int(m.group(1)), int(m.group(2))
-            if channels < 1 or kernel < 1:
-                raise ParseError("conv sizes must be positive", token, pos)
-            if len(shape) != 3:
-                raise ParseError("conv layer needs a (C,H,W) input", token, pos)
-            try:
-                layer = conv_layer(shape, channels, kernel, stride=1, padding=kernel // 2)
-            except ShapeError as exc:
-                raise ParseError(str(exc), token, pos) from exc
-        elif m := _POOL_TOKEN.match(token):
-            window = int(m.group(1))
-            if window < 1:
-                raise ParseError("pool window must be positive", token, pos)
-            if len(shape) != 3:
-                raise ParseError("pool layer needs a (C,H,W) input", token, pos)
-            try:
-                layer = avgpool_layer(shape, window)
-            except ShapeError as exc:
-                raise ParseError(str(exc), token, pos) from exc
-        elif m := _DENSE_TOKEN.match(token):
-            width = int(m.group(1))
-            if width < 1:
-                raise ParseError("dense width must be positive", token, pos)
-            if len(shape) != 1:
-                layers.append(flatten_layer(shape))
-                shape = layers[-1].out_shape
-            layer = dense_layer(shape[0], width)
-        else:
-            raise ParseError("unknown token", token, pos)
+        try:
+            if m := _CONV_TOKEN.match(token):
+                channels, kernel = int(m.group(1)), int(m.group(2))
+                if channels < 1 or kernel < 1:
+                    raise ParseError("conv sizes must be positive", token, pos)
+                if len(shape) != 3:
+                    raise ParseError("conv layer needs a (C,H,W) input", token, pos)
+                out = [numerics._conv_out_len(n, kernel, 1, kernel // 2) for n in shape[1:]]
+                layer = LayerSpec(LayerKind.CONV, shape, (channels, *out), kernel=kernel, padding=kernel // 2)
+            elif m := _POOL_TOKEN.match(token):
+                window = int(m.group(1))
+                if window < 1:
+                    raise ParseError("pool window must be positive", token, pos)
+                if len(shape) != 3:
+                    raise ParseError("pool layer needs a (C,H,W) input", token, pos)
+                c, h, w = shape
+                if h % window != 0 or w % window != 0:
+                    raise ParseError(f"pool window {window} does not divide {h}x{w}", token, pos)
+                layer = LayerSpec(LayerKind.AVGPOOL, shape, (c, h // window, w // window), window=window)
+            elif m := _DENSE_TOKEN.match(token):
+                width = int(m.group(1))
+                if width < 1:
+                    raise ParseError("dense width must be positive", token, pos)
+                if len(shape) != 1:
+                    layers.append(LayerSpec(LayerKind.FLATTEN, shape, (math.prod(shape),)))
+                    shape = layers[-1].out_shape
+                layer = dense_layer(shape[0], width)
+            else:
+                raise ParseError("unknown token", token, pos)
+        except ShapeError as exc:
+            raise ParseError(str(exc), token, pos) from exc
         layers.append(layer)
         shape = layer.out_shape
     if layers[-1].kind is not LayerKind.DENSE or layers[-1].fan_out != num_classes:

@@ -173,10 +173,7 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
     if kind == "teacher":
-        teacher_spec = parse_architecture(
-            opt["arch"], config.input_shape, config.num_classes,
-            time_steps=steps, surrogate=SurrogateKind(config.surrogate),
-        )
+        teacher_spec = build_network(config.with_overrides(arch=opt["arch"]))
         samples, _ = ds.synthetic_teacher(opt["seed"], teacher_spec, opt["n_train"] + opt["n_test"])
         return _split_per_class(samples, opt["n_train"])
     out = []

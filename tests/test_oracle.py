@@ -5,7 +5,7 @@ import pytest
 
 from stopsnn import checks, learning
 from stopsnn.errors import ShapeError, SizeGuardError, UnsupportedModeError
-from stopsnn.learning import SynergyMode, learn_sample
+from stopsnn.learning import LossKind, SynergyMode, learn_sample
 from stopsnn.lif import SpikeMode
 from stopsnn.oracle import (
     compare_gradients,
@@ -181,6 +181,42 @@ class TestFiniteDiff:
         spec, params, frames, target = small_net()
         value = total_relaxed_loss(soft(spec), params, frames, target)
         assert np.isfinite(value) and value > 0.0
+
+
+class TestLossNames:
+    """Every oracle entry reads its loss as a LossKind or its value."""
+
+    @staticmethod
+    def entries():
+        spec = soft(parse_architecture("4-2", (3,), 2, time_steps=6))
+        params = init_params(spec, seed=0)
+        frames, target = [np.ones(3)] * 6, np.array([1.0, 0.0])
+        return {
+            "relaxed": lambda loss: total_relaxed_loss(spec, params, frames, target, loss=loss),
+            "naive": lambda loss: naive_stop_gradients(spec, params, frames, target, SynergyMode.WTL, loss=loss),
+            "unrolled": lambda loss: unrolled_stbp_gradients(spec, params, frames, target, loss=loss),
+        }
+
+    def test_the_losses_differ_on_this_net(self):
+        relaxed = self.entries()["relaxed"]
+        assert relaxed("ce") == pytest.approx(4.933, abs=1e-3)
+        assert relaxed("mse") == pytest.approx(3.120, abs=1e-3)
+
+    @pytest.mark.parametrize("entry", ["relaxed", "naive", "unrolled"])
+    def test_an_unknown_name_is_refused(self, entry):
+        with pytest.raises(ValueError):
+            self.entries()[entry]("CE")
+
+    @pytest.mark.parametrize("entry", ["relaxed", "naive", "unrolled"])
+    def test_member_and_value_agree_bit_for_bit(self, entry):
+        run = self.entries()[entry]
+        by_member, by_value = run(LossKind.CE), run("ce")
+        if entry == "relaxed":
+            assert by_member == by_value
+            return
+        for name in vars(by_member):
+            for a, b in zip(getattr(by_member, name), getattr(by_value, name)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestCompareGradients:

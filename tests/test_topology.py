@@ -54,6 +54,12 @@ class TestParseArchitecture:
         with pytest.raises(ParseError):
             parse_architecture("10-4C3", (3, 8, 8), 10)
 
+    def test_empty_input_is_parse_error_naming_the_dense_token(self):
+        with pytest.raises(ParseError) as err:
+            parse_architecture("8-2", (0,), 2)
+        assert err.value.token == "8"
+        assert err.value.position == 0
+
     def test_empty_string(self):
         with pytest.raises(ParseError):
             parse_architecture("", (4,), 2)
