@@ -11,10 +11,33 @@ im2col patch matrices (Chellapilla et al., 2006), built for one slice of
 whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
 patches, so a kernel's scratch is bounded whatever the batch size (the
 dense weight gradient needs none: learning adds it in place by BLAS).
+
+Spikes are sparse, so the largest layers read only their nonzero inputs
+when few are nonzero. A layer whose dense operand exceeds COLUMN_BUDGET
+(a dense layer's weights, one sample's patch matrix of a stride-1
+convolution) counts the nonzeros among the values it would read, and
+takes its sparse route when at most 1/F of them are (sparse_enough):
+topology.synaptic_input multiplies only the weight columns of units
+active anywhere in the batch (F = GATHER_FACTOR), and conv2d and
+conv2d_weight_grad build their patch matrix as a scipy.sparse COO matrix
+from the input's nonzero entries instead of the im2col copy
+(F = COO_FACTOR). Either route gives the dense route's values up to
+summation order; a layer under the budget never counts. The COO route's
+scratch is not sliced: it grows with the batch like the output, its
+product on the full-correlation grid holding 1.65 outputs on W1's conv2
+(W1 learns at batch 32 within 36.8 MiB, 34.8 on im2col alone). The
+factors sit below the break-evens measured on W1 (2-core Xeon,
+single-threaded BLAS): a gather matched the 1568->256 drive at about 1/11
+active columns at batch 1 and 1/4 at batch 16-32, and COO patches
+matched conv2's im2col at about 1/20 nonzero inputs at batch 1 and 1/16
+at batch 16-32. On event-long's 512->128 layer, whose weights fit L2, a
+gather at batch 1 lost at every activity down to 1/32 (12.7 against
+11.7 us); its 21% activity keeps it dense.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ShapeError
 
@@ -26,6 +49,11 @@ Tensor = np.ndarray
 # as many steps of each dense layer's own error and weight-trace rows as fit it.
 COLUMN_BUDGET = 256 * 1024
 
+# the sparse routes' F: a layer over COLUMN_BUDGET takes one when at most 1/F of what it reads is
+# nonzero (the module docstring has the break-evens they sit below)
+GATHER_FACTOR = 16  # a dense drive's active weight columns
+COO_FACTOR = 32  # a stride-1 correlation's nonzero inputs
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b; b may be a vector (treated as a column)."""
@@ -36,6 +64,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
     return np.dot(a, b)
+
+
+def sparse_enough(values: Tensor, factor: int) -> bool:
+    """True when at most 1/factor of values are nonzero: the test every sparse route is taken on."""
+    return np.count_nonzero(values) * factor <= values.size
 
 
 def _conv_out_len(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -87,6 +120,38 @@ def _patches(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: i
     )
 
 
+def _coo_route(x: Tensor, kh: int, kw: int, stride: int, padding: int, h_out: int, w_out: int) -> bool:
+    """Whether a correlation over x builds its patches as COO: stride 1, padding inside the kernel,
+    one sample's dense patch matrix over COLUMN_BUDGET, and at most 1/COO_FACTOR of x nonzero."""
+    return (stride == 1 and padding < min(kh, kw) and 8 * x.shape[1] * kh * kw * h_out * w_out > COLUMN_BUDGET
+            and sparse_enough(x, COO_FACTOR))
+
+
+def _sparse_patches(x: Tensor, kh: int, kw: int, transpose: bool = False) -> scipy.sparse.coo_array:
+    """Every stride-1 patch of an unpadded (B,C,H,W) batch, from its nonzero entries.
+
+    One row per pixel of the full-correlation grid (B, H+kh-1, W+kw-1), one
+    column per kernel cell (c, i, j); transposed on request. Entry
+    (b, c, u, v) sits at grid pixel (u+kh-1-i, v+kw-1-j) of every cell, so
+    no index needs a bounds test; at padding p the output is the grid
+    cropped by kh-1-p and kw-1-p.
+    """
+    b, c, h, w = x.shape
+    he, we = h + kh - 1, w + kw - 1
+    flat = np.flatnonzero(x)
+    values = np.repeat(x.ravel()[flat], kh * kw)
+    rest, v = np.divmod(flat, w)
+    rest, u = np.divmod(rest, h)
+    sample, channel = np.divmod(rest, c)
+    pixels = (((sample * he + u + kh - 1) * we + v + kw - 1)[:, None]
+              - (np.arange(kh)[:, None] * we + np.arange(kw)).ravel()).ravel()
+    cells = (channel[:, None] * (kh * kw) + np.arange(kh * kw)).ravel()
+    shape = (b * he * we, c * kh * kw)
+    if transpose:
+        return scipy.sparse.coo_array((values, (cells, pixels)), shape=shape[::-1])
+    return scipy.sparse.coo_array((values, (pixels, cells)), shape=shape)
+
+
 def _correlate(padded: Tensor, kernels: Tensor, stride: int, out: Tensor) -> Tensor:
     """The kernels against every patch of a padded batch, written into out (B,Cout,h_out,w_out).
 
@@ -112,8 +177,14 @@ def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> T
     cout, cin_k, kh, kw = kernels.shape
     if cin != cin_k:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_k}")
-    out = np.empty((len(x), cout, _conv_out_len(h, kh, stride, padding), _conv_out_len(w, kw, stride, padding)))
-    return _unbatched_like(_correlate(_pad2d(x, padding), kernels, stride, out), inp)
+    h_out, w_out = _conv_out_len(h, kh, stride, padding), _conv_out_len(w, kw, stride, padding)
+    if _coo_route(x, kh, kw, stride, padding, h_out, w_out):
+        grid = (_sparse_patches(x, kh, kw) @ kernels.reshape(cout, -1).T).reshape(len(x), h + kh - 1, w + kw - 1, cout)
+        top, left = kh - 1 - padding, kw - 1 - padding
+        out = np.ascontiguousarray(grid[:, top : top + h_out, left : left + w_out].transpose(0, 3, 1, 2))
+    else:
+        out = _correlate(_pad2d(x, padding), kernels, stride, np.empty((len(x), cout, h_out, w_out)))
+    return _unbatched_like(out, inp)
 
 
 def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -157,7 +228,8 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
 
     Each shared kernel element accumulates the delta/trace product over all
     spatial positions it touches and, for batched arguments, over the batch
-    (one GEMM per batch slice, the slices summed in order).
+    (one GEMM per batch slice, the slices summed in order, or one sparse
+    product on the COO route).
     """
     t = _batched(traces, "traces")
     d = _batched(deltas, "deltas")
@@ -169,6 +241,13 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
     kw = w + 2 * padding - (w_out - 1) * stride
     if kh < 1 or kw < 1:
         raise ShapeError(f"inconsistent shapes for weight gradient: {t.shape} vs {d.shape}")
+    if _coo_route(t, kh, kw, stride, padding, h_out, w_out):
+        # the deltas on the patches' full-correlation grid, zero where the output does not reach
+        grid = np.zeros((b, h + kh - 1, w + kw - 1, cout))
+        top, left = kh - 1 - padding, kw - 1 - padding
+        grid[:, top : top + h_out, left : left + w_out] = d.transpose(0, 2, 3, 1)
+        grad = _sparse_patches(t, kh, kw, transpose=True) @ grid.reshape(-1, cout)
+        return np.ascontiguousarray(grad.T).reshape(cout, cin, kh, kw)
     padded = _pad2d(t, padding)
     grad = None
     for part in budget_slices(b, 8 * cin * kh * kw * h_out * w_out):

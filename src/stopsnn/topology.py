@@ -150,6 +150,8 @@ def parse_architecture(
     if not arch.strip():
         raise ParseError("empty architecture string")
     tokens = arch.strip().split("-")
+    if min(input_shape, default=1) < 1:
+        raise ParseError(f"input shape {input_shape} has a dimension below 1", tokens[0], 0)
     layers: list[LayerSpec] = []
     shape = input_shape
     for pos, token in enumerate(tokens):
@@ -239,10 +241,23 @@ def broadcast_thresholds(layer: LayerSpec, thresholds: Tensor) -> Tensor:
 
 
 def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Tensor:
-    """Weighted drive a layer receives from its presynaptic activity."""
+    """Weighted drive a layer receives from its presynaptic activity.
+
+    A dense layer whose weights exceed numerics.COLUMN_BUDGET multiplies only
+    the columns of units active anywhere in the batch, when at most
+    1/GATHER_FACTOR of them are; a convolution's route is numerics.conv2d's.
+    """
     if layer.kind is LayerKind.DENSE:
+        weights = params.weights
+        # n nonzero values in B rows fill at least n/B columns, so a count of the values, cheaper
+        # than the columns' union, first rules out a busy batch
+        if weights.nbytes > numerics.COLUMN_BUDGET and numerics.sparse_enough(presyn, numerics.GATHER_FACTOR):
+            active = presyn.any(axis=0)
+            if numerics.sparse_enough(active, numerics.GATHER_FACTOR):
+                active = np.flatnonzero(active)
+                weights, presyn = weights[:, active], presyn[:, active]
         # samples are the columns of presyn.T, so one GEMM drives the whole batch
-        return numerics.matmul(params.weights, presyn.T).T
+        return numerics.matmul(weights, presyn.T).T
     return numerics.conv2d(presyn, params.weights, stride=layer.stride, padding=layer.padding)
 
 

@@ -4,8 +4,12 @@ A batched learn call must equal the sum of per-sample reference
 gradients, its memory must stay flat in the window length, and batched
 evaluation must agree with one sample at a time.
 """
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +498,119 @@ class TestBatchedMemory:
 
         peaks = [unrolled(t) for t in (2, 8, 32, 128)]
         assert peaks[0] < peaks[1] < peaks[2] < peaks[3], peaks
+
+
+def _gradients(acc) -> dict:
+    return {"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha}
+
+
+class TestSparseRoutes:
+    """The engine through numerics' sparse drive and patch routes."""
+
+    def _net(self, monkeypatch):
+        # at a 4096-byte budget the 1x24x24 input's 41,472-byte patch matrix and the 288->12
+        # layer's 27,648 bytes of weights are over it and check their activity, while the 12->3
+        # layer's 288 bytes are not. Two pixels of each sample's 576 light up, at a new brightness
+        # each step, so the convolution and its weight gradient build COO patches on every call,
+        # and the pooled spikes leave the dense drive on each side of its threshold
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", 4096)
+        spec = parse_architecture("2C3-P2-12-3", (1, 24, 24), 3, time_steps=5)
+        params = init_params(spec, seed=3)
+        for p in params:
+            if p is not None:
+                p.weights *= 2.5 if p.weights.ndim == 4 else 8.0
+                p.leak = 0.6
+        rng = np.random.default_rng(4)
+        lit = np.zeros((2, *spec.input_shape))
+        for sample in lit:
+            sample.flat[rng.choice(sample.size, 2, replace=False)] = 1.0
+        frames = [lit * rng.uniform(0.5, 1.5, size=lit.shape) for _ in range(spec.time_steps)]
+        return spec, params, frames, np.eye(3)[[0, 2]]
+
+    @pytest.mark.parametrize("spike_mode", list(SpikeMode))
+    def test_batch_equals_naive_and_the_dense_routes(self, monkeypatch, spike_mode):
+        spec, params, frames, targets = self._net(monkeypatch)
+        spec = replace(spec, spike_mode=spike_mode)
+        coo, gathered = [], set()
+        real_patches, real_matmul = numerics._sparse_patches, numerics.matmul
+
+        def matmul(a, b):
+            if a is params[3].weights:  # the 288->12 drive on every column
+                gathered.add(False)
+            elif a.shape[0] == 12 and a.base is not params[4].weights:  # gathered, not the 12->3 adjoint
+                gathered.add(True)
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(numerics, "_sparse_patches", lambda *a, **k: coo.append(1) or real_patches(*a, **k))
+        monkeypatch.setattr(numerics, "matmul", matmul)
+        acc = learn_batch(spec, params, frames, targets, mode=SynergyMode.WTL)
+        # a forward and a weight-gradient correlation per step; soft spikes are nowhere exactly
+        # zero, so there the pooled drive is never gathered
+        assert len(coo) == 2 * spec.time_steps
+        assert gathered == ({True, False} if spike_mode is SpikeMode.HARD else {False})
+        assert all(np.any(g) for g in acc.dw if g is not None)
+
+        refs = [naive_stop_gradients(spec, params, [f[b] for f in frames], targets[b], SynergyMode.WTL)
+                for b in range(len(targets))]
+        want = {"dw": _summed(r.dw for r in refs), "dtheta": _summed(r.dtheta for r in refs),
+                "dalpha": _summed(r.dalpha for r in refs)}
+        report = compare_gradients(_gradients(acc), want)
+        assert report.max_rel <= STREAMING_VS_NAIVE_TOL, str(report)
+
+        monkeypatch.setattr(numerics, "sparse_enough", lambda values, factor: False)
+        dense = learn_batch(spec, params, frames, targets, mode=SynergyMode.WTL)
+        report = compare_gradients(_gradients(acc), _gradients(dense))
+        assert report.max_rel <= 1e-12, str(report)
+
+
+# A fresh interpreter's first and second learn_sample on the W1 network and a glyph that takes both
+# sparse routes: the first call must not pay for an import or a cache the second does not
+COLD_CALL = """
+import tracemalloc
+
+from stopsnn import numerics
+from stopsnn.datasets import dataset_from_images, synthetic_glyphs
+from stopsnn.learning import SynergyMode, learn_sample
+from stopsnn.topology import init_params, parse_architecture
+
+spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+params = init_params(spec, seed=1)
+(sample,) = dataset_from_images(*synthetic_glyphs(1, 1), spec.time_steps, 10)
+
+
+def learn():
+    learn_sample(spec, params, sample.frames, sample.target, mode=SynergyMode.WTL)
+
+
+def peak():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        learn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+cold, warm = peak(), peak()
+coo, gathers = [], []
+real_patches, real_matmul = numerics._sparse_patches, numerics.matmul
+numerics._sparse_patches = lambda *a, **k: coo.append(1) or real_patches(*a, **k)
+numerics.matmul = lambda a, b: gathers.append(a.shape[0] == 256 and a.shape[1] < 1568) or real_matmul(a, b)
+learn()
+print(cold, warm, len(coo), sum(gathers))
+"""
+
+
+def test_first_learn_call_on_the_sparse_routes_peaks_like_the_second(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    cold, warm, coo, gather = map(int, proc.stdout.split())
+    assert coo > 0 and gather > 0, (coo, gather)
+    assert abs(cold - warm) <= 0.02 * warm, (cold, warm)
 
 
 class TestBatchedEvaluation:

@@ -51,6 +51,12 @@ class TestArchCheck:
         assert code == 1
         assert "P3" in capsys.readouterr().err
 
+    def test_zero_size_input_is_usage_exit(self, capsys):
+        code = cli.main(["arch-check", "--arch", "4C3-2", "--input-shape", "0,4,4", "--classes", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert_one_error_line(captured.err, "dimension below 1")
+
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 1
 

@@ -1,10 +1,14 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopsnn import numerics
 from stopsnn.errors import ShapeError
+from stopsnn.topology import LayerParams, dense_layer, parse_architecture, synaptic_input
 
 
 def inner(a, b):
@@ -261,3 +265,137 @@ class TestKernelHygiene:
             numerics.avgpool2d(x, 2),
         ):
             assert np.all(np.isfinite(out))
+
+
+@contextmanager
+def _route(sparse):
+    """Every layer over the budget, and every activity check answering sparse."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "COLUMN_BUDGET", 0)
+        mp.setattr(numerics, "sparse_enough", lambda values, factor: sparse)
+        yield
+
+
+def _assert_routes_agree(call):
+    """call() on the sparse route equals it on the dense route to 1e-12 of the largest value."""
+    with _route(True):
+        sparse = call()
+    with _route(False):
+        dense = call()
+    assert sparse.shape == dense.shape
+    # an all-zero input gives exact zeros on both routes
+    assert np.abs(sparse - dense).max(initial=0.0) <= 1e-12 * np.abs(dense).max(initial=0.0)
+
+
+# how many of a route's n values are nonzero: none, one, just under and just over each route's
+# threshold of n/F, and all
+DENSITIES = ("zero", "single", "under coo", "over coo", "under gather", "over gather", "dense")
+
+
+def _nonzero_count(density, n):
+    if density in ("zero", "single", "dense"):
+        return {"zero": 0, "single": 1, "dense": n}[density]
+    side, route = density.split()
+    factor = numerics.COO_FACTOR if route == "coo" else numerics.GATHER_FACTOR
+    return min(n, n // factor + (side == "over"))
+
+
+def _with_nonzeros(rng, shape, count):
+    x = np.zeros(shape)
+    x.flat[rng.choice(x.size, count, replace=False)] = rng.uniform(0.1, 1.0, count) * rng.choice([-1.0, 1.0], count)
+    return x
+
+
+ROUTE_SETTINGS = settings(max_examples=80, deadline=None, database=None)
+
+
+class TestSparseRoutes:
+    """The sparse drive and patch routes give the dense routes' values, and are taken on the stated rule."""
+
+    @ROUTE_SETTINGS
+    @given(k=st.sampled_from([1, 3, 5]), batch=st.sampled_from([1, 3]), cin=st.integers(1, 3),
+           cout=st.integers(1, 3), h=st.integers(5, 9), w=st.integers(5, 9),
+           density=st.sampled_from(DENSITIES), seed=st.integers(0, 2**32 - 1))
+    def test_conv_routes_agree(self, k, batch, cin, cout, h, w, density, seed):
+        rng = np.random.default_rng(seed)
+        x = _with_nonzeros(rng, (batch, cin, h, w), _nonzero_count(density, batch * cin * h * w))
+        kernels = rng.normal(size=(cout, cin, k, k))
+        deltas = rng.normal(size=(batch, cout, h, w))
+        _assert_routes_agree(lambda: numerics.conv2d(x, kernels, 1, k // 2))
+        _assert_routes_agree(lambda: numerics.conv2d_weight_grad(x, deltas, 1, k // 2))
+
+    @ROUTE_SETTINGS
+    @given(fan_in=st.integers(1, 80), fan_out=st.integers(1, 6), batch=st.sampled_from([1, 3]),
+           density=st.sampled_from(DENSITIES), seed=st.integers(0, 2**32 - 1))
+    def test_dense_drive_routes_agree(self, fan_in, fan_out, batch, density, seed):
+        # the density counts active columns: units nonzero in at least one sample of the batch
+        rng = np.random.default_rng(seed)
+        layer = dense_layer(fan_in, fan_out)
+        params = LayerParams(rng.normal(size=(fan_out, fan_in)), np.ones(fan_out), 0.5)
+        active = rng.choice(fan_in, _nonzero_count(density, fan_in), replace=False)
+        presyn = np.zeros((batch, fan_in))
+        presyn[:, active] = rng.random((batch, len(active))) < 0.5
+        presyn[rng.integers(batch, size=len(active)), active] = 1.0
+        _assert_routes_agree(lambda: synaptic_input(layer, params, presyn))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The (factor, answer) of every activity check."""
+        seen = []
+        real = numerics.sparse_enough
+
+        def spy(values, factor):
+            seen.append((factor, real(values, factor)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(numerics, "sparse_enough", spy)
+        return seen
+
+    # the W1 network: conv2's 16x14x14 input has a 627,200-byte patch matrix per sample and the
+    # 1568->256 layer 3.2 MB of weights, both over the budget; conv1's 156,800-byte patches and the
+    # 256->10 layer's 20 KB are under it
+    W1 = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10).layers
+
+    @pytest.mark.parametrize("side, route", [("under", True), ("over", False)])
+    def test_conv_route_on_each_side_of_its_threshold(self, monkeypatch, checks, side, route):
+        conv2 = self.W1[2]
+        rng = np.random.default_rng(0)
+        size = conv2.fan_in
+        x = _with_nonzeros(rng, (1, *conv2.in_shape), size // numerics.COO_FACTOR + (side == "over"))
+        kernels = rng.normal(size=conv2.weight_shape)
+        deltas = rng.normal(size=(1, *conv2.out_shape))
+        routes = []
+        real_sparse, real_dense = numerics._sparse_patches, numerics._patches
+        monkeypatch.setattr(numerics, "_sparse_patches", lambda *a, **k: routes.append("coo") or real_sparse(*a, **k))
+        monkeypatch.setattr(numerics, "_patches", lambda *a: routes.append("im2col") or real_dense(*a))
+        numerics.conv2d(x, kernels, 1, conv2.padding)
+        numerics.conv2d_weight_grad(x, deltas, 1, conv2.padding)
+        assert checks == [(numerics.COO_FACTOR, route)] * 2
+        assert routes == ["coo" if route else "im2col"] * 2
+
+    @pytest.mark.parametrize("side, route", [("under", True), ("over", False)])
+    def test_dense_route_on_each_side_of_its_threshold(self, monkeypatch, checks, side, route):
+        hidden = self.W1[5]
+        active = hidden.fan_in // numerics.GATHER_FACTOR + (side == "over")
+        presyn = np.zeros((2, hidden.fan_in))
+        presyn[0, :active] = 1.0
+        params = LayerParams(np.ones(hidden.weight_shape), np.ones(hidden.fan_out), 0.5)
+        widths = []
+        real = numerics.matmul
+        monkeypatch.setattr(numerics, "matmul", lambda a, b: widths.append(a.shape[1]) or real(a, b))
+        assert np.array_equal(synaptic_input(hidden, params, presyn), [[active] * hidden.fan_out, [0] * hidden.fan_out])
+        # a count of all nonzero values comes first; the active columns decide
+        assert {factor for factor, _ in checks} == {numerics.GATHER_FACTOR} and checks[-1][1] == route
+        assert widths == [active if route else hidden.fan_in]
+
+    def test_layers_under_the_budget_never_check(self, checks):
+        # all-zero inputs, which would take any sparse route that checked
+        conv1, top = self.W1[0], self.W1[6]
+        numerics.conv2d(np.zeros((1, *conv1.in_shape)), np.ones(conv1.weight_shape), 1, conv1.padding)
+        numerics.conv2d_weight_grad(np.zeros((1, *conv1.in_shape)), np.ones((1, *conv1.out_shape)), 1, conv1.padding)
+        synaptic_input(top, LayerParams(np.ones(top.weight_shape), np.ones(10), 0.5), np.zeros((1, top.fan_in)))
+        teacher = parse_architecture("100-100-100-100-4", (1, 10, 10), 4).layers[2]  # 80 KB of weights
+        synaptic_input(teacher, LayerParams(np.ones(teacher.weight_shape), np.ones(100), 0.5), np.zeros((1, 100)))
+        # a stride-2 convolution always builds im2col patches, however large
+        numerics.conv2d(np.zeros((1, 16, 29, 29)), np.ones((32, 16, 5, 5)), 2, 2)
+        assert checks == []

@@ -60,6 +60,13 @@ class TestParseArchitecture:
         assert err.value.token == "8"
         assert err.value.position == 0
 
+    @pytest.mark.parametrize("arch, shape", [("4C3-2", (0, 4, 4)), ("4C3-2", (1, 0, 4)), ("P2-2", (1, 4, -2)),
+                                             ("2", (-1,))])
+    def test_input_dimension_below_one_is_parse_error(self, arch, shape):
+        # a zero-size dimension ahead of a conv token once built a spec that init_params divided by
+        with pytest.raises(ParseError, match="dimension below 1"):
+            parse_architecture(arch, shape, 2)
+
     def test_empty_string(self):
         with pytest.raises(ParseError):
             parse_architecture("", (4,), 2)
