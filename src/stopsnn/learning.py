@@ -39,7 +39,7 @@ that builds no temporary of dw's size; a convolution's weight gradient is
 one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K is as many
 steps as fit a fifth of that budget, capped at the network's time_steps,
 so the stack is bounded by the network and the batch, never by the
-window (window_depth; the README lists K for the benchmark networks). A
+window (WindowStack.depth; the README lists K for the benchmark networks). A
 dense layer's error and weight-trace rows span D steps of the same
 stack: D = K, or at K = 1, where the other rows are the live arrays and
 nothing else is copied, as many steps of the layer's own rows as fit
@@ -352,41 +352,30 @@ def _steps_that_fit(spec: NetworkSpec, step_bytes: int) -> int:
     return max(1, min(spec.time_steps, numerics.COLUMN_BUDGET // 5 // step_bytes))
 
 
-def window_depth(spec: NetworkSpec, mode: SynergyMode, batch: int) -> int:
-    """K, the time-steps whose rows one WindowStack holds.
-
-    One sample's row of a step holds each neuron layer's potentials and
-    weight trace, its threshold and leakage traces when they learn, the
-    output spikes, and the sweep's error and product scratch (each as wide
-    as the widest neuron layer). K is the number of B such rows that fit
-    a fifth of the budget, capped at the network's time_steps, so it does
-    not grow with the window.
-    """
-    layers = [spec.layers[i] for i in spec.lif_indices]
-    traces = 1 + mode.trains_thresholds + mode.trains_leakages
-    scratch = 1 + (mode.trains_thresholds or mode.trains_leakages)
-    width = (sum(layer.fan_in + traces * layer.fan_out for layer in layers) + spec.num_classes
-             + scratch * max(layer.fan_out for layer in layers))
-    return _steps_that_fit(spec, 8 * batch * width)
-
-
 class WindowStack:
-    """The rows a backward sweep reads, for up to K = window_depth time-steps, shared by every neuron layer.
+    """The rows a backward sweep reads, for up to K = depth time-steps, shared by every neuron layer.
 
     Each block (potentials, weight, threshold and leakage traces per layer,
     the output spikes) is (K*B, ...), rows s*B to (s+1)*B holding step s;
     at K = 1 it is the live array itself. errors and products are the
-    sweep's scratch. A dense layer's weight-trace and error rows span D
-    steps: D = K, or at K = 1 as many steps of the layer's own rows as fit
-    the same fifth of the budget. held[i] counts the rows of a dense
-    layer's span that earlier sweeps filled; the next step's rows follow
-    them, and the span is folded into dw when full and at the window's end.
+    sweep's scratch, each as large as the largest neuron layer. K is the
+    number of steps of all of these, read off the live arrays, that fit a
+    fifth of the budget. A dense layer's weight-trace and error rows span
+    D steps: D = K, or at K = 1 as many steps of those two as fit the same
+    fifth. held[i] counts the rows of a dense layer's span that earlier
+    sweeps filled; the next step's rows follow them, and the span is
+    folded into dw when full and at the window's end.
     """
 
     def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, traces: TraceSet):
         top = spec.lif_indices[-1]
         self.batch = batch = len(states[top].spikes)
-        self.depth = depth = window_depth(spec, mode, batch)
+        lives = ([state.potentials for state in states], traces.weight, traces.threshold, traces.leakage,
+                 [states[top].spikes])
+        has_products = mode.trains_thresholds or mode.trains_leakages
+        scratch = (1 + has_products) * max(states[i].potentials.nbytes for i in spec.lif_indices)
+        self.depth = depth = _steps_that_fit(spec, sum(a.nbytes for group in lives for a in group if a is not None)
+                                             + scratch)
         self.steps = 0
         self.held = [0] * len(spec.layers)
         self._copies: list[tuple[Tensor, Tensor]] = []
@@ -398,18 +387,14 @@ class WindowStack:
             self._copies.append((rows, live))
             return rows
 
-        self.potentials = [block(state.potentials) for state in states]
-        self.weight = [block(t) for t in traces.weight]
-        self.threshold = [block(t) for t in traces.threshold]
-        self.leakage = [block(t) for t in traces.leakage]
-        self.output = block(states[top].spikes)
+        self.potentials, self.weight, self.threshold, self.leakage, (self.output,) = (
+            [block(live) for live in group] for group in lives)
         self.errors = _layer_scratch(spec, depth * batch)
-        self.products = (_layer_scratch(spec, depth * batch) if mode.trains_thresholds or mode.trains_leakages
-                         else [None] * len(spec.layers))
+        self.products = _layer_scratch(spec, depth * batch) if has_products else [None] * len(spec.layers)
         self._spans: tuple[tuple[int, Tensor], ...] = ()  # (layer, live weight trace) per span deeper than K
         for i in spec.lif_indices if depth == 1 else ():
             layer = spec.layers[i]
-            span = _steps_that_fit(spec, 8 * batch * (layer.fan_in + layer.fan_out))
+            span = _steps_that_fit(spec, traces.weight[i].nbytes + states[i].potentials.nbytes)
             if layer.kind is LayerKind.DENSE and span > 1:
                 self.weight[i] = np.empty((span * batch, layer.fan_in))
                 self.errors[i] = np.empty((span * batch, layer.fan_out))

@@ -13,26 +13,31 @@ patches, so a kernel's scratch is bounded whatever the batch size (the
 dense weight gradient needs none: learning adds it in place by BLAS).
 
 Spikes are sparse, so the largest layers read only their nonzero inputs
-when few are nonzero. A layer whose dense operand exceeds COLUMN_BUDGET
-(a dense layer's weights, one sample's patch matrix of a stride-1
-convolution) counts the nonzeros among the values it would read, and
-takes its sparse route when at most 1/F of them are (sparse_enough):
-topology.synaptic_input multiplies only the weight columns of units
-active anywhere in the batch (F = GATHER_FACTOR), and conv2d and
-conv2d_weight_grad build their patch matrix as a scipy.sparse COO matrix
-from the input's nonzero entries instead of the im2col copy
-(F = COO_FACTOR). Either route gives the dense route's values up to
-summation order; a layer under the budget never counts. The COO route's
-scratch is not sliced: it grows with the batch like the output, its
-product on the full-correlation grid holding 1.65 outputs on W1's conv2
-(W1 learns at batch 32 within 36.8 MiB, 34.8 on im2col alone). The
-factors sit below the break-evens measured on W1 (2-core Xeon,
-single-threaded BLAS): a gather matched the 1568->256 drive at about 1/11
-active columns at batch 1 and 1/4 at batch 16-32, and COO patches
-matched conv2's im2col at about 1/20 nonzero inputs at batch 1 and 1/16
-at batch 16-32. On event-long's 512->128 layer, whose weights fit L2, a
-gather at batch 1 lost at every activity down to 1/32 (12.7 against
-11.7 us); its 21% activity keeps it dense.
+when few are nonzero. Each sparse route's rule is stated here once: a
+layer is eligible by its size alone, never counts its nonzeros if not,
+and takes the route when at most 1/F of what it would read is nonzero
+(sparse_enough).
+
+* Gather (topology.synaptic_input): a dense layer whose weights exceed
+  GATHER_BYTES multiplies only the weight columns of units active
+  anywhere in the batch, F = GATHER_FACTOR of those columns.
+* COO patches (conv2d, conv2d_weight_grad): a stride-1 convolution whose
+  one-sample patch matrix exceeds COLUMN_BUDGET builds it as a
+  scipy.sparse COO matrix from the input's nonzero entries instead of the
+  im2col copy, F = COO_FACTOR of the input.
+
+Either route gives the dense route's values up to summation order. The
+COO route's scratch is not sliced: it grows with the batch like the
+output, its product on the full-correlation grid holding 1.65 outputs on
+W1's conv2 (W1 learns at batch 32 within 36.8 MiB, 34.8 on im2col alone).
+Sizes and factors sit at break-evens measured interleaved on a 2-core
+Xeon (2 MiB of L2 per core), single-threaded BLAS. At batch 1 a gather
+never beat event-long's 512->128 drive (512 KiB of weights) down to 1/48
+active columns, matched a 768 KiB drive at 1/24, and matched drives of
+1 MiB up to W1's 1568->256 (3.2 MB) at 1/16 to 1/20: GATHER_BYTES is
+where that break-even reaches 1/GATHER_FACTOR. At batch 32 it won from
+1/4 on every size. COO patches matched conv2's im2col at about 1/20
+nonzero inputs at batch 1 and 1/16 at batch 16-32.
 """
 from __future__ import annotations
 
@@ -44,13 +49,14 @@ from .errors import ShapeError
 Tensor = np.ndarray
 
 # bytes of one im2col patch matrix; on the W1 kernels at batch 32 this measured equal or
-# faster than 2 MiB slices. A fifth of it sizes learning's window stack, so the stack stays
-# bounded whatever the window: K steps of every neuron layer's backward rows and, at K = 1,
-# as many steps of each dense layer's own error and weight-trace rows as fit it.
+# faster than 2 MiB slices. A fifth of it sizes learning's WindowStack (WindowStack.depth
+# steps of the rows it stacks), so the stack stays bounded whatever the window.
 COLUMN_BUDGET = 256 * 1024
 
-# the sparse routes' F: a layer over COLUMN_BUDGET takes one when at most 1/F of what it reads is
-# nonzero (the module docstring has the break-evens they sit below)
+# bytes a dense layer's weights must exceed before its drive checks for a gather
+GATHER_BYTES = 1024 * 1024
+
+# the sparse routes' F: an eligible layer takes one when at most 1/F of what it reads is nonzero
 GATHER_FACTOR = 16  # a dense drive's active weight columns
 COO_FACTOR = 32  # a stride-1 correlation's nonzero inputs
 
@@ -121,17 +127,17 @@ def _patches(padded: Tensor, kh: int, kw: int, stride: int, h_out: int, w_out: i
 
 
 def _coo_route(x: Tensor, kh: int, kw: int, stride: int, padding: int, h_out: int, w_out: int) -> bool:
-    """Whether a correlation over x builds its patches as COO: stride 1, padding inside the kernel,
-    one sample's dense patch matrix over COLUMN_BUDGET, and at most 1/COO_FACTOR of x nonzero."""
+    """Whether a correlation over x builds its patches as COO (the module docstring's rule; its padding
+    must also lie inside the kernel)."""
     return (stride == 1 and padding < min(kh, kw) and 8 * x.shape[1] * kh * kw * h_out * w_out > COLUMN_BUDGET
             and sparse_enough(x, COO_FACTOR))
 
 
-def _sparse_patches(x: Tensor, kh: int, kw: int, transpose: bool = False) -> scipy.sparse.coo_array:
+def _sparse_patches(x: Tensor, kh: int, kw: int) -> scipy.sparse.coo_array:
     """Every stride-1 patch of an unpadded (B,C,H,W) batch, from its nonzero entries.
 
     One row per pixel of the full-correlation grid (B, H+kh-1, W+kw-1), one
-    column per kernel cell (c, i, j); transposed on request. Entry
+    column per kernel cell (c, i, j). Entry
     (b, c, u, v) sits at grid pixel (u+kh-1-i, v+kw-1-j) of every cell, so
     no index needs a bounds test; at padding p the output is the grid
     cropped by kh-1-p and kw-1-p.
@@ -146,10 +152,7 @@ def _sparse_patches(x: Tensor, kh: int, kw: int, transpose: bool = False) -> sci
     pixels = (((sample * he + u + kh - 1) * we + v + kw - 1)[:, None]
               - (np.arange(kh)[:, None] * we + np.arange(kw)).ravel()).ravel()
     cells = (channel[:, None] * (kh * kw) + np.arange(kh * kw)).ravel()
-    shape = (b * he * we, c * kh * kw)
-    if transpose:
-        return scipy.sparse.coo_array((values, (cells, pixels)), shape=shape[::-1])
-    return scipy.sparse.coo_array((values, (pixels, cells)), shape=shape)
+    return scipy.sparse.coo_array((values, (pixels, cells)), shape=(b * he * we, c * kh * kw))
 
 
 def _correlate(padded: Tensor, kernels: Tensor, stride: int, out: Tensor) -> Tensor:
@@ -246,7 +249,7 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
         grid = np.zeros((b, h + kh - 1, w + kw - 1, cout))
         top, left = kh - 1 - padding, kw - 1 - padding
         grid[:, top : top + h_out, left : left + w_out] = d.transpose(0, 2, 3, 1)
-        grad = _sparse_patches(t, kh, kw, transpose=True) @ grid.reshape(-1, cout)
+        grad = _sparse_patches(t, kh, kw).T @ grid.reshape(-1, cout)
         return np.ascontiguousarray(grad.T).reshape(cout, cin, kh, kw)
     padded = _pad2d(t, padding)
     grad = None

@@ -243,15 +243,13 @@ def broadcast_thresholds(layer: LayerSpec, thresholds: Tensor) -> Tensor:
 def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Tensor:
     """Weighted drive a layer receives from its presynaptic activity.
 
-    A dense layer whose weights exceed numerics.COLUMN_BUDGET multiplies only
-    the columns of units active anywhere in the batch, when at most
-    1/GATHER_FACTOR of them are; a convolution's route is numerics.conv2d's.
+    A large dense layer may gather its active weight columns first, and a
+    convolution may build COO patches: the numerics module docstring
+    states both rules.
     """
     if layer.kind is LayerKind.DENSE:
         weights = params.weights
-        # n nonzero values in B rows fill at least n/B columns, so a count of the values, cheaper
-        # than the columns' union, first rules out a busy batch
-        if weights.nbytes > numerics.COLUMN_BUDGET and numerics.sparse_enough(presyn, numerics.GATHER_FACTOR):
+        if weights.nbytes > numerics.GATHER_BYTES:
             active = presyn.any(axis=0)
             if numerics.sparse_enough(active, numerics.GATHER_FACTOR):
                 active = np.flatnonzero(active)

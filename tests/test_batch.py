@@ -19,7 +19,7 @@ from scipy.linalg.blas import dgemm
 from stopsnn import learning, numerics, trainer
 from stopsnn.checks import STREAMING_VS_NAIVE_TOL
 from stopsnn.config import TrainConfig
-from stopsnn.datasets import Sample, batch_frames, batch_targets
+from stopsnn.datasets import Sample, batch_frames, batch_targets, dataset_from_images, synthetic_glyphs
 from stopsnn.errors import NumericError
 from stopsnn.learning import (
     GradAccumulator,
@@ -40,7 +40,6 @@ from stopsnn.learning import (
     update_threshold_traces,
     update_weight_traces,
     weight_adjoint,
-    window_depth,
 )
 from stopsnn.lif import SpikeMode
 from stopsnn.oracle import compare_gradients, naive_stop_gradients, unrolled_stbp_gradients
@@ -178,6 +177,11 @@ def _workload_net(name):
     return parse_architecture(arch, input_shape, classes, time_steps=steps), mode
 
 
+def _stack(spec, mode, batch):
+    """The WindowStack a learn call on a fresh batch builds."""
+    return WindowStack(spec, mode, reset_network(spec, batch), TraceSet.zeros(spec, mode, batch))
+
+
 def _per_step_reference(spec, params, frames, target, mode, loss, audit):
     """A backward pass after every time-step, each layer's products added in step order.
 
@@ -258,7 +262,7 @@ class TestStackedDenseFold:
         # T = 7 steps, in both spike modes: at K = 3 (three sweeps, of 3, 3 and 1 steps, each
         # adding its rows into dw at once), and at K = 1 (a sweep per step; the dense spans fold
         # the 40->30 layer as 2 + 2 + 2 during the window and 1 at its end, the 30->4 layer as
-        # 5 and 2)
+        # 5 and 2). A budget whose fifth is three of the mode's sample-steps gives K = 3
         spec, params = self._net(monkeypatch)
         frames, target = self._window(spec, 1, seed=4)
         frames = [f[0] for f in frames]
@@ -275,11 +279,12 @@ class TestStackedDenseFold:
 
         monkeypatch.setattr(learning, "output_error", counting_output)
         monkeypatch.setattr(learning, "_fold_dense", counting_fold)
-        real_depth = learning.window_depth
-        for depth, want_sweeps, want_folds in ((3, [3, 3, 1], {40: [3, 3, 1], 30: [3, 3, 1]}),
-                                               (1, [1] * 7, {40: [2, 2, 2, 1], 30: [5, 2]})):
-            monkeypatch.setattr(learning, "window_depth", lambda *a, k=depth: k)
-            assert real_depth(spec, mode, 1) == 1  # K = 3 is forced; the budget gives K = 1
+        step = {SynergyMode.W: 1104, SynergyMode.WT: 1616, SynergyMode.WL: 1616, SynergyMode.WTL: 1888}[mode]
+        for depth, budget, want_sweeps, want_folds in (
+                (3, 5 * 3 * step, [3, 3, 1], {40: [3, 3, 1], 30: [3, 3, 1]}),
+                (1, 8000, [1] * 7, {40: [2, 2, 2, 1], 30: [5, 2]})):
+            monkeypatch.setattr(numerics, "COLUMN_BUDGET", budget)
+            assert _stack(spec, mode, 1).depth == depth
             for spike_mode in SpikeMode:
                 sweeps.clear()
                 folded.clear()
@@ -298,10 +303,10 @@ class TestStackedDenseFold:
         # sample-steps and 3 of dense-teacher's 15328; one W1 sample-step takes 504 KB. A dense
         # layer's own rows (at K = 1 and more than one step deep) stay within that fifth too
         spec, mode = _workload_net(name)
-        assert (window_depth(spec, mode, 1), window_depth(spec, mode, 32)) == {
+        stacks = [_stack(spec, mode, batch) for batch in (1, 32)]
+        assert tuple(stack.depth for stack in stacks) == {
             "conv-image": (1, 1), "dense-teacher": (3, 1), "event-long": (5, 1)}[name]
-        for batch in (1, 32):
-            stack = WindowStack(spec, mode, reset_network(spec, batch), TraceSet.zeros(spec, mode, batch))
+        for batch, stack in zip((1, 32), stacks):
             own = [i for i in spec.lif_indices if len(stack.errors[i]) > stack.depth * batch]
             assert all(stack.weight[i].nbytes + stack.errors[i].nbytes <= numerics.COLUMN_BUDGET // 5
                        for i in own), batch
@@ -417,22 +422,38 @@ class TestBatchedMemory:
         peaks = [unrolled(t) for t in (2, 8, 32)]
         assert peaks[0] < peaks[1] < peaks[2], peaks
 
+    def _conv_batch_peaks(self, frame, targets):
+        """Learning peaks of the W1 image network at T = 2 and 6 on one repeated batch frame."""
+        spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+        params = init_params(spec, seed=0)
+
+        def learn(steps):
+            return _peak_bytes(lambda: learn_batch(spec, params, [frame] * steps, targets, mode=SynergyMode.WTL))
+
+        return learn(2), learn(6)
+
     def test_conv_batch_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network at a batch of 32: states, traces and gradient accumulators are
         # 25 MiB and the learning scratch 6 MiB; the convolutions' patch scratch and the input
         # adjoint's padded delta buffer stay within one batch slice per call. No step keeps the
         # last step's input adjoint through its forward sweep, and the flatten layer allocates no
         # spike array. The peak measured 34.8 MiB; the bound leaves 6.3% above it.
-        spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
-        params = init_params(spec, seed=0)
         rng = np.random.default_rng(0)
         frame = rng.uniform(size=(32, 1, 28, 28))
-        targets = np.eye(10)[rng.integers(0, 10, size=32)]
+        short, long = self._conv_batch_peaks(frame, np.eye(10)[rng.integers(0, 10, size=32)])
+        assert long <= 1.05 * short, (short, long)
+        assert long <= 37 * 2**20, long / 2**20
 
-        def learn(steps):
-            return _peak_bytes(lambda: learn_batch(spec, params, [frame] * steps, targets, mode=SynergyMode.WTL))
-
-        short, long = learn(2), learn(6)
+    def test_conv_batch_memory_on_glyphs_is_bounded_with_the_coo_route(self, monkeypatch):
+        # uniform noise keeps pool1 busy, so conv2 builds im2col patches; on glyphs it builds COO
+        # patches, whose scratch grows with the batch. The same bound holds: the peak measured
+        # 36.1 MiB
+        samples = dataset_from_images(*synthetic_glyphs(1, 32), 6, 10)
+        coo = []
+        real_patches = numerics._sparse_patches
+        monkeypatch.setattr(numerics, "_sparse_patches", lambda x, *a: coo.append(x.shape[1:]) or real_patches(x, *a))
+        short, long = self._conv_batch_peaks(next(batch_frames(samples)), batch_targets(samples))
+        assert (16, 14, 14) in coo  # conv2's input
         assert long <= 1.05 * short, (short, long)
         assert long <= 37 * 2**20, long / 2**20
 
@@ -456,7 +477,7 @@ class TestBatchedMemory:
         # at a batch of one the window stack holds K = 7 of this net's 7328-byte sample-steps; it
         # is sized by numerics.COLUMN_BUDGET, not by the window
         spec = parse_architecture("128-10", (2, 16, 16), 10, time_steps=32)
-        assert window_depth(spec, SynergyMode.W, 1) == 7
+        assert _stack(spec, SynergyMode.W, 1).depth == 7
         params = init_params(spec, seed=0)
         frame = (np.random.default_rng(0).uniform(size=(2, 16, 16)) < 0.3).astype(float)
         target = np.eye(10)[3]
@@ -508,12 +529,13 @@ class TestSparseRoutes:
     """The engine through numerics' sparse drive and patch routes."""
 
     def _net(self, monkeypatch):
-        # at a 4096-byte budget the 1x24x24 input's 41,472-byte patch matrix and the 288->12
-        # layer's 27,648 bytes of weights are over it and check their activity, while the 12->3
-        # layer's 288 bytes are not. Two pixels of each sample's 576 light up, at a new brightness
+        # at a 4096-byte budget and gather size the 1x24x24 input's 41,472-byte patch matrix and
+        # the 288->12 layer's 27,648 bytes of weights are over them and check their activity, while
+        # the 12->3 layer's 288 bytes are not. Two pixels of each sample's 576 light up, at a new brightness
         # each step, so the convolution and its weight gradient build COO patches on every call,
         # and the pooled spikes leave the dense drive on each side of its threshold
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", 4096)
+        monkeypatch.setattr(numerics, "GATHER_BYTES", 4096)
         spec = parse_architecture("2C3-P2-12-3", (1, 24, 24), 3, time_steps=5)
         params = init_params(spec, seed=3)
         for p in params:

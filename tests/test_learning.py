@@ -26,7 +26,6 @@ from stopsnn.learning import (
     update_leakage_traces,
     update_threshold_traces,
     update_weight_traces,
-    window_depth,
 )
 from stopsnn.lif import SpikeMode, SurrogateKind
 from stopsnn.topology import NetworkSpec, dense_layer, init_params, parse_architecture, reset_network
@@ -316,7 +315,6 @@ class TestAccumulate:
         monkeypatch.setattr(learning, "dgemm", recording_dgemm)
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
         one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
-        assert window_depth(spec, SynergyMode.W, batch) == 1
         one_traces, one_stack = _window(one_step, SynergyMode.W, batch)
         assert one_stack.weight[0] is one_traces.weight[0]  # rows one step deep are the live array
         rng = np.random.default_rng(4)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stopsnn import numerics
 from stopsnn.errors import ShapeError
-from stopsnn.topology import LayerParams, dense_layer, parse_architecture, synaptic_input
+from stopsnn.topology import LayerKind, LayerParams, dense_layer, parse_architecture, synaptic_input
 
 
 def inner(a, b):
@@ -269,9 +269,10 @@ class TestKernelHygiene:
 
 @contextmanager
 def _route(sparse):
-    """Every layer over the budget, and every activity check answering sparse."""
+    """Every layer over the budget and the gather size, and every activity check answering sparse."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "COLUMN_BUDGET", 0)
+        mp.setattr(numerics, "GATHER_BYTES", 0)
         mp.setattr(numerics, "sparse_enough", lambda values, factor: sparse)
         yield
 
@@ -351,9 +352,9 @@ class TestSparseRoutes:
         monkeypatch.setattr(numerics, "sparse_enough", spy)
         return seen
 
-    # the W1 network: conv2's 16x14x14 input has a 627,200-byte patch matrix per sample and the
-    # 1568->256 layer 3.2 MB of weights, both over the budget; conv1's 156,800-byte patches and the
-    # 256->10 layer's 20 KB are under it
+    # the W1 network: conv2's 16x14x14 input has a 627,200-byte patch matrix per sample, over the
+    # budget, and the 1568->256 layer 3.2 MB of weights, over the gather size; conv1's 156,800-byte
+    # patches and the 256->10 layer's 20 KB are under them
     W1 = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10).layers
 
     @pytest.mark.parametrize("side, route", [("under", True), ("over", False)])
@@ -384,8 +385,8 @@ class TestSparseRoutes:
         real = numerics.matmul
         monkeypatch.setattr(numerics, "matmul", lambda a, b: widths.append(a.shape[1]) or real(a, b))
         assert np.array_equal(synaptic_input(hidden, params, presyn), [[active] * hidden.fan_out, [0] * hidden.fan_out])
-        # a count of all nonzero values comes first; the active columns decide
-        assert {factor for factor, _ in checks} == {numerics.GATHER_FACTOR} and checks[-1][1] == route
+        # one check per call, of the active columns
+        assert checks == [(numerics.GATHER_FACTOR, route)]
         assert widths == [active if route else hidden.fan_in]
 
     def test_layers_under_the_budget_never_check(self, checks):
@@ -394,8 +395,25 @@ class TestSparseRoutes:
         numerics.conv2d(np.zeros((1, *conv1.in_shape)), np.ones(conv1.weight_shape), 1, conv1.padding)
         numerics.conv2d_weight_grad(np.zeros((1, *conv1.in_shape)), np.ones((1, *conv1.out_shape)), 1, conv1.padding)
         synaptic_input(top, LayerParams(np.ones(top.weight_shape), np.ones(10), 0.5), np.zeros((1, top.fan_in)))
-        teacher = parse_architecture("100-100-100-100-4", (1, 10, 10), 4).layers[2]  # 80 KB of weights
-        synaptic_input(teacher, LayerParams(np.ones(teacher.weight_shape), np.ones(100), 0.5), np.zeros((1, 100)))
         # a stride-2 convolution always builds im2col patches, however large
         numerics.conv2d(np.zeros((1, 16, 29, 29)), np.ones((32, 16, 5, 5)), 2, 2)
         assert checks == []
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_dense_layers_of_event_long_and_dense_teacher_never_check(self, checks, batch):
+        # event-long's 512->128 layer has 512 KiB of weights, dense-teacher's layers 80 KB at most:
+        # all under the gather size, so an all-zero batch, which would gather, is driven dense
+        for arch, shape, classes in (("128-128-10", (2, 16, 16), 10), ("100-100-100-100-4", (1, 10, 10), 4)):
+            for layer in parse_architecture(arch, shape, classes).layers:
+                if layer.kind is LayerKind.DENSE:
+                    params = LayerParams(np.ones(layer.weight_shape), np.ones(layer.fan_out), 0.5)
+                    synaptic_input(layer, params, np.zeros((batch, layer.fan_in)))
+        assert checks == []
+
+    def test_dense_layer_checks_only_over_the_gather_size(self, checks):
+        # all-zero inputs: 128 neurons hold exactly numerics.GATHER_BYTES of weights on the first
+        # fan-in, one column more on the second
+        for fan_in in (numerics.GATHER_BYTES // (8 * 128), numerics.GATHER_BYTES // (8 * 128) + 1):
+            layer = dense_layer(fan_in, 128)
+            synaptic_input(layer, LayerParams(np.ones(layer.weight_shape), np.ones(128), 0.5), np.zeros((1, fan_in)))
+        assert checks == [(numerics.GATHER_FACTOR, True)]

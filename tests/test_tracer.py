@@ -17,8 +17,8 @@ import pytest
 
 from stopsnn import learning, trainer
 from stopsnn.config import TrainConfig
-from stopsnn.learning import SynergyMode, window_depth
-from stopsnn.topology import init_params, parse_architecture
+from stopsnn.learning import SynergyMode, TraceSet, WindowStack
+from stopsnn.topology import init_params, parse_architecture, reset_network
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,7 +45,7 @@ def test_traced_sweeps_at_depth_above_one_name_their_layers(monkeypatch):
     # the event-long network at a batch of one stacks K = 5 steps: T = 7 runs two sweeps, of
     # 5 and 2 steps. Layers: 0 flatten, then the dense 1, 2 and 3.
     spec = parse_architecture("128-128-10", (2, 16, 16), 10, time_steps=7)
-    assert window_depth(spec, SynergyMode.W, 1) == 5
+    assert WindowStack(spec, SynergyMode.W, reset_network(spec, 1), TraceSet.zeros(spec, SynergyMode.W, 1)).depth == 5
     params = init_params(spec, seed=0)
     frames = [np.random.default_rng(s).uniform(size=(2, 16, 16)) < 0.3 for s in range(7)]
     spans = _traced(monkeypatch, lambda: learning.learn_sample(spec, params, frames, np.eye(10)[4],
