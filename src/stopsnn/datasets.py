@@ -350,9 +350,19 @@ def batch_frames(samples):
     """Per time-step, that step's frames of every sample stacked into one (B, ...) array.
 
     Only one step's batch exists at a time; nothing is stacked across time.
+    Windows of different lengths, or one step's frames of different shapes,
+    raise DataError.
     """
-    for step in zip(*(sample.frames for sample in samples)):
-        yield np.array(step)
+    lengths = sorted({len(sample.frames) for sample in samples})
+    if len(lengths) > 1:
+        raise DataError(f"a batch's windows differ in length: {lengths} frames")
+    for t, step in enumerate(zip(*(sample.frames for sample in samples))):
+        try:
+            frames = np.array(step)
+        except ValueError as exc:
+            shapes = sorted({np.shape(frame) for frame in step})
+            raise DataError(f"a batch's frames at step {t} differ in shape: {shapes}") from exc
+        yield frames
 
 
 def batch_targets(samples) -> Tensor:

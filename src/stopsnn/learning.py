@@ -55,8 +55,10 @@ do not. One sample is a batch of one: learn_sample adds the axis and
 learns through learn_batch.
 
 infer_batch is the one inference rollout (evaluation and teacher
-labelling go through it), and apply_updates(params, grads, optimizer,
-rates) the one update step.
+labelling go through it). Like a backward sweep, it computes the loss
+over stacked output rows: once per block of K steps, K as many steps of
+the block as fit the same fifth of the budget, and once at the window's
+end. apply_updates(params, grads, optimizer, rates) is the one update step.
 """
 from __future__ import annotations
 
@@ -125,7 +127,12 @@ def validate_one_hot(target: Tensor) -> Tensor:
 
 
 def loss_value(output_spikes: Tensor, target: Tensor, kind: LossKind) -> float:
-    """Instantaneous loss at one time-step, summed over a batch; targets are validated by the callers."""
+    """Instantaneous loss summed over output rows of one or more time-steps.
+
+    output_spikes is one step's (B, C) rows, or a stack of several steps'
+    rows that the (B, C) targets match or broadcast against; targets are
+    validated by the callers.
+    """
     if kind is LossKind.CE:
         probs = softmax(output_spikes)
         return float(-np.sum(target * np.log(np.maximum(probs, 1e-300))))
@@ -558,27 +565,39 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
     frames yields one (B, ...) input batch per time-step, and there is one
     prediction per sample: the class with the most output spikes, ties
     going to the lowest index. The loss, 0 without targets, is the
-    instantaneous loss summed over steps and the batch. A window with no
-    frames, or a first frame without a batch axis, raises ShapeError.
+    instantaneous loss summed over steps and the batch, computed once per
+    block of K steps' output rows (K from _steps_that_fit on one step's
+    rows, so within a fifth of numerics.COLUMN_BUDGET) and once on the
+    rows left at the window's end; without targets nothing is stacked.
+    A window with no frames, or a first frame without a batch axis,
+    raises ShapeError.
     """
     if targets is not None:
         targets = validate_one_hot(targets)
-    states = counts = None
-    total_loss = 0.0
+    states = counts = block = None
+    total_loss, steps = 0.0, 0
     for frame in frames:
         if states is None:  # the first frame gives the batch
             if np.ndim(frame) == 0:
                 raise ShapeError("an input frame must be a (B, ...) batch, got a scalar")
             states = reset_network(spec, len(frame))
             counts = np.zeros((len(frame), spec.num_classes))
-            if targets is not None and targets.shape != counts.shape:
-                raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
+            if targets is not None:
+                if targets.shape != counts.shape:
+                    raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
+                block = np.empty((_steps_that_fit(spec, counts.nbytes), *counts.shape))
         states, out = forward_timestep(spec, params, states, frame)
         counts += out
-        if targets is not None:
-            total_loss += loss_value(out, targets, loss)
+        if block is not None:
+            block[steps] = out
+            steps += 1
+            if steps == len(block):
+                total_loss += loss_value(block, targets, loss)
+                steps = 0
     if states is None:
         raise ShapeError("the window has no frames")
+    if steps:  # the steps stacked since the last full block
+        total_loss += loss_value(block[:steps], targets, loss)
     return np.argmax(counts, axis=-1).tolist(), total_loss
 
 

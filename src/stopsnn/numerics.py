@@ -50,7 +50,8 @@ Tensor = np.ndarray
 
 # bytes of one im2col patch matrix; on the W1 kernels at batch 32 this measured equal or
 # faster than 2 MiB slices. A fifth of it sizes learning's WindowStack (WindowStack.depth
-# steps of the rows it stacks), so the stack stays bounded whatever the window.
+# steps of the rows it stacks) and infer_batch's block of output rows that its loss reads,
+# so both stay bounded whatever the window.
 COLUMN_BUDGET = 256 * 1024
 
 # bytes a dense layer's weights must exceed before its drive checks for a gather

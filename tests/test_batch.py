@@ -4,6 +4,7 @@ A batched learn call must equal the sum of per-sample reference
 gradients, its memory must stay flat in the window length, and batched
 evaluation must agree with one sample at a time.
 """
+import math
 import os
 import subprocess
 import sys
@@ -501,6 +502,27 @@ class TestBatchedMemory:
         short, long = learn(2), learn(128)
         assert long <= 1.05 * short, (short, long)
 
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_inference_memory_is_flat_in_the_window(self, batch, monkeypatch):
+        # the event-long net: infer_batch's block of output rows is sized by the budget, not by the
+        # window; at a batch of 32 the budget, not time_steps, caps it (20 of 32 steps). The short
+        # window fills a block: a shorter one computes its loss over fewer rows, whose temporaries
+        # are smaller (at a batch of one, 8 frames peaked at 13.3 KiB, a full block at 20.9 KiB)
+        spec, params, frames, targets = _event_long(batch, 128)
+        short_window, long_window = frames[:32], frames
+
+        def infer(window):
+            return _peak_bytes(lambda: learning.infer_batch(spec, params, window, targets))
+
+        infer(short_window)  # warm
+        short, long = infer(short_window), infer(long_window)
+        assert long <= 1.05 * short, (short, long)
+        blocks = []
+        monkeypatch.setattr(learning, "loss_value",
+                            lambda rows, *a: blocks.append(rows if rows.base is None else rows.base) or loss_value(rows, *a))
+        learning.infer_batch(spec, params, frames, targets)
+        assert max(block.nbytes for block in blocks) <= numerics.COLUMN_BUDGET // 5
+
     def test_one_sample_memory_is_flat_over_a_long_window(self):
         spec = parse_architecture("64-64-64-4", (64,), 4)
         params = init_params(spec, seed=0)
@@ -635,6 +657,14 @@ def test_first_learn_call_on_the_sparse_routes_peaks_like_the_second(tmp_path):
     assert abs(cold - warm) <= 0.02 * warm, (cold, warm)
 
 
+def _event_long(batch, steps):
+    """The event-long benchmark net, 128-128-10 over (2, 16, 16) at T = 32, with a sparse window and targets."""
+    spec = parse_architecture("128-128-10", (2, 16, 16), 10, time_steps=32)
+    rng = np.random.default_rng(0)
+    frames = [(rng.uniform(size=(batch, 2, 16, 16)) < 0.2).astype(float) for _ in range(steps)]
+    return spec, init_params(spec, seed=0), frames, np.eye(10)[rng.integers(0, 10, size=batch)]
+
+
 class TestBatchedEvaluation:
     def test_slices_agree_with_one_sample_at_a_time(self, monkeypatch):
         spec, params = _lively("6-3", (5,), steps=3, seed=1)
@@ -645,6 +675,43 @@ class TestBatchedEvaluation:
         accuracy, mean_loss = trainer.evaluate(spec, params, data)
         assert accuracy * len(data) == pytest.approx(sum(a for a, _ in singles))
         assert mean_loss == pytest.approx(np.mean([l for _, l in singles]), rel=1e-12)
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("loss", [LossKind.CE, LossKind.MSE])
+    def test_block_loss_equals_the_per_step_sum(self, loss, soft, monkeypatch):
+        # 4 samples of 3 classes are 96 bytes a step; this budget holds K = 3 steps, so the
+        # window's 8 steps are two full blocks and a short one
+        spec, params = _lively("6-3", (5,), steps=8, seed=1)
+        if soft:
+            spec = replace(spec, spike_mode=SpikeMode.SOFT)
+        rng = np.random.default_rng(3)
+        frames = [rng.uniform(size=(4, 5)) for _ in range(8)]
+        targets = np.eye(3)[[0, 2, 1, 1]]
+        states, counts, expected = reset_network(spec, 4), np.zeros((4, 3)), 0.0
+        for frame in frames:
+            states, out = forward_timestep(spec, params, states, frame)
+            counts += out
+            expected += loss_value(out, targets, loss)
+        assert expected > 0
+        monkeypatch.setattr(numerics, "COLUMN_BUDGET", 5 * 96 * 3)
+        blocks = []
+        monkeypatch.setattr(learning, "loss_value", lambda rows, *a: blocks.append(len(rows)) or loss_value(rows, *a))
+        predictions, total = learning.infer_batch(spec, params, frames, targets, loss)
+        assert blocks == [3, 3, 2]
+        assert total == pytest.approx(expected, rel=1e-12)
+        assert predictions == np.argmax(counts, axis=-1).tolist()
+
+    def test_one_loss_call_per_block(self, monkeypatch):
+        # the event-long net at a batch of one: the loss reads K steps' output rows per call, not one step's
+        spec, params, frames, targets = _event_long(1, 32)
+        k = learning._steps_that_fit(spec, 1 * 10 * 8)
+        calls = []
+        monkeypatch.setattr(learning, "loss_value", lambda *a: calls.append(1) or loss_value(*a))
+        learning.infer_batch(spec, params, frames, targets)
+        assert len(calls) == math.ceil(32 / k) < 32
+        calls.clear()
+        assert learning.infer_batch(spec, params, frames)[1] == 0.0
+        assert not calls
 
 
 class TestFailClosed:

@@ -6,6 +6,7 @@ import pytest
 from stopsnn.datasets import (
     EventStream,
     Sample,
+    batch_frames,
     batch_iter,
     dataset_from_images,
     load_event_stream,
@@ -19,7 +20,8 @@ from stopsnn.datasets import (
     write_idx,
 )
 from stopsnn.errors import DataError
-from stopsnn.topology import parse_architecture
+from stopsnn.topology import init_params, parse_architecture
+from stopsnn.trainer import evaluate
 
 
 class TestIdx:
@@ -303,6 +305,24 @@ class TestBatching:
     def test_empty_dataset(self):
         with pytest.raises(DataError):
             next(batch_iter([], 2))
+
+    def test_windows_of_different_lengths_are_a_data_error(self):
+        # zipped, the windows would be cut to the shortest: this pair's mean loss read 2.197, where
+        # one sample at a time gives 4.394 and 2.197
+        spec = parse_architecture("6-3", (5,), 3, time_steps=4)
+        rng = np.random.default_rng(0)
+        long, short = (Sample.from_frames(rng.uniform(size=(steps, 5)), 0, 3) for steps in (4, 2))
+        with pytest.raises(DataError, match=r"differ in length: \[2, 4\] frames"):
+            next(batch_frames([long, short]))
+        with pytest.raises(DataError, match="differ in length"):
+            evaluate(spec, init_params(spec, seed=0), [long, short])
+
+    def test_frames_of_different_shapes_are_a_data_error(self):
+        samples = [Sample.from_frames([np.zeros(5)] * 2, 0, 3), Sample.from_frames([np.zeros(5), np.zeros(4)], 1, 3)]
+        batches = batch_frames(samples)
+        assert next(batches).shape == (2, 5)
+        with pytest.raises(DataError, match=r"at step 1 differ in shape: \[\(4,\), \(5,\)\]"):
+            next(batches)
 
 
 class TestEncodingIdempotence:
