@@ -6,11 +6,16 @@ these. All kernels are pure functions over float64 arrays. Convolution is
 cross-correlation (no kernel flip) with zero padding.
 
 Spatial kernels take one (C,H,W) map or a (B,C,H,W) batch of them and
-return the same rank. The convolutions are unrolled into GEMMs over
-im2col patch matrices (Chellapilla et al., 2006), built for one slice of
-whole samples at a time, as many as fit COLUMN_BUDGET bytes of float64
-patches, so a kernel's scratch is bounded whatever the batch size (the
-dense weight gradient needs none: learning adds it in place by BLAS).
+return the same rank. conv2d and its weight gradient are unrolled into
+GEMMs over im2col patch matrices (Chellapilla et al., 2006). The input
+adjoint, a stride-1 correlation of the padded deltas, is lowered by
+kernel rows instead (MEC, Cho & Brand, 2017): one matrix of kernel-width
+windows, 8*Cout*kw*(H+kh-1)*W bytes a sample where im2col's is
+8*Cout*kh*kw*H*W, and kh GEMMs over shifted blocks of its rows. Each is
+built for one slice of whole samples at a time, as many as fit
+COLUMN_BUDGET bytes of float64, so a kernel's scratch is bounded whatever
+the batch size (the dense weight gradient needs none: learning adds it
+in place by BLAS).
 
 Spikes are sparse, so the largest layers read only their nonzero inputs
 when few are nonzero. Each sparse route's rule is stated here once: a
@@ -48,7 +53,7 @@ from .errors import ShapeError
 
 Tensor = np.ndarray
 
-# bytes of one im2col patch matrix; on the W1 kernels at batch 32 this measured equal or
+# bytes of one patch (or window) matrix; on the W1 kernels at batch 32 this measured equal or
 # faster than 2 MiB slices. A fifth of it sizes learning's WindowStack (WindowStack.depth
 # steps of the rows it stacks) and infer_batch's block of output rows that its loss reads,
 # so both stay bounded whatever the window.
@@ -76,6 +81,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def sparse_enough(values: Tensor, factor: int) -> bool:
     """True when at most 1/factor of values are nonzero: the test every sparse route is taken on."""
     return np.count_nonzero(values) * factor <= values.size
+
+
+def _check_geometry(stride: int, padding: int) -> None:
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"convolution needs stride >= 1 and padding >= 0, got stride={stride} padding={padding}")
 
 
 def _conv_out_len(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -156,21 +166,6 @@ def _sparse_patches(x: Tensor, kh: int, kw: int) -> scipy.sparse.coo_array:
     return scipy.sparse.coo_array((values, (pixels, cells)), shape=(b * he * we, c * kh * kw))
 
 
-def _correlate(padded: Tensor, kernels: Tensor, stride: int, out: Tensor) -> Tensor:
-    """The kernels against every patch of a padded batch, written into out (B,Cout,h_out,w_out).
-
-    Per batch slice, one (n, Cin*kh*kw, h_out*w_out) patch matrix and one
-    stacked GEMM that writes straight into the output.
-    """
-    cout, cin, kh, kw = kernels.shape
-    h_out, w_out = out.shape[2:]
-    flat = kernels.reshape(cout, cin * kh * kw)
-    for part in budget_slices(len(padded), 8 * cin * kh * kw * h_out * w_out):
-        cols = _patches(padded[part], kh, kw, stride, h_out, w_out).reshape(-1, cin * kh * kw, h_out * w_out)
-        np.matmul(flat, cols, out=out[part].reshape(-1, cout, h_out * w_out))
-    return out
-
-
 def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate a (Cin,H,W) input, or a batch of them, with (Cout,Cin,kh,kw) kernels."""
     x = _batched(inp, "conv2d input")
@@ -181,13 +176,19 @@ def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> T
     cout, cin_k, kh, kw = kernels.shape
     if cin != cin_k:
         raise ShapeError(f"input channels {cin} do not match kernel channels {cin_k}")
+    _check_geometry(stride, padding)
     h_out, w_out = _conv_out_len(h, kh, stride, padding), _conv_out_len(w, kw, stride, padding)
     if _coo_route(x, kh, kw, stride, padding, h_out, w_out):
         grid = (_sparse_patches(x, kh, kw) @ kernels.reshape(cout, -1).T).reshape(len(x), h + kh - 1, w + kw - 1, cout)
         top, left = kh - 1 - padding, kw - 1 - padding
         out = np.ascontiguousarray(grid[:, top : top + h_out, left : left + w_out].transpose(0, 3, 1, 2))
     else:
-        out = _correlate(_pad2d(x, padding), kernels, stride, np.empty((len(x), cout, h_out, w_out)))
+        # per batch slice, one (n, Cin*kh*kw, h_out*w_out) patch matrix and one stacked GEMM into the output
+        out = np.empty((len(x), cout, h_out, w_out))
+        padded, flat = _pad2d(x, padding), kernels.reshape(cout, cin * kh * kw)
+        for part in budget_slices(len(x), 8 * cin * kh * kw * h_out * w_out):
+            cols = _patches(padded[part], kh, kw, stride, h_out, w_out).reshape(-1, cin * kh * kw, h_out * w_out)
+            np.matmul(flat, cols, out=out[part].reshape(-1, cout, h_out * w_out))
     return _unbatched_like(out, inp)
 
 
@@ -195,15 +196,19 @@ def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, paddi
     """Exact adjoint of conv2d as a linear map in its input.
 
     Satisfies <conv2d(x, k), d> == <x, conv2d_adjoint_input(d, k)> for all x, d.
-    It is one correlation of the deltas, zero-inserted between positions
-    for stride > 1, with the flipped, channel-transposed kernels at
-    padding k-1-p. The zero-inserted, padded delta buffer is built for one
-    batch slice at a time, the slice of the correlation's patch matrix.
+    It is one stride-1 correlation of the deltas, zero-inserted between
+    positions for stride > 1, with the flipped, channel-transposed kernels
+    at padding k-1-p, lowered by kernel rows (MEC, Cho & Brand, 2017): per
+    batch slice, one (n, Cout*kw, Hc*W) matrix of the padded buffer's
+    kernel-width windows, Hc = H+kh-1, and kh GEMMs, one per kernel row,
+    each over a contiguous block of W-wide rows. A sample's matrix is
+    8*Cout*kw*Hc*W bytes, where an im2col one would be 8*Cout*kh*kw*H*W.
     """
     d = _batched(deltas, "deltas")
     kernels = np.asarray(kernels, dtype=np.float64)
     if kernels.ndim != 4:
         raise ShapeError(f"expected 4-D kernels, got {kernels.shape}")
+    _check_geometry(stride, padding)
     b, cout, h_out, w_out = d.shape
     cout_k, cin, kh, kw = kernels.shape
     if cout != cout_k:
@@ -212,18 +217,29 @@ def conv2d_adjoint_input(deltas: Tensor, kernels: Tensor, stride: int = 1, paddi
     wp = (w_out - 1) * stride + kw
     if hp <= 2 * padding or wp <= 2 * padding:
         raise ShapeError("padding exceeds reconstructed input size")
-    flipped = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    out = np.empty((b, cin, hp - 2 * padding, wp - 2 * padding))
-    parts = budget_slices(b, 8 * cout * kh * kw * out.shape[2] * out.shape[3])
+    h, w = hp - 2 * padding, wp - 2 * padding
+    hc = h + kh - 1
+    # rows[i][c, (o, j)]: row i of the flipped kernels, one row per input channel c
+    rows = np.ascontiguousarray(kernels[:, :, ::-1, ::-1].transpose(2, 1, 0, 3)).reshape(kh, cin, cout * kw)
+    out = np.empty((b, cin, h, w))
+    parts = budget_slices(b, 8 * cout * kw * hc * w)
     # per slice, the deltas placed at their strided positions in a buffer padded by k-1, then
-    # cropped by p: correlating that with the flipped kernels covers the input (the buffer's
-    # other positions stay zero from slice to slice)
+    # cropped by p to (Hc, W+kw-1): correlating that with the flipped kernels covers the input
+    # (the buffer's other positions stay zero from slice to slice)
     full = np.zeros((parts[0].stop, cout, hp + kh - 1, wp + kw - 1))
     cropped = full[:, :, padding : full.shape[2] - padding, padding : full.shape[3] - padding]
+    windows = np.empty((parts[0].stop, cout * kw, hc * w))
+    term = np.empty((parts[0].stop, cin, h * w))
     for part in parts:
         n = part.stop - part.start
         full[:n, :, kh - 1 : hp : stride, kw - 1 : wp : stride] = d[part]
-        _correlate(cropped[:n], flipped, 1, out[part])
+        cols = windows[:n]  # cols[(o, j), (y, x)] = cropped[o, y, x + j]
+        np.copyto(cols.reshape(n, cout, 1, kw, hc, w), _patches(cropped[:n], 1, kw, 1, hc, w))
+        # kernel row i reads buffer rows i..i+H-1: the contiguous column block [i*W, (i+H)*W)
+        flat = out[part].reshape(n, cin, h * w)
+        np.matmul(rows[0], cols[:, :, : h * w], out=flat)
+        for i in range(1, kh):
+            flat += np.matmul(rows[i], cols[:, :, i * w : (i + h) * w], out=term[:n])
     return _unbatched_like(out, deltas)
 
 
@@ -241,6 +257,7 @@ def conv2d_weight_grad(traces: Tensor, deltas: Tensor, stride: int = 1, padding:
     b_d, cout, h_out, w_out = d.shape
     if b != b_d:
         raise ShapeError(f"trace batch {b} does not match delta batch {b_d}")
+    _check_geometry(stride, padding)
     kh = h + 2 * padding - (h_out - 1) * stride
     kw = w + 2 * padding - (w_out - 1) * stride
     if kh < 1 or kw < 1:

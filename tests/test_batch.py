@@ -459,9 +459,10 @@ class TestBatchedMemory:
         assert long <= 37 * 2**20, long / 2**20
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
-        # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB and
-        # the largest transient is the conv2 input adjoint's 1.2 MiB patch matrix; the dense
-        # layers' own rows add 55 KiB. The peak measured 5.88 MiB.
+        # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB. Its
+        # transients include conv2's 0.6 MiB im2col patch matrix (forward and weight gradient)
+        # and its input adjoint's 0.3 MiB window matrix; the dense layers' own rows add 55 KiB. The peak measured 5.18 MiB. An adjoint that built a 1.2 MiB patch matrix of
+        # the deltas peaked at 5.88 MiB, which the bound refuses.
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 28, 28))
@@ -472,7 +473,7 @@ class TestBatchedMemory:
 
         short, long = learn(2), learn(6)
         assert long <= 1.05 * short, (short, long)
-        assert long <= 6 * 2**20, long / 2**20
+        assert long <= 5.5 * 2**20, long / 2**20
 
     def test_one_sample_memory_with_a_stacked_dense_layer_is_flat_over_a_long_window(self):
         # at a batch of one the window stack holds K = 7 of this net's 7328-byte sample-steps; it

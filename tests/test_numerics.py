@@ -102,6 +102,46 @@ class TestConvAdjointInput:
             assert back.shape == x.shape
             assert abs(inner(y, d) - inner(x, back)) <= 1e-12 * max(1.0, abs(inner(y, d)))
 
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    @pytest.mark.parametrize("padding", [0, 1])  # 0 to min(kh, kw) - 1
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kh,kw", [(3, 2), (2, 3)])
+    def test_matches_scattered_kernels(self, monkeypatch, kh, kw, stride, padding, batch):
+        # independent oracle: every delta scatters its kernel, scaled, onto the padded input it
+        # was read from; the adjoint is that sum cropped by the padding. Checked in one slice and
+        # in one slice per sample.
+        rng = np.random.default_rng(100 * kh + 10 * stride + padding + batch)
+        cin, cout, h_out, w_out = 2, 3, 3, 4
+        h, w = (h_out - 1) * stride + kh - 2 * padding, (w_out - 1) * stride + kw - 2 * padding
+        kernels = rng.normal(size=(cout, cin, kh, kw))
+        d = rng.normal(size=(batch, cout, h_out, w_out))
+        expect = np.zeros((batch, cin, h + 2 * padding, w + 2 * padding))
+        for b in range(batch):
+            for o in range(cout):
+                for y in range(h_out):
+                    for x in range(w_out):
+                        expect[b, :, y * stride : y * stride + kh, x * stride : x * stride + kw] += d[b, o, y, x] * kernels[o]
+        expect = expect[:, :, padding : padding + h, padding : padding + w]
+        for budget in (numerics.COLUMN_BUDGET, 1):
+            monkeypatch.setattr(numerics, "COLUMN_BUDGET", budget)
+            back = numerics.conv2d_adjoint_input(d, kernels, stride=stride, padding=padding)
+            assert back.shape == (batch, cin, h, w)
+            np.testing.assert_allclose(back, expect, rtol=0, atol=1e-12)
+
+
+class TestConvGeometry:
+    """Every convolution kernel refuses a stride below 1 and a negative padding."""
+
+    @pytest.mark.parametrize("geometry", [{"stride": 0}, {"padding": -1}], ids=["stride 0", "padding -1"])
+    @pytest.mark.parametrize("kernel,args", [
+        (numerics.conv2d, (np.ones((1, 5, 5)), np.ones((1, 1, 3, 3)))),
+        (numerics.conv2d_adjoint_input, (np.ones((1, 3, 3)), np.ones((1, 1, 3, 3)))),
+        (numerics.conv2d_weight_grad, (np.ones((1, 5, 5)), np.ones((1, 3, 3)))),
+    ], ids=["conv2d", "adjoint_input", "weight_grad"])
+    def test_is_a_shape_error(self, kernel, args, geometry):
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            kernel(*args, **geometry)
+
 
 class TestConvWeightGrad:
     def test_zero_deltas(self):
@@ -160,8 +200,13 @@ def _patch_bytes(channels, kernel, h_out, w_out):
     return 8 * channels * kernel * kernel * h_out * w_out
 
 
+def _window_bytes(channels, kernel, h_in, w_in):
+    """Bytes of one sample's float64 kernel-width window matrix in the input adjoint."""
+    return 8 * channels * kernel * (h_in + kernel - 1) * w_in
+
+
 class TestBoundedScratch:
-    """Batches are convolved in slices whose patch matrices fit numerics.COLUMN_BUDGET."""
+    """Batches are convolved in slices whose patch (or window) matrices fit numerics.COLUMN_BUDGET."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("split", ["2+2+1", "one sample over budget"])
@@ -172,18 +217,19 @@ class TestBoundedScratch:
         kernels = rng.normal(size=(cout, cin, k, k))
         h_out = (size + 2 * padding - k) // stride + 1
         d = rng.normal(size=(5, cout, h_out, h_out))
-        slice_sizes = []
+        calls = []
         real_patches = numerics._patches
 
-        def spy(padded, *args):
-            slice_sizes.append(len(padded))
-            return real_patches(padded, *args)
+        def spy(padded, kh, *args):
+            calls.append((len(padded), kh))
+            return real_patches(padded, kh, *args)
 
         monkeypatch.setattr(numerics, "_patches", spy)
         # forward and weight gradient patch the input (cin rows per kernel cell, one column per
-        # output pixel); the adjoint patches the deltas (cout rows, one column per input pixel)
+        # output pixel); the adjoint takes one-row windows of the deltas' padded buffer (cout rows
+        # per kernel column, one column per pixel of its size+k-1 rows of the input's width)
         forward_sample = _patch_bytes(cin, k, h_out, h_out)
-        adjoint_sample = _patch_bytes(cout, k, size, size)
+        adjoint_sample = _window_bytes(cout, k, size, size)
         samples_per_budget, want = (2.5, [2, 2, 1]) if split == "2+2+1" else (0.9, [1] * 5)
 
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", int(samples_per_budget * forward_sample))
@@ -191,7 +237,7 @@ class TestBoundedScratch:
         g = numerics.conv2d_weight_grad(x, d, stride, padding)
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", int(samples_per_budget * adjoint_sample))
         back = numerics.conv2d_adjoint_input(d, kernels, stride, padding)
-        assert slice_sizes == want * 3
+        assert calls == [(n, k) for n in want] * 2 + [(n, 1) for n in want]
 
         monkeypatch.setattr(numerics, "COLUMN_BUDGET", 2**40)  # one slice per call
         np.testing.assert_allclose(y, [numerics.conv2d(xi, kernels, stride, padding) for xi in x],
@@ -206,18 +252,32 @@ class TestBoundedScratch:
 
     def test_adjoint_scratch_is_bounded_at_batch_32(self):
         # the W1 network's second convolution (32C5 at padding 2 on 16x14x14) at a batch of 32:
-        # one patch matrix of the whole batch would be 40 MB
-        rng = np.random.default_rng(0)
-        deltas = rng.normal(size=(32, 32, 14, 14))
-        kernels = rng.normal(size=(32, 16, 5, 5))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            numerics.conv2d_adjoint_input(deltas, kernels, stride=1, padding=2)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20, peak / 2**20
+        # one window matrix of the whole batch would be 10 MB, so it is built one sample's 0.3 MiB
+        # at a time; the output is 0.77 MiB. The peak measured 1.32 MiB. One sample's 1.2 MiB
+        # patch matrix at a time peaked at 2.18 MiB, which the bound refuses.
+        peak = _adjoint_peak(32)
+        assert peak < 2 * 2**20, peak / 2**20
+
+    def test_adjoint_scratch_is_bounded_at_batch_1(self):
+        # one sample of the same convolution: its window matrix is 322,560 bytes. The peak
+        # measured 0.57 MiB. Its 1,254,400-byte patch matrix peaked at 1.44 MiB, which the bound
+        # refuses.
+        peak = _adjoint_peak(1)
+        assert peak < 2**20, peak / 2**20
+
+
+def _adjoint_peak(batch):
+    """Peak traced bytes of W1's conv2 input adjoint on a batch of random deltas."""
+    rng = np.random.default_rng(0)
+    deltas = rng.normal(size=(batch, 32, 14, 14))
+    kernels = rng.normal(size=(32, 16, 5, 5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        numerics.conv2d_adjoint_input(deltas, kernels, stride=1, padding=2)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestAvgPool:
