@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .learning import LossKind, SynergyMode
+from .learning import THRESHOLD_FLOOR, LossKind, SynergyMode
 from .lif import SurrogateKind
 from .topology import InitMode
 
@@ -72,7 +72,7 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     init_mode: str = "fan_in_scaled"
-    epsilon: float = 0.01
+    epsilon: float = THRESHOLD_FLOOR
     checkpoint_path: str = "checkpoint.json"
     metrics_path: str = "metrics.jsonl"
     resume: bool = False

@@ -9,20 +9,15 @@ exist to pin its correctness. Their only import from `learning` is its
 vocabulary: `SynergyMode` names the trained parameter families and
 `LossKind` the loss.
 """
-from .compare import ComparisonReport, compare_gradients
-from .finitediff import finite_diff_all, finite_diff_gradient, total_relaxed_loss
+from .compare import compare_gradients
+from .finitediff import finite_diff_all
 from .naive import naive_stop_gradients
-from .unrolled import TrueGradients, UnrolledTape, record_tape, unrolled_stbp_gradients
+from .unrolled import record_tape, unrolled_stbp_gradients
 
 __all__ = [
-    "ComparisonReport",
     "compare_gradients",
     "finite_diff_all",
-    "finite_diff_gradient",
-    "total_relaxed_loss",
     "naive_stop_gradients",
-    "TrueGradients",
-    "UnrolledTape",
     "record_tape",
     "unrolled_stbp_gradients",
 ]

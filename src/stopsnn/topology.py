@@ -243,17 +243,15 @@ def broadcast_thresholds(layer: LayerSpec, thresholds: Tensor) -> Tensor:
 def synaptic_input(layer: LayerSpec, params: LayerParams, presyn: Tensor) -> Tensor:
     """Weighted drive a layer receives from its presynaptic activity.
 
-    A large dense layer may gather its active weight columns first, and a
-    convolution may build COO patches: the numerics module docstring
-    states both rules.
+    A large dense layer may gather its active weight columns first
+    (numerics.active_columns), and a convolution may build COO patches:
+    the numerics module docstring states both rules.
     """
     if layer.kind is LayerKind.DENSE:
         weights = params.weights
-        if weights.nbytes > numerics.GATHER_BYTES:
-            active = presyn.any(axis=0)
-            if numerics.sparse_enough(active, numerics.GATHER_FACTOR):
-                active = np.flatnonzero(active)
-                weights, presyn = weights[:, active], presyn[:, active]
+        active = numerics.active_columns(weights, presyn)
+        if active is not None:
+            weights, presyn = weights[:, active], presyn[:, active]
         # samples are the columns of presyn.T, so one GEMM drives the whole batch
         return numerics.matmul(weights, presyn.T).T
     return numerics.conv2d(presyn, params.weights, stride=layer.stride, padding=layer.padding)

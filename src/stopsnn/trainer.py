@@ -208,8 +208,7 @@ def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
     hits, total_loss = 0, 0.0
-    for start in range(0, len(dataset), EVAL_BATCH):
-        chunk = dataset[start : start + EVAL_BATCH]
+    for chunk in ds.batch_iter(dataset, EVAL_BATCH):
         predictions, chunk_loss = infer_batch(spec, params, ds.batch_frames(chunk), ds.batch_targets(chunk), loss)
         hits += sum(p == s.label for p, s in zip(predictions, chunk))
         total_loss += chunk_loss
@@ -227,9 +226,12 @@ def _decode_array(blob: dict) -> np.ndarray:
 def _write_atomic(path, chunks) -> None:
     """Write the byte chunks to a temporary file next to path, then rename it over path."""
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # a spliced value stands in the skeleton as the JSON string of a NUL and its index
@@ -390,6 +392,19 @@ def _write_metrics(path, rows: list[dict]) -> None:
     _write_atomic(path.with_suffix(".csv"), [("\n".join(lines) + "\n").encode()])
 
 
+def _check_output_paths(config: TrainConfig) -> None:
+    """Refuse a checkpoint, metrics file and CSV mirror that are not three distinct files in existing directories."""
+    checkpoint, metrics = Path(config.checkpoint_path).resolve(), Path(config.metrics_path).resolve()
+    for name, path in (("checkpoint_path", checkpoint), ("metrics_path", metrics)):
+        if path.is_dir() or not path.parent.is_dir():
+            raise ConfigError(f"config field {name!r} must name a file in an existing directory, "
+                              f"got {getattr(config, name)!r}")
+    if metrics.suffix == ".csv":
+        raise ConfigError(f"config field 'metrics_path': {config.metrics_path!r} is its own CSV mirror's name")
+    if checkpoint in (metrics, metrics.with_suffix(".csv")):
+        raise ConfigError(f"config field 'checkpoint_path': {config.checkpoint_path!r} names a metrics output")
+
+
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([seed, epoch]).generate_state(1)[0])
 
@@ -423,6 +438,7 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
     spec = build_network(config)
     mode = SynergyMode(config.mode)
     loss = LossKind(config.loss)
+    _check_output_paths(config)
     train_set, test_set = load_dataset(config)
     say = log or (lambda msg: None)
 

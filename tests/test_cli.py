@@ -271,6 +271,21 @@ class TestTrainEval:
         assert cli.main(["train", "--config", str(config_path), "--resume"]) == 2
         assert "corrupt metrics file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"checkpoint_path": "absent/ck.json"}, "checkpoint_path"),
+        ({"metrics_path": "absent/metrics.jsonl"}, "metrics_path"),
+        ({"metrics_path": "metrics.csv"}, "metrics_path"),
+        ({"checkpoint_path": "metrics.csv"}, "checkpoint_path"),
+    ], ids=["checkpoint_directory_missing", "metrics_directory_missing", "metrics_is_its_csv_mirror",
+            "checkpoint_is_the_csv_mirror"])
+    def test_bad_output_path_is_refused_before_training(self, tmp_path, capsys, monkeypatch, overrides, named):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--config", str(write_config(tmp_path, **overrides))]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, named)
+        assert "epoch 0" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 def write_event_config(tmp_path, bad_event=None, bad_label=None):
     """An events-kind config over four small streams; optionally one bad event line or label."""

@@ -28,9 +28,9 @@ class TestMatmul:
         out = numerics.matmul(np.zeros((3, 4)), np.arange(8.0).reshape(4, 2))
         assert np.array_equal(out, np.zeros((3, 2)))
 
-    def test_vector_rhs(self):
-        out = numerics.matmul(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([5.0, 7.0]))
-        assert np.array_equal(out, [19.0, 7.0])
+    def test_one_dimensional_b_is_refused(self):
+        with pytest.raises(ShapeError):
+            numerics.matmul(np.eye(2), np.array([5.0, 7.0]))
 
     def test_mismatch_raises(self):
         with pytest.raises(ShapeError):

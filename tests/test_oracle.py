@@ -7,14 +7,8 @@ from stopsnn import checks, learning
 from stopsnn.errors import ShapeError, SizeGuardError, UnsupportedModeError
 from stopsnn.learning import LossKind, SynergyMode, learn_sample
 from stopsnn.lif import SpikeMode
-from stopsnn.oracle import (
-    compare_gradients,
-    finite_diff_gradient,
-    naive_stop_gradients,
-    record_tape,
-    total_relaxed_loss,
-    unrolled_stbp_gradients,
-)
+from stopsnn.oracle import compare_gradients, naive_stop_gradients, record_tape, unrolled_stbp_gradients
+from stopsnn.oracle.finitediff import finite_diff_gradient, total_relaxed_loss
 from stopsnn.oracle.linearize import FlatNetwork
 from stopsnn.topology import forward_timestep, init_params, parse_architecture, reset_network
 

@@ -9,7 +9,9 @@ imports a name it never reads, unless the import is marked
 a linter's F401 rule makes; no linter is a dependency here). Every
 module-level function and class under src/stopsnn, and every public
 method, is read somewhere in src/, perfbench/ or demos/ outside its own
-definition: API that only tests read is unused.
+definition: API that only tests read is unused. The same rule holds for
+re-exports: stopsnn.oracle exports exactly the names that src/,
+perfbench/ and demos/ import from it.
 """
 import ast
 import re
@@ -149,3 +151,15 @@ def test_every_package_definition_is_read_outside_the_tests():
     assert sum(path.startswith("src/stopsnn/") for path in sources) > 10  # the scan sees the package
     unread = _unread_definitions(sources, "src/stopsnn/")
     assert not unread, f"defined but read only by tests, or nowhere: {unread}"
+
+
+def test_the_oracle_subpackage_exports_what_its_readers_import():
+    from stopsnn import oracle
+
+    imported = set()
+    for path in (path for folder in ("src", "perfbench", "demos") for path in (ROOT / folder).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("stopsnn.oracle", 0), ("oracle", 1)):
+                imported.update(alias.name for alias in node.names)
+    assert "record_tape" in imported  # the scan sees the imports
+    assert set(oracle.__all__) == imported

@@ -101,6 +101,12 @@ class TestCheckpoints:
         optimizer = OptimizerState.fresh(params, "weights")
         return config, params, optimizer
 
+    def test_unwritable_path_is_a_config_error_naming_it(self, tmp_path):
+        config, params, optimizer = self._setup(tmp_path)
+        path = tmp_path / "absent" / "a.json"
+        with pytest.raises(ConfigError, match="absent"):
+            checkpoint_save(path, params, optimizer, config)
+
     def test_round_trip_bit_identical(self, tmp_path):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
