@@ -51,7 +51,7 @@ def unrolled_learn_batch(spec: NetworkSpec, params, frames, targets, mode: Syner
     infer_batch over the same window.
     """
     steps = list(frames)
-    targets = validate_one_hot(targets)
+    targets = validate_one_hot(targets, spec.num_classes)
     acc = GradAccumulator.zeros(spec, SynergyMode.W)
     for b, target in enumerate(targets):
         grads = unrolled_stbp_gradients(

@@ -155,7 +155,8 @@ def load_event_stream(path) -> EventStream:
 
     The body is parsed in one C-level pass; only when that fails, or
     yields fewer rows than there are lines (a blank line), are the lines
-    scanned one by one to name the first bad one.
+    scanned one by one to name the first bad one. Every DataError names
+    the file, EventStream's own checks included.
     """
     try:
         text = Path(path).read_text()
@@ -180,10 +181,11 @@ def load_event_stream(path) -> EventStream:
         # loadtxt skips blank lines, so a row count short of the line count means one
         if data.shape != (len(rows), 4):
             raise _bad_event_line(path, rows, first + 1)
-    return EventStream(
-        timestamps=data[:, 0], xs=data[:, 1], ys=data[:, 2], polarities=data[:, 3],
-        width=width, height=height,
-    )
+    try:
+        return EventStream(timestamps=data[:, 0], xs=data[:, 1], ys=data[:, 2], polarities=data[:, 3],
+                           width=width, height=height)
+    except DataError as exc:
+        raise DataError(f"{exc} in {path}") from None
 
 
 def save_event_stream(path, stream: EventStream) -> None:

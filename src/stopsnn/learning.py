@@ -45,14 +45,16 @@ stack: D = K, or at K = 1, where the other rows are the live arrays and
 nothing else is copied, as many steps of the layer's own rows as fit
 that fifth; they fold when full and at the window's end. Stacking sums in
 another order, within the oracle battery's 1e-9; at K = D = 1 the steps
-add in order. A step allocates no state: the forward
-sweep works in place, and a sweep's errors and threshold/leakage
-products go into scratch buffers of K*B rows the size of the largest
-neuron layer (the second only when thresholds or leakages learn),
-allocated once per window, like the stack. Memory stays constant in the window length;
-states, traces and errors grow linearly in the batch, the kernels' blocks
-do not. One sample is a batch of one: learn_sample adds the axis and
-learns through learn_batch.
+add in order. The WindowStack owns what a learn call keeps for its
+window, allocated once: the live traces, the stacked rows and their
+targets, and the sweep's error and threshold/leakage product scratch of
+K*B rows the size of the largest neuron layer (the second only when
+thresholds or leakages learn). A step allocates no state: the forward
+sweep works in place, and a sweep drops each pulled-back error once the
+layer's error is formed from it. Memory stays constant in the window
+length; states, traces and errors grow linearly in the batch, the
+kernels' blocks do not. One sample is a batch of one: learn_sample adds
+the axis and learns through learn_batch.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it). Like a backward sweep, it computes the loss
@@ -115,11 +117,13 @@ def softmax(x: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def validate_one_hot(target: Tensor) -> Tensor:
-    """A (B, C) batch of one-hot rows; another rank is a ShapeError."""
+def validate_one_hot(target: Tensor, classes: int) -> Tensor:
+    """A (B, classes) batch of one-hot rows; another rank is a ShapeError, another width a TargetError."""
     target = np.asarray(target, dtype=np.float64)
     if target.ndim != 2:
         raise ShapeError(f"targets {target.shape} are not (B, C) rows")
+    if target.shape[1] != classes:
+        raise TargetError(f"targets {target.shape} are not one-hot over the network's {classes} classes")
     # one 1 per row, and no other nonzero
     if target.size == 0 or not (target == 1.0).sum(axis=1).all() or np.count_nonzero(target) != len(target):
         raise TargetError("every target row must be one-hot, with exactly one 1")
@@ -182,38 +186,6 @@ def update_leakage_traces(
     traces *= leak
     traces += residual
     return traces
-
-
-@dataclass
-class TraceSet:
-    """Per-layer forward traces; entries are None for non-neuron layers.
-
-    Weight traces are keyed by presynaptic unit (input shape of the layer),
-    independent of the layer's own width; threshold and leakage traces are
-    allocated only for the parameter families the synergy mode trains.
-    """
-
-    weight: list[Tensor | None]
-    threshold: list[Tensor | None]
-    leakage: list[Tensor | None]
-
-    @classmethod
-    def zeros(cls, spec: NetworkSpec, mode: SynergyMode, batch: int) -> "TraceSet":
-        weight, threshold, leakage = [], [], []
-        for layer in spec.layers:
-            if layer.is_lif:
-                out_shape = (batch, *layer.out_shape)
-                weight.append(np.zeros((batch, *layer.in_shape)))
-                threshold.append(np.zeros(out_shape) if mode.trains_thresholds else None)
-                leakage.append(np.zeros(out_shape) if mode.trains_leakages else None)
-            else:
-                weight.append(None)
-                threshold.append(None)
-                leakage.append(None)
-        return cls(weight=weight, threshold=threshold, leakage=leakage)
-
-    def live_tensor_count(self) -> int:
-        return sum(t is not None for group in (self.weight, self.threshold, self.leakage) for t in group)
 
 
 @dataclass
@@ -360,29 +332,43 @@ def _steps_that_fit(spec: NetworkSpec, step_bytes: int) -> int:
 
 
 class WindowStack:
-    """The rows a backward sweep reads, for up to K = depth time-steps, shared by every neuron layer.
+    """A learn call's window arrays: the live traces, and the rows a backward sweep reads, K = depth steps deep.
 
-    Each block (potentials, weight, threshold and leakage traces per layer,
-    the output spikes) is (K*B, ...), rows s*B to (s+1)*B holding step s;
-    at K = 1 it is the live array itself. errors and products are the
-    sweep's scratch, each as large as the largest neuron layer. K is the
-    number of steps of all of these, read off the live arrays, that fit a
-    fifth of the budget. A dense layer's weight-trace and error rows span
-    D steps: D = K, or at K = 1 as many steps of those two as fit the same
-    fifth. held[i] counts the rows of a dense layer's span that earlier
-    sweeps filled; the next step's rows follow them, and the span is
-    folded into dw when full and at the window's end.
+    The live traces start at zero and learn_batch updates them in place.
+    Per neuron layer (None elsewhere), the weight trace has the layer's
+    input shape and the threshold and leakage traces, kept only for the
+    families mode trains, its output shape. Each block (potentials and
+    traces per layer, the output spikes) is (K*B, ...), rows s*B to
+    (s+1)*B holding step s; at K = 1 it is the live array itself. targets
+    tiles the (B, C) target over the K steps. errors and products are the
+    sweep's scratch, each as large as the largest neuron layer; a sweep
+    drops each pulled-back error once the layer's error is formed from it.
+    K is the number of steps of all of these, read off the live arrays,
+    that fit a fifth of the budget. A dense layer's weight-trace and error
+    rows span D steps: D = K, or at K = 1 as many steps of those two as fit
+    the same fifth. held[i] counts the rows of a dense layer's span that
+    earlier sweeps filled; the next step's rows follow them, and the span
+    is folded into dw when full and at the window's end.
     """
 
-    def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, traces: TraceSet):
+    def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, target: Tensor):
         top = spec.lif_indices[-1]
-        self.batch = batch = len(states[top].spikes)
-        lives = ([state.potentials for state in states], traces.weight, traces.threshold, traces.leakage,
-                 [states[top].spikes])
+        self.batch = batch = len(target)
+
+        def zeros(shape: tuple, kept: bool) -> Tensor | None:
+            return np.zeros((batch, *shape)) if kept else None
+
+        layers = spec.layers
+        self.weight_traces = [zeros(layer.in_shape, layer.is_lif) for layer in layers]
+        self.threshold_traces = [zeros(layer.out_shape, layer.is_lif and mode.trains_thresholds) for layer in layers]
+        self.leakage_traces = [zeros(layer.out_shape, layer.is_lif and mode.trains_leakages) for layer in layers]
+        lives = ([state.potentials for state in states], self.weight_traces, self.threshold_traces,
+                 self.leakage_traces, [states[top].spikes])
         has_products = mode.trains_thresholds or mode.trains_leakages
         scratch = (1 + has_products) * max(states[i].potentials.nbytes for i in spec.lif_indices)
         self.depth = depth = _steps_that_fit(spec, sum(a.nbytes for group in lives for a in group if a is not None)
                                              + scratch)
+        self.targets = np.tile(target, (depth, 1))  # the target of every stacked row
         self.steps = 0
         self.held = [0] * len(spec.layers)
         self._copies: list[tuple[Tensor, Tensor]] = []
@@ -401,11 +387,11 @@ class WindowStack:
         self._spans: tuple[tuple[int, Tensor], ...] = ()  # (layer, live weight trace) per span deeper than K
         for i in spec.lif_indices if depth == 1 else ():
             layer = spec.layers[i]
-            span = _steps_that_fit(spec, traces.weight[i].nbytes + states[i].potentials.nbytes)
+            span = _steps_that_fit(spec, self.weight_traces[i].nbytes + states[i].potentials.nbytes)
             if layer.kind is LayerKind.DENSE and span > 1:
                 self.weight[i] = np.empty((span * batch, layer.fan_in))
                 self.errors[i] = np.empty((span * batch, layer.fan_out))
-                self._spans += ((i, traces.weight[i]),)
+                self._spans += ((i, self.weight_traces[i]),)
 
     def push(self) -> bool:
         """Copy the live arrays into the next step's rows; True when all K steps are filled."""
@@ -458,15 +444,14 @@ def learn_batch(
     receive the count of retained step-carried tensors, the total loss and
     one decoded prediction per sample. A target that is not (B, C), a frame
     that does not fit the network input and the target's batch, or a
-    window with no frames raises ShapeError; trace and error shapes are
-    fixed with the states, so the helpers recheck none.
+    window with no frames raises ShapeError, and target rows that are not
+    one-hot over the network's classes raise TargetError; trace and error
+    shapes are fixed with the states, so the helpers recheck none.
     """
-    target = validate_one_hot(target)
+    target = validate_one_hot(target, spec.num_classes)
     batch = len(target)
     states = reset_network(spec, batch)
-    traces = TraceSet.zeros(spec, mode, batch)
-    stack = WindowStack(spec, mode, states, traces)
-    targets = np.tile(target, (stack.depth, 1))  # the target of every stacked row
+    stack = WindowStack(spec, mode, states, target)
     acc = GradAccumulator.zeros(spec, mode)
     lif_indices = spec.lif_indices
     top = lif_indices[-1]
@@ -482,36 +467,37 @@ def learn_batch(
         for i in lif_indices if t else ():
             p, st = params[i], states[i]
             if trains_thresholds:
-                update_threshold_traces(traces.threshold[i], st.spikes, p.leak)
+                update_threshold_traces(stack.threshold_traces[i], st.spikes, p.leak)
             if trains_leakages:  # the sweep's product scratch is free; its first B rows take the residual
-                update_leakage_traces(traces.leakage[i], st.potentials, st.spikes, thetas[i], p.leak,
+                update_leakage_traces(stack.leakage_traces[i], st.potentials, st.spikes, thetas[i], p.leak,
                                       stack.products[i][:batch])
         forward_timestep(spec, params, states, frame)
 
         current = frame  # forward_timestep has checked it against the states
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
-                update_weight_traces(traces.weight[i], current, params[i].leak)
+                update_weight_traces(stack.weight_traces[i], current, params[i].leak)
             current = states[i].spikes
         output_counts += states[top].spikes
         if stack.push():
-            total_loss += _backward_sweep(params, stack, targets, thetas, acc, loss)
+            total_loss += _backward_sweep(params, stack, thetas, acc, loss)
 
     if t < 0:
         raise ShapeError("the window has no frames")
     if stack.steps:  # the steps stacked since the last sweep
-        total_loss += _backward_sweep(params, stack, targets, thetas, acc, loss)
+        total_loss += _backward_sweep(params, stack, thetas, acc, loss)
     stack.finish(acc)
     acc.samples = batch
     if audit is not None:
         # each neuron layer carries its potentials and spikes from step to step
-        audit["retained_time_indexed_tensors"] = 2 * len(lif_indices) + traces.live_tensor_count()
+        audit["retained_time_indexed_tensors"] = 2 * len(lif_indices) + sum(
+            t is not None for t in (*stack.weight_traces, *stack.threshold_traces, *stack.leakage_traces))
         audit["loss"] = total_loss
         audit["prediction"] = np.argmax(output_counts, axis=-1).tolist()
     return acc
 
 
-def _backward_sweep(params, stack: WindowStack, targets, thetas, acc: GradAccumulator, loss) -> float:
+def _backward_sweep(params, stack: WindowStack, thetas, acc: GradAccumulator, loss) -> float:
     """One backward pass over the stack's filled rows, which it then empties; returns their summed loss.
 
     The error at a step reads only that step's potentials, spikes and
@@ -520,7 +506,7 @@ def _backward_sweep(params, stack: WindowStack, targets, thetas, acc: GradAccumu
     """
     spec, rows = acc.spec, stack.steps * stack.batch
     first, top = spec.lif_indices[0], spec.lif_indices[-1]
-    output, target = stack.output[:rows], targets[:rows]
+    output, target = stack.output[:rows], stack.targets[:rows]
     sweep_loss = loss_value(output, target, loss)
     delta_spikes = None
     for i in reversed(range(first, len(spec.layers))):
@@ -532,6 +518,7 @@ def _backward_sweep(params, stack: WindowStack, targets, thetas, acc: GradAccumu
                 delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spec.spike_mode, out)
             else:
                 delta = hidden_error(delta_spikes, potentials, thetas[i], spec.surrogate, spec.spike_mode, out)
+                delta_spikes = None  # read: freed before the layer's gradient scratch
             accumulate_gradients(acc, i, delta, stack)
             if i > first:
                 delta_spikes = weight_adjoint(layer, params[i], delta)
@@ -573,7 +560,7 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
     raises ShapeError.
     """
     if targets is not None:
-        targets = validate_one_hot(targets)
+        targets = validate_one_hot(targets, spec.num_classes)
     states = counts = block = None
     total_loss, steps = 0.0, 0
     for frame in frames:
@@ -583,8 +570,8 @@ def infer_batch(spec: NetworkSpec, params: list[LayerParams | None], frames, tar
             states = reset_network(spec, len(frame))
             counts = np.zeros((len(frame), spec.num_classes))
             if targets is not None:
-                if targets.shape != counts.shape:
-                    raise TargetError(f"targets {targets.shape} do not match the outputs {counts.shape}")
+                if len(targets) != len(frame):
+                    raise TargetError(f"{len(targets)} targets do not match a batch of {len(frame)}")
                 block = np.empty((_steps_that_fit(spec, counts.nbytes), *counts.shape))
         states, out = forward_timestep(spec, params, states, frame)
         counts += out

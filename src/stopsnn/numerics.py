@@ -35,7 +35,7 @@ Either route gives the dense route's values up to summation order. The
 COO route's scratch is not sliced: it grows with the batch like the
 output, its product on the full-correlation grid holding 1.65 outputs on
 W1's conv2. W1's traced learning peak at batch 32 and T=6, on glyph
-frames of glyph seed 1, measured 36.13, 36.89 and 36.94 MiB at parameter
+frames of glyph seed 1, measured 34.86, 35.36 and 35.41 MiB at parameter
 seeds 0, 1 and 4; on uniform-noise frames, im2col alone, 34.8 MiB.
 Sizes and factors sit at break-evens measured interleaved on a 2-core
 Xeon (2 MiB of L2 per core), single-threaded BLAS. At batch 1 a gather

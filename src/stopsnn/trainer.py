@@ -61,8 +61,8 @@ def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
 # ---------------------------------------------------------------------------
 # dataset assembly
 
-def _load_manifest(path) -> list[tuple[Path, int]]:
-    """(event file, label) pairs, one "relative/path label" per line."""
+def _load_manifest(path, classes: int) -> list[tuple[Path, int]]:
+    """(event file, label) pairs, one "relative/path label" per line, each label one of the classes."""
     base = Path(path).parent
     try:
         text = Path(path).read_text()
@@ -72,9 +72,13 @@ def _load_manifest(path) -> list[tuple[Path, int]]:
     for ln, line in enumerate(text.strip().splitlines(), start=1):
         try:
             name, label = line.split()
-            entries.append((base / name, int(label)))
+            label = int(label)
         except ValueError:
             raise DataError(f"bad manifest line {ln} in {path}: {line!r}") from None
+        if not 0 <= label < classes:
+            raise DataError(f"manifest line {ln} in {path}: label {label} is outside the {classes} classes "
+                            f"0..{classes - 1}")
+        entries.append((base / name, label))
     if not entries:
         raise DataError(f"empty manifest {path}")
     return entries
@@ -144,10 +148,12 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
     """Materialize (train, test) sample lists for the configured source.
 
     Options are resolved by DATASET_OPTIONS: an unknown or malformed one
-    raises ConfigError; unreadable or malformed files raise DataError, and
-    so does a file whose frames do not have config.input_shape. Glyphs of
-    another side than input_shape's are a ConfigError. The teacher kind
-    splits each class's draws between train and test.
+    raises ConfigError; unreadable or malformed files raise DataError
+    naming the file, and so does a file whose frames do not have
+    config.input_shape, whose IDX bytes exceed max_value or whose labels
+    fall outside config.num_classes. Glyphs of another side than
+    input_shape's are a ConfigError. The teacher kind splits each class's
+    draws between train and test.
     """
     kind, opt = _resolve_options(config)
     steps, shape = config.time_steps, config.input_shape
@@ -159,8 +165,14 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
     if kind == "idx":
         splits = []
         for split in ("train", "test"):
-            images, labels = ds.load_idx(opt[f"{split}_images"], opt[f"{split}_labels"])
-            fits((1, *images.shape[1:]), opt[f"{split}_images"])
+            images_path, labels_path = opt[f"{split}_images"], opt[f"{split}_labels"]
+            images, labels = ds.load_idx(images_path, labels_path)
+            fits((1, *images.shape[1:]), images_path)
+            if images.max(initial=0) > opt["max_value"]:
+                raise DataError(f"{images_path} holds values above max_value {opt['max_value']}")
+            if labels.max(initial=0) >= config.num_classes:
+                raise DataError(f"{labels_path} holds label {labels.max()}, outside the {config.num_classes} "
+                                f"classes 0..{config.num_classes - 1}")
             splits.append(ds.dataset_from_images(images, labels, time_steps=steps,
                                                  num_classes=config.num_classes, max_value=opt["max_value"]))
         return splits[0], splits[1]
@@ -179,7 +191,7 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
     out = []
     for key in ("train_manifest", "test_manifest"):
         samples = []
-        for path, label in _load_manifest(opt[key]):
+        for path, label in _load_manifest(opt[key], config.num_classes):
             stream = ds.load_event_stream(path)
             fits((2, stream.height, stream.width), path)
             frames = ds.slice_events(stream, steps, normalize=opt["normalize"])

@@ -27,7 +27,6 @@ from stopsnn.learning import (
     LossKind,
     OptimizerState,
     SynergyMode,
-    TraceSet,
     UpdateRates,
     WindowStack,
     accumulate_gradients,
@@ -180,7 +179,7 @@ def _workload_net(name):
 
 def _stack(spec, mode, batch):
     """The WindowStack a learn call on a fresh batch builds."""
-    return WindowStack(spec, mode, reset_network(spec, batch), TraceSet.zeros(spec, mode, batch))
+    return WindowStack(spec, mode, reset_network(spec, batch), np.eye(spec.num_classes)[[0] * batch])
 
 
 def _per_step_reference(spec, params, frames, target, mode, loss, audit):
@@ -190,7 +189,12 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
     dgemm call.
     """
     batch = len(target)
-    states, traces = reset_network(spec, batch), TraceSet.zeros(spec, mode, batch)
+    states = reset_network(spec, batch)
+    # its own zero traces, apart from the engine's: weight traces of each neuron layer's input shape,
+    # threshold and leakage traces of its output shape
+    weight_traces = [np.zeros((batch, *layer.in_shape)) if layer.is_lif else None for layer in spec.layers]
+    threshold_traces = [np.zeros((batch, *layer.out_shape)) if layer.is_lif else None for layer in spec.layers]
+    leakage_traces = [np.zeros((batch, *layer.out_shape)) if layer.is_lif else None for layer in spec.layers]
     acc = GradAccumulator.zeros(spec, mode)
     lif = spec.lif_indices
     thetas = [None if p is None else broadcast_thresholds(layer, p.thresholds) for layer, p in zip(spec.layers, params)]
@@ -198,15 +202,15 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
     for t, frame in enumerate(frames):
         for i in lif if t else ():
             if mode.trains_thresholds:
-                update_threshold_traces(traces.threshold[i], states[i].spikes, params[i].leak)
+                update_threshold_traces(threshold_traces[i], states[i].spikes, params[i].leak)
             if mode.trains_leakages:
-                update_leakage_traces(traces.leakage[i], states[i].potentials, states[i].spikes, thetas[i],
+                update_leakage_traces(leakage_traces[i], states[i].potentials, states[i].spikes, thetas[i],
                                       params[i].leak)
         forward_timestep(spec, params, states, frame)
         current = frame
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
-                update_weight_traces(traces.weight[i], current, params[i].leak)
+                update_weight_traces(weight_traces[i], current, params[i].leak)
             current = states[i].spikes
         out = states[lif[-1]].spikes
         total += loss_value(out, target, loss)
@@ -221,15 +225,15 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
                 delta = output_error(out, target, st.potentials, thetas[i], loss, spec.surrogate, spec.spike_mode)
             else:
                 delta = hidden_error(delta_spikes, st.potentials, thetas[i], spec.surrogate, spec.spike_mode)
-            wt = traces.weight[i]
+            wt = weight_traces[i]
             if layer.kind is LayerKind.DENSE:
                 dgemm(1.0, wt.T, delta.T, beta=1.0, c=acc.dw[i].T, trans_b=1, overwrite_c=1)
             else:
                 acc.dw[i] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
             if mode.trains_thresholds:
-                acc.dtheta[i] += ((traces.threshold[i] - 1.0) * delta).sum(axis=0)
+                acc.dtheta[i] += ((threshold_traces[i] - 1.0) * delta).sum(axis=0)
             if mode.trains_leakages:
-                acc.dalpha[i] += (delta * traces.leakage[i]).sum(axis=0)
+                acc.dalpha[i] += (delta * leakage_traces[i]).sum(axis=0)
             if i > lif[0]:
                 delta_spikes = weight_adjoint(layer, params[i], delta)
     audit["loss"], audit["prediction"] = total, np.argmax(counts, axis=-1).tolist()
@@ -326,9 +330,8 @@ class TestStackedDenseFold:
                     p.weights *= 2.0
             frames = [rng.uniform(size=(32, *spec.input_shape)) for _ in range(spec.time_steps)]
             target = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=32)]
-            traces = TraceSet.zeros(spec, mode, 32)
-            stack = WindowStack(spec, mode, reset_network(spec, 32), traces)
-            assert stack.depth == 1 and all(w is t for w, t in zip(stack.weight, traces.weight)), name
+            stack = WindowStack(spec, mode, reset_network(spec, 32), target)
+            assert stack.depth == 1 and all(w is t for w, t in zip(stack.weight, stack.weight_traces)), name
             audit, ref_audit = {}, {}
             acc = learn_batch(spec, params, frames, target, mode=mode, audit=audit)
             ref = _per_step_reference(spec, params, frames, target, mode, LossKind.CE, ref_audit)
@@ -360,8 +363,7 @@ class TestStackedDenseFold:
         # the third step of W1's 1568->256 layer at a batch of one fills the layer's span, which
         # then folds into the 3.2 MB gradient; a copy of it would show in the traced peak
         spec, mode = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10), SynergyMode.W
-        traces = TraceSet.zeros(spec, mode, 1)
-        stack = WindowStack(spec, mode, reset_network(spec, 1), traces)
+        stack = _stack(spec, mode, 1)
         assert stack.depth == 1 and stack.weight[5].shape == (3, 1568) and stack.errors[5].shape == (3, 256)
         acc = GradAccumulator.zeros(spec, mode)
         rng = np.random.default_rng(8)
@@ -371,7 +373,7 @@ class TestStackedDenseFold:
         delta, wt = rng.normal(size=(3, 256)), rng.normal(size=(3, 1568))
 
         def step(s):  # what a step and its sweep do with the layer's rows
-            traces.weight[5][...] = wt[s]
+            stack.weight_traces[5][...] = wt[s]
             stack.push()
             stack.steps = 0
             rows = stack.errors[5][s:s + 1]
@@ -423,10 +425,10 @@ class TestBatchedMemory:
         peaks = [unrolled(t) for t in (2, 8, 32)]
         assert peaks[0] < peaks[1] < peaks[2], peaks
 
-    def _conv_batch_peaks(self, frame, targets):
+    def _conv_batch_peaks(self, frame, targets, seed=0):
         """Learning peaks of the W1 image network at T = 2 and 6 on one repeated batch frame."""
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
-        params = init_params(spec, seed=0)
+        params = init_params(spec, seed=seed)
 
         def learn(steps):
             return _peak_bytes(lambda: learn_batch(spec, params, [frame] * steps, targets, mode=SynergyMode.WTL))
@@ -447,16 +449,20 @@ class TestBatchedMemory:
 
     def test_conv_batch_memory_on_glyphs_is_bounded_with_the_coo_route(self, monkeypatch):
         # uniform noise keeps pool1 busy, so conv2 builds im2col patches; on glyphs it builds COO
-        # patches, whose scratch grows with the batch. The same bound holds: the peak measured
-        # 36.1 MiB
+        # patches, whose 2.65 MB delta grid is the weight gradient's scratch at the peak. The
+        # sweep drops pool2's 1.6 MB pulled-back error once conv2's error is formed, before that
+        # grid exists: the peaks measured 34.86, 35.36 and 35.41 MiB at parameter seeds 0, 1 and
+        # 4. A sweep that kept it read 36.13, 36.89 and 36.94 MiB, which this bound refuses
         samples = dataset_from_images(*synthetic_glyphs(1, 32), 6, 10)
         coo = []
         real_patches = numerics._sparse_patches
         monkeypatch.setattr(numerics, "_sparse_patches", lambda x, *a: coo.append(x.shape[1:]) or real_patches(x, *a))
-        short, long = self._conv_batch_peaks(next(batch_frames(samples)), batch_targets(samples))
-        assert (16, 14, 14) in coo  # conv2's input
-        assert long <= 1.05 * short, (short, long)
-        assert long <= 37 * 2**20, long / 2**20
+        for seed in (0, 1, 4):
+            coo.clear()
+            short, long = self._conv_batch_peaks(next(batch_frames(samples)), batch_targets(samples), seed)
+            assert (16, 14, 14) in coo, seed  # conv2's input
+            assert long <= 1.05 * short, (seed, short, long)
+            assert long <= 36 * 2**20, (seed, long / 2**20)
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
         # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB. Its

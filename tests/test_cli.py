@@ -414,20 +414,30 @@ class TestBadInputExitsData:
         assert "cannot read IDX image file" in capsys.readouterr().err
 
 
-def _idx_8x8(tmp_path):
-    images, labels = synthetic_glyphs(seed=0, n_samples=8, side=8)
-    write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", images, labels % 2)
+def _idx_of_8x8_glyphs(tmp_path, labels, input_shape=(1, 8, 8), **options):
+    images, _ = synthetic_glyphs(seed=0, n_samples=8, side=8)
+    write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", images, labels)
     files = {"train_images": "img.idx", "train_labels": "lbl.idx", "test_images": "img.idx", "test_labels": "lbl.idx"}
-    dataset = {"kind": "idx", **{key: str(tmp_path / name) for key, name in files.items()}}
-    return write_config(tmp_path, arch="4-2", input_shape=[1, 10, 10], dataset=dataset), str(tmp_path / "img.idx")
+    dataset = {"kind": "idx", **{key: str(tmp_path / name) for key, name in files.items()}, **options}
+    return write_config(tmp_path, arch="4-2", input_shape=list(input_shape), dataset=dataset)
+
+
+def _events_on_4x4(tmp_path, manifest: str, side: int = 4):
+    """A manifest over ev.txt, which holds a stream of a side x side sensor unless the caller wrote one."""
+    if not (tmp_path / "ev.txt").exists():
+        save_event_stream(tmp_path / "ev.txt", synthetic_event_stream(seed=0, n_events=40, width=side, height=side))
+    (tmp_path / "manifest.txt").write_text(manifest)
+    manifest = str(tmp_path / "manifest.txt")
+    dataset = {"kind": "events", "train_manifest": manifest, "test_manifest": manifest}
+    return write_config(tmp_path, arch="6-2", input_shape=[2, 4, 4], dataset=dataset)
+
+
+def _idx_8x8(tmp_path):
+    return _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 2, input_shape=(1, 10, 10)), str(tmp_path / "img.idx")
 
 
 def _events_8x8(tmp_path):
-    save_event_stream(tmp_path / "ev.txt", synthetic_event_stream(seed=0, n_events=40, width=8, height=8))
-    (tmp_path / "manifest.txt").write_text("ev.txt 0\nev.txt 1\n")
-    manifest = str(tmp_path / "manifest.txt")
-    dataset = {"kind": "events", "train_manifest": manifest, "test_manifest": manifest}
-    return write_config(tmp_path, arch="6-2", input_shape=[2, 4, 4], dataset=dataset), str(tmp_path / "ev.txt")
+    return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 1\n", side=8), str(tmp_path / "ev.txt")
 
 
 def _glyphs_of_side_12(tmp_path):
@@ -435,9 +445,29 @@ def _glyphs_of_side_12(tmp_path):
     return write_config(tmp_path, arch="4-10", input_shape=[1, 10, 10], num_classes=10, dataset=dataset), "'side'"
 
 
+def _idx_bytes_above_max_value(tmp_path):
+    return _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 2, max_value=100.0), "img.idx"
+
+
+def _idx_label_outside_the_classes(tmp_path):
+    return _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 3), "lbl.idx"
+
+
+def _manifest_label_outside_the_classes(tmp_path):
+    return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 5\n"), "manifest.txt"
+
+
+def _event_outside_the_sensor(tmp_path):
+    (tmp_path / "ev.txt").write_text("4 4\n0 1 1 0\n5 4 1 1\n9 2 3 0\n")  # x = 4 on a 4-wide sensor
+    return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 1\n"), "ev.txt"
+
+
+# the load-time data checks each name the file (a manifest's label, also the line) and exit 2
 @pytest.mark.parametrize("build, code, prefix", [
     (_idx_8x8, 2, "data error:"), (_events_8x8, 2, "data error:"), (_glyphs_of_side_12, 1, "error:"),
-], ids=["idx", "events", "glyphs"])
+    (_idx_bytes_above_max_value, 2, "data error:"), (_idx_label_outside_the_classes, 2, "data error:"),
+    (_manifest_label_outside_the_classes, 2, "data error:"), (_event_outside_the_sensor, 2, "data error:"),
+], ids=["idx", "events", "glyphs", "idx-bytes", "idx-label", "manifest-label", "event-bounds"])
 def test_dataset_geometry_is_checked_before_training(tmp_path, capsys, build, code, prefix):
     config, named = build(tmp_path)
     assert cli.main(["train", "--config", str(config)]) == code

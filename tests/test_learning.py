@@ -9,7 +9,6 @@ from stopsnn.learning import (
     LossKind,
     OptimizerState,
     SynergyMode,
-    TraceSet,
     UpdateRates,
     WindowStack,
     accumulate_gradients,
@@ -179,7 +178,8 @@ class TestInferBatch:
         batch = [np.concatenate([f, f[:, ::-1]]) for f in tie]  # counts (0, 2, 2) and (2, 2, 0)
         assert infer_batch(spec, params, batch)[0] == [1, 0]
 
-    @pytest.mark.parametrize("target,loss", [([1.0, 1.0, 0.0], LossKind.CE), ([0.5, 0.0, 0.0], LossKind.MSE)])
+    @pytest.mark.parametrize("target,loss", [([1.0, 1.0, 0.0], LossKind.CE), ([0.5, 0.0, 0.0], LossKind.MSE),
+                                             ([0.0, 0.0, 0.0, 1.0], LossKind.CE)])  # one-hot, one class too many
     def test_malformed_target(self, target, loss):
         spec, params = self._copying_net()
         frames, target = [np.ones(3)] * 2, np.array(target)
@@ -245,26 +245,31 @@ class TestTraceStorage:
     def test_weight_traces_keyed_by_presynaptic_side(self):
         # storage follows the input, not the layer's own (much larger) width
         spec = parse_architecture("8C3-P2-200-3", (1, 4, 4), 3)
-        traces = TraceSet.zeros(spec, SynergyMode.WTL, 1)
+        stack = _window(spec, SynergyMode.WTL, 1)
         for i, layer in enumerate(spec.layers):
             if layer.is_lif:
-                assert traces.weight[i].shape == (1, *layer.in_shape)
-                assert traces.threshold[i].shape == (1, *layer.out_shape)
-                assert traces.leakage[i].shape == (1, *layer.out_shape)
+                assert stack.weight_traces[i].shape == (1, *layer.in_shape)
+                assert stack.threshold_traces[i].shape == (1, *layer.out_shape)
+                assert stack.leakage_traces[i].shape == (1, *layer.out_shape)
         conv = spec.layers[0]
-        assert traces.weight[0].size == conv.fan_in < conv.fan_out
+        assert stack.weight_traces[0].size == conv.fan_in < conv.fan_out
 
     def test_mode_w_allocates_weight_traces_only(self):
         spec = parse_architecture("6-3", (4,), 3)
-        traces = TraceSet.zeros(spec, SynergyMode.W, 1)
-        assert traces.weight[0] is not None
-        assert traces.threshold[0] is None and traces.leakage[0] is None
+        stack = _window(spec, SynergyMode.W, 1)
+        assert stack.weight_traces[0] is not None
+        assert stack.threshold_traces[0] is None and stack.leakage_traces[0] is None
+
+    def test_targets_tile_the_batch_over_the_stacked_steps(self):
+        spec = parse_architecture("6-3", (4,), 3, time_steps=4)
+        target = np.eye(3)[[2, 0]]
+        stack = WindowStack(spec, SynergyMode.W, reset_network(spec, 2), target)
+        assert stack.depth == 4 and np.array_equal(stack.targets, np.tile(target, (4, 1)))
 
 
 def _window(spec, mode, batch):
-    """A window's live traces and the stack the backward sweep reads them through."""
-    traces = TraceSet.zeros(spec, mode, batch)
-    return traces, WindowStack(spec, mode, reset_network(spec, batch), traces)
+    """The stack a learn call on a fresh batch builds: the window's live traces and the rows a sweep reads."""
+    return WindowStack(spec, mode, reset_network(spec, batch), np.eye(spec.num_classes)[[0] * batch])
 
 
 class TestAccumulate:
@@ -272,7 +277,7 @@ class TestAccumulate:
         # the 2->1 layer's rows span the window stack's 6 steps, so each sweep folds its rows at once
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
         acc = GradAccumulator.zeros(spec, mode)
-        _, stack = _window(spec, mode, 1)
+        stack = _window(spec, mode, 1)
         assert stack.depth == 6 and len(stack.weight[0]) == len(stack.errors[0]) == 6
         return spec, acc, stack
 
@@ -315,13 +320,13 @@ class TestAccumulate:
         monkeypatch.setattr(learning, "dgemm", recording_dgemm)
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
         one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
-        one_traces, one_stack = _window(one_step, SynergyMode.W, batch)
-        assert one_stack.weight[0] is one_traces.weight[0]  # rows one step deep are the live array
+        one_stack = _window(one_step, SynergyMode.W, batch)
+        assert one_stack.weight[0] is one_stack.weight_traces[0]  # rows one step deep are the live array
         rng = np.random.default_rng(4)
-        traces, stack = _window(spec, SynergyMode.W, batch)
+        stack = _window(spec, SynergyMode.W, batch)
         steps = 2 if batch == 1 else 1
         assert stack.depth == 1 and stack.weight[0].shape == (steps * batch, 64)
-        assert (stack.weight[0] is traces.weight[0]) == (steps == 1)
+        assert (stack.weight[0] is stack.weight_traces[0]) == (steps == 1)
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
         dw = acc.dw[0]
@@ -329,13 +334,13 @@ class TestAccumulate:
             start = dw.copy()
             deltas, inputs = [], []
             for _ in range(steps):  # what a step and its sweep do with the layer's rows
-                traces.weight[0][...] = rng.normal(size=traces.weight[0].shape)
+                stack.weight_traces[0][...] = rng.normal(size=stack.weight_traces[0].shape)
                 stack.push()
                 stack.steps = 0
                 rows = stack.errors[0][stack.held[0]:stack.held[0] + batch]
                 rows[...] = rng.normal(size=(batch, 40))
                 deltas.append(rows.copy())
-                inputs.append(traces.weight[0].copy())
+                inputs.append(stack.weight_traces[0].copy())
                 accumulate_gradients(acc, 0, rows, stack)
             assert len(calls) == fold + 1 and stack.held == [0]
             delta, wt = np.concatenate(deltas), np.concatenate(inputs)

@@ -7,9 +7,10 @@ alone can import every module. No module under src/, tests/ or demos/
 imports a name it never reads, unless the import is marked
 `# noqa: F401` or the name is listed in the module's __all__ (the check
 a linter's F401 rule makes; no linter is a dependency here). Every
-module-level function and class under src/stopsnn, and every public
-method, is read somewhere in src/, perfbench/ or demos/ outside its own
-definition: API that only tests read is unused. The same rule holds for
+module-level function, class and constant under src/stopsnn (a constant
+being any name a top-level assignment binds, dunders excluded), and every
+public method, is read somewhere in src/, perfbench/ or demos/ outside its
+own definition or statement: API that only tests read is unused. The same rule holds for
 re-exports: stopsnn.oracle exports exactly the names that src/,
 perfbench/ and demos/ import from it.
 """
@@ -94,10 +95,19 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each module-level function and class and each public method."""
+    """(name, first line, last line) of each module-level function, class and constant and each public method.
+
+    A constant is a name bound by a top-level assignment, dunders excluded; its lines are the statement's.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not (
+                            name.id.startswith("__") and name.id.endswith("__")):
+                        yield name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
@@ -139,10 +149,13 @@ def test_the_dead_name_scan_counts_reads_outside_the_definition():
             "    def _private(self):\n        pass\n"
             "    def read(self):\n        pass\n"
             "def gone():\n    \"\"\"gone is named only in docstrings.\"\"\"\n"
+            "__version__ = '1'\nLIMIT: int = 4\nSTALE = (LIMIT, 'STALE')\n"
         ),
         "tools/b.py": "from pkg.a import used, Box\nused()\nBox().read()\nPATCHED = ['a.named']\n",
     }
-    assert _unread_definitions(sources, "pkg/") == ["pkg/a.py:4 dead", "pkg/a.py:9 opened", "pkg/a.py:15 gone"]
+    # LIMIT is read by STALE's statement; STALE names itself only in its own
+    assert _unread_definitions(sources, "pkg/") == ["pkg/a.py:4 dead", "pkg/a.py:9 opened", "pkg/a.py:15 gone",
+                                                    "pkg/a.py:19 STALE"]
 
 
 def test_every_package_definition_is_read_outside_the_tests():
