@@ -39,18 +39,13 @@ that builds no temporary of dw's size; a convolution's weight gradient is
 one im2col GEMM per batch slice of numerics.COLUMN_BUDGET. K is as many
 steps as fit a fifth of that budget, capped at the network's time_steps,
 so the stack is bounded by the network and the batch, never by the
-window (WindowStack.depth; the README lists K for the benchmark networks). A
-dense layer's error and weight-trace rows span D steps of the same
-stack: D = K, or at K = 1, where the other rows are the live arrays and
-nothing else is copied, as many steps of the layer's own rows as fit
-that fifth; they fold when full and at the window's end. Stacking sums in
-another order, within the oracle battery's 1e-9; at K = D = 1 the steps
-add in order. The WindowStack owns what a learn call keeps for its
-window, allocated once: the live traces, the stacked rows and their
-targets, and the sweep's error and threshold/leakage product scratch of
-K*B rows the size of the largest neuron layer (the second only when
-thresholds or leakages learn). A step allocates no state: the forward
-sweep works in place, and a sweep drops each pulled-back error once the
+window (WindowStack.depth; the README lists K for the benchmark networks).
+Stacking sums in another order, within the oracle battery's 1e-9; at
+K = 1 the steps add in order. The WindowStack owns what a learn call
+keeps for its window, allocated once: the live traces, the stacked rows
+and their targets, and the sweep's error scratch of K*B rows the size of
+the largest neuron layer. A step allocates no state: the forward sweep
+works in place, and a sweep drops each pulled-back error once the
 layer's error is formed from it. Memory stays constant in the window
 length; states, traces and errors grow linearly in the batch, the
 kernels' blocks do not. One sample is a batch of one: learn_sample adds
@@ -287,33 +282,21 @@ def accumulate_gradients(acc: GradAccumulator, index: int, delta: Tensor, stack:
 
     The layer is acc.spec.layers[index], and acc.mode says which families
     learn. delta holds the sweep's (n, ...) errors, which pair with the
-    first n rows of the stack; in a dense layer whose rows span more steps
-    than a sweep, they pair with its weight-trace rows after the
-    held[index] rows earlier sweeps left (delta is then the error rows
-    that follow those). The products are summed over the rows: a dense
-    layer adds its held rows and delta's into dw with one in-place dgemm
-    once its span has no room for another sweep, a convolution runs one
-    im2col GEMM, and thresholds and leakages take one batch-sum each, of
-    products formed in the stack's product scratch.
+    first n rows of the stack. The products are summed over the rows: a
+    dense layer adds them into dw with one in-place dgemm, a convolution
+    runs one im2col GEMM, and thresholds and leakages take one einsum over
+    the rows each, which builds no product of the rows' size.
     """
     rows, layer, mode = len(delta), acc.spec.layers[index], acc.mode
     if layer.kind is LayerKind.CONV:
         acc.dw[index] += numerics.conv2d_weight_grad(stack.weight[index][:rows], delta,
                                                      stride=layer.stride, padding=layer.padding)
     else:
-        held = stack.held[index]
-        end = held + rows
-        if end + stack.depth * stack.batch > len(stack.weight[index]):  # no room for another sweep
-            _fold_dense(acc.dw[index], stack.errors[index][:end] if held else delta, stack.weight[index][:end])
-            end = 0
-        stack.held[index] = end
-    if mode.trains_thresholds:
-        product = np.subtract(stack.threshold[index][:rows], 1.0, out=stack.products[index][:rows])
-        product *= delta
-        acc.dtheta[index] += product.sum(axis=0)
+        _fold_dense(acc.dw[index], delta, stack.weight[index][:rows])
+    if mode.trains_thresholds:  # d * (trace - 1), summed as d * trace less d
+        acc.dtheta[index] += np.einsum("i...,i...->...", delta, stack.threshold[index][:rows]) - delta.sum(axis=0)
     if mode.trains_leakages:
-        product = np.multiply(delta, stack.leakage[index][:rows], out=stack.products[index][:rows])
-        acc.dalpha[index] += product.sum(axis=0)
+        acc.dalpha[index] += np.einsum("i...,i...->...", delta, stack.leakage[index][:rows])
     return acc
 
 
@@ -340,15 +323,11 @@ class WindowStack:
     families mode trains, its output shape. Each block (potentials and
     traces per layer, the output spikes) is (K*B, ...), rows s*B to
     (s+1)*B holding step s; at K = 1 it is the live array itself. targets
-    tiles the (B, C) target over the K steps. errors and products are the
-    sweep's scratch, each as large as the largest neuron layer; a sweep
-    drops each pulled-back error once the layer's error is formed from it.
-    K is the number of steps of all of these, read off the live arrays,
-    that fit a fifth of the budget. A dense layer's weight-trace and error
-    rows span D steps: D = K, or at K = 1 as many steps of those two as fit
-    the same fifth. held[i] counts the rows of a dense layer's span that
-    earlier sweeps filled; the next step's rows follow them, and the span
-    is folded into dw when full and at the window's end.
+    tiles the (B, C) target over the K steps. errors is the sweep's
+    scratch, as large as the largest neuron layer; a sweep drops each
+    pulled-back error once the layer's error is formed from it. K is the
+    number of steps of all of these, read off the live arrays, that fit a
+    fifth of the budget.
     """
 
     def __init__(self, spec: NetworkSpec, mode: SynergyMode, states, target: Tensor):
@@ -364,13 +343,11 @@ class WindowStack:
         self.leakage_traces = [zeros(layer.out_shape, layer.is_lif and mode.trains_leakages) for layer in layers]
         lives = ([state.potentials for state in states], self.weight_traces, self.threshold_traces,
                  self.leakage_traces, [states[top].spikes])
-        has_products = mode.trains_thresholds or mode.trains_leakages
-        scratch = (1 + has_products) * max(states[i].potentials.nbytes for i in spec.lif_indices)
+        scratch = max(states[i].potentials.nbytes for i in spec.lif_indices)
         self.depth = depth = _steps_that_fit(spec, sum(a.nbytes for group in lives for a in group if a is not None)
                                              + scratch)
         self.targets = np.tile(target, (depth, 1))  # the target of every stacked row
         self.steps = 0
-        self.held = [0] * len(spec.layers)
         self._copies: list[tuple[Tensor, Tensor]] = []
 
         def block(live: Tensor | None) -> Tensor | None:
@@ -383,31 +360,14 @@ class WindowStack:
         self.potentials, self.weight, self.threshold, self.leakage, (self.output,) = (
             [block(live) for live in group] for group in lives)
         self.errors = _layer_scratch(spec, depth * batch)
-        self.products = _layer_scratch(spec, depth * batch) if has_products else [None] * len(spec.layers)
-        self._spans: tuple[tuple[int, Tensor], ...] = ()  # (layer, live weight trace) per span deeper than K
-        for i in spec.lif_indices if depth == 1 else ():
-            layer = spec.layers[i]
-            span = _steps_that_fit(spec, self.weight_traces[i].nbytes + states[i].potentials.nbytes)
-            if layer.kind is LayerKind.DENSE and span > 1:
-                self.weight[i] = np.empty((span * batch, layer.fan_in))
-                self.errors[i] = np.empty((span * batch, layer.fan_out))
-                self._spans += ((i, self.weight_traces[i]),)
 
     def push(self) -> bool:
         """Copy the live arrays into the next step's rows; True when all K steps are filled."""
         rows = slice(self.steps * self.batch, (self.steps + 1) * self.batch)
         for block, live in self._copies:
             block[rows] = live
-        for i, live in self._spans:  # at K = 1, after the rows the span holds
-            self.weight[i][self.held[i]:self.held[i] + self.batch] = live
         self.steps += 1
         return self.steps == self.depth
-
-    def finish(self, acc: GradAccumulator) -> None:
-        """Fold the rows the dense layers' spans hold at the window's end."""
-        for i, held in enumerate(self.held):
-            if held:
-                _fold_dense(acc.dw[i], self.errors[i][:held], self.weight[i][:held])
 
 
 def _layer_scratch(spec: NetworkSpec, batch: int) -> list[Tensor | None]:
@@ -468,9 +428,9 @@ def learn_batch(
             p, st = params[i], states[i]
             if trains_thresholds:
                 update_threshold_traces(stack.threshold_traces[i], st.spikes, p.leak)
-            if trains_leakages:  # the sweep's product scratch is free; its first B rows take the residual
+            if trains_leakages:  # the sweep's error scratch is free; its first B rows take the residual
                 update_leakage_traces(stack.leakage_traces[i], st.potentials, st.spikes, thetas[i], p.leak,
-                                      stack.products[i][:batch])
+                                      stack.errors[i][:batch])
         forward_timestep(spec, params, states, frame)
 
         current = frame  # forward_timestep has checked it against the states
@@ -486,7 +446,6 @@ def learn_batch(
         raise ShapeError("the window has no frames")
     if stack.steps:  # the steps stacked since the last sweep
         total_loss += _backward_sweep(params, stack, thetas, acc, loss)
-    stack.finish(acc)
     acc.samples = batch
     if audit is not None:
         # each neuron layer carries its potentials and spikes from step to step
@@ -512,8 +471,7 @@ def _backward_sweep(params, stack: WindowStack, thetas, acc: GradAccumulator, lo
     for i in reversed(range(first, len(spec.layers))):
         layer = spec.layers[i]
         if layer.is_lif:
-            held = stack.held[i]
-            potentials, out = stack.potentials[i][:rows], stack.errors[i][held:held + rows]
+            potentials, out = stack.potentials[i][:rows], stack.errors[i][:rows]
             if i == top:
                 delta = output_error(output, target, potentials, thetas[i], loss, spec.surrogate, spec.spike_mode, out)
             else:

@@ -327,8 +327,9 @@ def _json_number(value) -> float:
 def checkpoint_load(path, expected_digest: str | None = None):
     """Load (params, optimizer, epoch, config_dict); refuse foreign digests, unreadable or
     malformed files, epochs that are not non-negative integers or that differ between the file
-    and its optimizer, leaks and leak velocities that are not JSON numbers, tensors whose shapes
-    disagree with the architecture of the stored config, and out-of-range parameter values."""
+    and its optimizer, leaks and leak velocities that are not JSON numbers, threshold and leak
+    velocities of which only one is present, tensors whose shapes disagree with the architecture
+    of the stored config, and out-of-range parameter values."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -368,6 +369,8 @@ def checkpoint_load(path, expected_digest: str | None = None):
             raise DataError(f"checkpoint {path} has {what} {value!r}, not a non-negative integer")
     if epoch != optimizer.epoch:
         raise DataError(f"checkpoint {path} has epoch {epoch} but optimizer epoch {optimizer.epoch}")
+    if (optimizer.threshold_velocities is None) != (optimizer.leak_velocities is None):
+        raise DataError(f"checkpoint {path} holds only one of the threshold and leak velocities")
     try:
         spec = build_network(TrainConfig.from_dict(config))
     except (TypeError, ValueError) as exc:
@@ -405,7 +408,8 @@ def _write_metrics(path, rows: list[dict]) -> None:
 
 
 def _check_output_paths(config: TrainConfig) -> None:
-    """Refuse a checkpoint, metrics file and CSV mirror that are not three distinct files in existing directories."""
+    """Refuse a checkpoint, metrics file and CSV mirror that are not three distinct files in existing
+    directories, or of which one is the temporary file another is written through."""
     checkpoint, metrics = Path(config.checkpoint_path).resolve(), Path(config.metrics_path).resolve()
     for name, path in (("checkpoint_path", checkpoint), ("metrics_path", metrics)):
         if path.is_dir() or not path.parent.is_dir():
@@ -413,8 +417,12 @@ def _check_output_paths(config: TrainConfig) -> None:
                               f"got {getattr(config, name)!r}")
     if metrics.suffix == ".csv":
         raise ConfigError(f"config field 'metrics_path': {config.metrics_path!r} is its own CSV mirror's name")
-    if checkpoint in (metrics, metrics.with_suffix(".csv")):
+    outputs = (checkpoint, metrics, metrics.with_suffix(".csv"))
+    if checkpoint in outputs[1:]:
         raise ConfigError(f"config field 'checkpoint_path': {config.checkpoint_path!r} names a metrics output")
+    for name, path in (("checkpoint_path", checkpoint), ("metrics_path", metrics)):
+        if path in (Path(str(output) + ".tmp") for output in outputs):  # _write_atomic's temporary file
+            raise ConfigError(f"config field {name!r}: {getattr(config, name)!r} is another output's temporary file")
 
 
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
@@ -463,6 +471,10 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
         params, optimizer, saved_epoch, _ = checkpoint_load(
             config.checkpoint_path, expected_digest=config.model_digest()
         )
+        saved_scope = "weights" if optimizer.threshold_velocities is None else "all"
+        if saved_scope != config.momentum_scope:
+            raise DataError(f"checkpoint {config.checkpoint_path} holds the momentum buffers of momentum_scope "
+                            f"{saved_scope!r}, not {config.momentum_scope!r}")
         start_epoch = saved_epoch + 1
         if Path(config.metrics_path).exists():
             try:

@@ -264,6 +264,12 @@ class TestTrainEval:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "ck.json"), "--data", str(data)]) == 1
         assert "dataset file" in capsys.readouterr().err
 
+    def test_resume_under_another_momentum_scope_is_data_error(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write_config(tmp_path)), "--epochs", "1"]) == 0
+        config_path = write_config(tmp_path, momentum_scope="all")
+        assert cli.main(["train", "--config", str(config_path), "--resume"]) == 2
+        assert "momentum_scope 'weights', not 'all'" in capsys.readouterr().err
+
     def test_corrupt_metrics_on_resume_is_data_error(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert cli.main(["train", "--config", str(config_path), "--epochs", "1"]) == 0
@@ -276,8 +282,12 @@ class TestTrainEval:
         ({"metrics_path": "absent/metrics.jsonl"}, "metrics_path"),
         ({"metrics_path": "metrics.csv"}, "metrics_path"),
         ({"checkpoint_path": "metrics.csv"}, "checkpoint_path"),
+        ({"metrics_path": "ck.json.tmp"}, "metrics_path"),
+        ({"checkpoint_path": "metrics.jsonl.tmp"}, "checkpoint_path"),
+        ({"checkpoint_path": "metrics.csv.tmp"}, "checkpoint_path"),
     ], ids=["checkpoint_directory_missing", "metrics_directory_missing", "metrics_is_its_csv_mirror",
-            "checkpoint_is_the_csv_mirror"])
+            "checkpoint_is_the_csv_mirror", "metrics_is_the_checkpoint_temporary",
+            "checkpoint_is_the_metrics_temporary", "checkpoint_is_the_csv_mirror_temporary"])
     def test_bad_output_path_is_refused_before_training(self, tmp_path, capsys, monkeypatch, overrides, named):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["train", "--config", str(write_config(tmp_path, **overrides))]) == 1

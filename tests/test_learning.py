@@ -274,7 +274,7 @@ def _window(spec, mode, batch):
 
 class TestAccumulate:
     def _tiny(self, mode=SynergyMode.WTL):
-        # the 2->1 layer's rows span the window stack's 6 steps, so each sweep folds its rows at once
+        # the window stack holds 6 steps of the 2->1 layer's rows, and a sweep folds its rows at once
         spec = NetworkSpec(input_shape=(2,), layers=(dense_layer(2, 1),), num_classes=1)
         acc = GradAccumulator.zeros(spec, mode)
         stack = _window(spec, mode, 1)
@@ -304,11 +304,9 @@ class TestAccumulate:
     def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
         # a budget of 10240 bytes: one sample-step of the 64->40 net's window rows (potentials,
         # weight trace, output spikes, error scratch) takes 1472 bytes, more than half of its
-        # fifth, so the window holds K = 1 step; the fifth holds D = 2 of the dense layer's own
-        # 832-byte (delta, trace) rows at a batch of one, and a window of one step caps D at 1.
-        # At a batch of four one step takes 3328 bytes, so D = 1 and each sweep folds at once.
-        # Each fold is one dgemm call. (OpenBLAS sends products much smaller than these through
-        # a small-matrix kernel whose last bit can differ from a GEMM's)
+        # fifth, so the window holds K = 1 step and its rows are the live arrays. Each sweep
+        # folds its rows at once, with one dgemm call. (OpenBLAS sends products much smaller
+        # than these through a small-matrix kernel whose last bit can differ from a GEMM's)
         monkeypatch.setattr(learning.numerics, "COLUMN_BUDGET", 20 * 64 * 8)
         calls = []
         real_dgemm = learning.dgemm
@@ -319,32 +317,22 @@ class TestAccumulate:
 
         monkeypatch.setattr(learning, "dgemm", recording_dgemm)
         spec = NetworkSpec(input_shape=(64,), layers=(dense_layer(64, 40),), num_classes=40, time_steps=6)
-        one_step = NetworkSpec(input_shape=(64,), layers=spec.layers, num_classes=40, time_steps=1)
-        one_stack = _window(one_step, SynergyMode.W, batch)
-        assert one_stack.weight[0] is one_stack.weight_traces[0]  # rows one step deep are the live array
         rng = np.random.default_rng(4)
         stack = _window(spec, SynergyMode.W, batch)
-        steps = 2 if batch == 1 else 1
-        assert stack.depth == 1 and stack.weight[0].shape == (steps * batch, 64)
-        assert (stack.weight[0] is stack.weight_traces[0]) == (steps == 1)
+        assert stack.depth == 1 and stack.weight[0] is stack.weight_traces[0]
+        assert stack.errors[0].shape == (batch, 40)
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dw[0][...] = rng.normal(size=acc.dw[0].shape)
         dw = acc.dw[0]
-        for fold in range(2):  # two full folds
+        for fold in range(2):  # what two steps and their sweeps do with the layer's rows
             start = dw.copy()
-            deltas, inputs = [], []
-            for _ in range(steps):  # what a step and its sweep do with the layer's rows
-                stack.weight_traces[0][...] = rng.normal(size=stack.weight_traces[0].shape)
-                stack.push()
-                stack.steps = 0
-                rows = stack.errors[0][stack.held[0]:stack.held[0] + batch]
-                rows[...] = rng.normal(size=(batch, 40))
-                deltas.append(rows.copy())
-                inputs.append(stack.weight_traces[0].copy())
-                accumulate_gradients(acc, 0, rows, stack)
-            assert len(calls) == fold + 1 and stack.held == [0]
-            delta, wt = np.concatenate(deltas), np.concatenate(inputs)
-            assert np.array_equal(dw, start + np.dot(delta.T, wt))
+            stack.weight_traces[0][...] = rng.normal(size=stack.weight_traces[0].shape)
+            stack.errors[0][...] = rng.normal(size=(batch, 40))
+            assert stack.push()  # one step fills the stack
+            stack.steps = 0
+            accumulate_gradients(acc, 0, stack.errors[0], stack)
+            assert len(calls) == fold + 1
+            assert np.array_equal(dw, start + np.dot(stack.errors[0].T, stack.weight_traces[0]))
         assert acc.dw[0] is dw and all(np.shares_memory(c, dw) for c in calls)
 
 

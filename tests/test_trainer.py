@@ -257,6 +257,17 @@ class TestCheckpoints:
         with pytest.raises(DataError, match=message):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("family", ["threshold_velocities", "leak_velocities"])
+    def test_threshold_and_leak_velocities_come_together(self, tmp_path, family):
+        config, params, _ = self._setup(tmp_path)
+        path = tmp_path / "a.json"
+        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), config)
+        payload = json.loads(path.read_text())
+        payload["optimizer"][family] = None
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="only one of the threshold and leak velocities"):
+            checkpoint_load(path)
+
     @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}'])
     def test_wrong_structure_is_data_error(self, tmp_path, text):
         path = tmp_path / "a.json"
@@ -355,6 +366,18 @@ class TestTrain:
             train(config)
         _, _, epoch, _ = checkpoint_load(config.checkpoint_path)
         assert epoch == 1  # last finite epoch
+
+    @pytest.mark.parametrize("saved, resumed", [("weights", "all"), ("all", "weights")])
+    def test_resume_refuses_momentum_buffers_of_another_scope(self, tmp_path, saved, resumed):
+        # the digest does not cover momentum_scope, so a resume under another scope would
+        # train without the momentum the config asks for, or with momentum it does not
+        config = teacher_config(tmp_path, momentum_scope=saved)
+        train(config, stop_after_epoch=0)
+        checkpoint = (tmp_path / "ck.json").read_bytes()
+        with pytest.raises(DataError, match=f"momentum_scope '{saved}', not '{resumed}'"):
+            train(config.with_overrides(momentum_scope=resumed, resume=True))
+        assert (tmp_path / "ck.json").read_bytes() == checkpoint
+        assert len(train(config.with_overrides(resume=True)).metrics) == config.epochs
 
     def test_momentum_scope_all_runs(self, tmp_path):
         config = teacher_config(tmp_path, momentum_scope="all", epochs=2)
