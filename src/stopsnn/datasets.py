@@ -290,7 +290,7 @@ def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int):
     raise DataError(f"no teacher produced {n_samples} class-balanced samples in {TEACHER_ATTEMPTS} attempts")
 
 
-_GLYPH_CLASSES = 10
+GLYPH_CLASSES = 10
 
 
 def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 12.0):
@@ -303,7 +303,7 @@ def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 1
     rng = np.random.default_rng(seed)
     protos = []
     yy, xx = np.mgrid[0:side, 0:side]
-    for c in range(_GLYPH_CLASSES):
+    for c in range(GLYPH_CLASSES):
         blob = np.zeros((side, side))
         for _ in range(4):
             cy, cx = rng.uniform(side * 0.2, side * 0.8, size=2)
@@ -313,7 +313,7 @@ def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 1
             )
         protos.append(200.0 * blob / blob.max())
     images = np.zeros((n_samples, side, side))
-    labels = rng.integers(0, _GLYPH_CLASSES, size=n_samples)
+    labels = rng.integers(0, GLYPH_CLASSES, size=n_samples)
     for i, label in enumerate(labels):
         img = protos[label] * rng.uniform(0.8, 1.2)
         dy, dx = rng.integers(-2, 3, size=2)

@@ -185,14 +185,13 @@ def update_leakage_traces(
 
 @dataclass
 class GradAccumulator:
-    """Running parameter-change sums over time-steps and samples.
+    """Running parameter-change sums over time-steps and samples, in parameter shape.
 
-    Threshold and leakage entries are kept per neuron (a full spatial map
-    for convolution layers); channel and layer averaging happen at update
-    time, so these raw sums are directly comparable with the reference
-    oracles. Only the families the mode trains are allocated; the others
-    are read-only zero views that take no memory. apply_updates reads the
-    spec, mode and sample count from here.
+    dtheta holds one sum per threshold (over a convolution channel's
+    positions) and dalpha one per layer (over its neurons): the raw sums
+    the reference oracles report; averaging happens at update time. Only
+    the families the mode trains are allocated; the others are read-only
+    zero views. apply_updates reads the spec, mode and sample count from here.
     """
 
     dw: list[Tensor | None]
@@ -204,15 +203,15 @@ class GradAccumulator:
 
     @classmethod
     def zeros(cls, spec: NetworkSpec, mode: SynergyMode = SynergyMode.WTL) -> "GradAccumulator":
-        def family(trained: bool, layer: LayerSpec) -> Tensor:
-            return np.zeros(layer.out_shape) if trained else np.broadcast_to(0.0, layer.out_shape)
+        def family(trained: bool, shape: tuple) -> Tensor:
+            return np.zeros(shape) if trained else np.broadcast_to(0.0, shape)
 
         dw, dtheta, dalpha = [], [], []
         for layer in spec.layers:
             lif = layer.is_lif
             dw.append(np.zeros(layer.weight_shape) if lif else None)
-            dtheta.append(family(mode.trains_thresholds, layer) if lif else None)
-            dalpha.append(family(mode.trains_leakages, layer) if lif else None)
+            dtheta.append(family(mode.trains_thresholds, (layer.num_thresholds,)) if lif else None)
+            dalpha.append(family(mode.trains_leakages, ()) if lif else None)
         return cls(dw=dw, dtheta=dtheta, dalpha=dalpha, spec=spec, mode=mode)
 
     def merge(self, other: "GradAccumulator") -> None:
@@ -282,10 +281,10 @@ def accumulate_gradients(acc: GradAccumulator, index: int, delta: Tensor, stack:
 
     The layer is acc.spec.layers[index], and acc.mode says which families
     learn. delta holds the sweep's (n, ...) errors, which pair with the
-    first n rows of the stack. The products are summed over the rows: a
-    dense layer adds them into dw with one in-place dgemm, a convolution
-    runs one im2col GEMM, and thresholds and leakages take one einsum over
-    the rows each, which builds no product of the rows' size.
+    first n rows of the stack. The products are summed over the rows into
+    each parameter: a dense layer adds them into dw with one in-place dgemm,
+    a convolution runs one im2col GEMM, thresholds take one einsum and the
+    leakage one dot product, neither building a product of the rows' size.
     """
     rows, layer, mode = len(delta), acc.spec.layers[index], acc.mode
     if layer.kind is LayerKind.CONV:
@@ -294,9 +293,11 @@ def accumulate_gradients(acc: GradAccumulator, index: int, delta: Tensor, stack:
     else:
         _fold_dense(acc.dw[index], delta, stack.weight[index][:rows])
     if mode.trains_thresholds:  # d * (trace - 1), summed as d * trace less d
-        acc.dtheta[index] += np.einsum("i...,i...->...", delta, stack.threshold[index][:rows]) - delta.sum(axis=0)
+        d = delta.reshape(rows, layer.num_thresholds, -1)
+        acc.dtheta[index] += (np.einsum("ncp,ncp->c", d, stack.threshold[index][:rows].reshape(d.shape))
+                              - d.sum(axis=(0, 2)))
     if mode.trains_leakages:
-        acc.dalpha[index] += np.einsum("i...,i...->...", delta, stack.leakage[index][:rows])
+        acc.dalpha[index] += np.vdot(delta, stack.leakage[index][:rows])
     return acc
 
 
@@ -599,8 +600,8 @@ def apply_updates(
 
     Gradients are divided by grads.samples; only the families grads.mode
     trains move. Weights take an L2-decayed momentum step (momentum 0 is
-    plain SGD). Convolution threshold changes are averaged over each
-    channel's neurons (the channel shares one threshold), then truncated
+    plain SGD). Threshold changes are averaged over the neurons that share
+    each threshold (a convolution channel's positions), then truncated
     at the floor epsilon; leakage changes are averaged over the layer's
     neurons and the result clamped to [0, 1]. Both take momentum only
     when the optimizer holds their velocities.
@@ -625,16 +626,14 @@ def apply_updates(
         p.weights = p.weights - rates.eta_w * weight_v[i]
 
         if mode.trains_thresholds:
-            dtheta = grads.dtheta[i] * scale
-            if layer.kind is LayerKind.CONV:
-                dtheta = dtheta.mean(axis=(1, 2))
+            dtheta = grads.dtheta[i] * (scale / (layer.fan_out // layer.num_thresholds))
             if theta_v is not None:
                 theta_v[i] = momentum * theta_v[i] + dtheta
                 dtheta = theta_v[i]
             p.thresholds = np.maximum(rates.epsilon, p.thresholds - rates.eta_theta * dtheta)
 
         if mode.trains_leakages:
-            dalpha = float(np.mean(grads.dalpha[i])) * scale
+            dalpha = float(grads.dalpha[i]) / layer.fan_out * scale
             if leak_v is not None:
                 leak_v[i] = momentum * leak_v[i] + dalpha
                 dalpha = leak_v[i]

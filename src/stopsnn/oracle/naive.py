@@ -2,13 +2,12 @@
 
 Recomputes every neuron error and every trace by direct recursion over
 the step-by-step history recorded by record_tape, then sums the
-error/trace products one parameter scalar at a time. Shares no code with
-the streaming implementation beyond elementary activation formulas; used
-to pin its gradients bit-for-bit at desk scale.
+error/trace products one scalar at a time (threshold and leakage products
+per neuron, then onto each threshold and the layer's leakage). Shares no
+code with the streaming implementation beyond elementary activation
+formulas; used to pin its gradients bit-for-bit at desk scale.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +16,9 @@ from ..learning import LossKind, SynergyMode
 from ..lif import firing_derivative
 from ..topology import LayerKind, NetworkSpec
 from .linearize import conv_placements, loss_grad_of, parameter_count
-from .unrolled import record_tape
+from .unrolled import TrueGradients, record_tape
 
 NAIVE_PARAMETER_GUARD = 10_000
-
-
-@dataclass
-class NaiveGradients:
-    """Raw per-neuron accumulations, aligned with the layer list.
-
-    Threshold and leakage entries are kept per neuron (spatial maps for
-    convolution layers), matching the streaming accumulator before any
-    channel or layer averaging.
-    """
-
-    dw: list
-    dtheta: list
-    dalpha: list
 
 
 def naive_stop_gradients(
@@ -43,7 +28,7 @@ def naive_stop_gradients(
     target,
     mode: SynergyMode,
     loss: LossKind | str = LossKind.CE,
-) -> NaiveGradients:
+) -> TrueGradients:
     if parameter_count(spec, params) > NAIVE_PARAMETER_GUARD:
         raise SizeGuardError(
             f"network exceeds the {NAIVE_PARAMETER_GUARD}-parameter enumeration guard"
@@ -97,7 +82,7 @@ def naive_stop_gradients(
     # --- per-scalar accumulation --------------------------------------------
     dw = [None] * len(layers)
     dtheta = [None] * len(layers)
-    dalpha = [None] * len(layers)
+    dleak = [None] * len(layers)
     for i, layer in enumerate(layers):
         if i not in lif_set:
             continue
@@ -129,7 +114,7 @@ def naive_stop_gradients(
                     gt[j] += delta[j] * (ttr_hist[i][t][j] - 1.0)
                 if mode.trains_leakages:
                     ga[j] += delta[j] * atr_hist[i][t][j]
-        dtheta[i] = gt.reshape(layer.out_shape)
-        dalpha[i] = ga.reshape(layer.out_shape)
+        dtheta[i] = gt.reshape(layer.num_thresholds, -1).sum(axis=1)
+        dleak[i] = float(ga.sum())
 
-    return NaiveGradients(dw=dw, dtheta=dtheta, dalpha=dalpha)
+    return TrueGradients(dw=dw, dtheta=dtheta, dleak=dleak)

@@ -142,15 +142,12 @@ def unrolled_stbp_gradients(
             continue
         if layer.kind is LayerKind.DENSE:
             dw[i] = gw_flat[i].copy()
-            dtheta[i] = gtheta[i].copy() if mode.trains_thresholds else np.zeros(layer.fan_out)
         else:
-            cout = layer.out_shape[0]
-            cin = layer.in_shape[0]
-            g = np.zeros((cout, cin, layer.kernel, layer.kernel))
+            g = np.zeros((layer.out_shape[0], layer.in_shape[0], layer.kernel, layer.kernel))
             for o, c, ki, kj, out_flat, in_flat in conv_placements(layer):
                 g[o, c, ki, kj] += gw_flat[i][out_flat, in_flat]
             dw[i] = g
-            per_channel = gtheta[i].reshape(layer.out_shape).sum(axis=(1, 2))
-            dtheta[i] = per_channel if mode.trains_thresholds else np.zeros(cout)
+        per_threshold = gtheta[i].reshape(layer.num_thresholds, -1).sum(axis=1)
+        dtheta[i] = per_threshold if mode.trains_thresholds else np.zeros(layer.num_thresholds)
         dleak[i] = gleak[i] if mode.trains_leakages else 0.0
     return TrueGradients(dw=dw, dtheta=dtheta, dleak=dleak)

@@ -147,13 +147,13 @@ def _split_per_class(samples: list, n_train: int) -> tuple[list, list]:
 def load_dataset(config: TrainConfig) -> tuple[list, list]:
     """Materialize (train, test) sample lists for the configured source.
 
-    Options are resolved by DATASET_OPTIONS: an unknown or malformed one
-    raises ConfigError; unreadable or malformed files raise DataError
-    naming the file, and so does a file whose frames do not have
-    config.input_shape, whose IDX bytes exceed max_value or whose labels
-    fall outside config.num_classes. Glyphs of another side than
-    input_shape's are a ConfigError. The teacher kind splits each class's
-    draws between train and test.
+    Options are resolved by DATASET_OPTIONS: an unknown or malformed one,
+    or an IDX max_value <= 0, raises ConfigError; unreadable or malformed
+    files raise DataError naming the file, and so do a file whose frames
+    do not have config.input_shape and an IDX file with no images, bytes
+    above max_value or labels outside config.num_classes. Glyphs of another
+    side than input_shape's or with num_classes other than 10 are a
+    ConfigError. The teacher kind splits each class's draws between train and test.
     """
     kind, opt = _resolve_options(config)
     steps, shape = config.time_steps, config.input_shape
@@ -163,10 +163,14 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
             raise DataError(f"{path} holds frames of shape {frame_shape}, but input_shape is {shape}")
 
     if kind == "idx":
+        if opt["max_value"] <= 0:
+            raise ConfigError(f"dataset option 'max_value' must be positive, got {opt['max_value']!r}")
         splits = []
         for split in ("train", "test"):
             images_path, labels_path = opt[f"{split}_images"], opt[f"{split}_labels"]
             images, labels = ds.load_idx(images_path, labels_path)
+            if not len(images):
+                raise DataError(f"{images_path} holds no images")
             fits((1, *images.shape[1:]), images_path)
             if images.max(initial=0) > opt["max_value"]:
                 raise DataError(f"{images_path} holds values above max_value {opt['max_value']}")
@@ -181,6 +185,8 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
         if shape != (1, side, side):
             raise ConfigError(f"dataset option 'side' {side} makes glyphs of shape {(1, side, side)}, "
                               f"but input_shape is {shape}")
+        if config.num_classes != ds.GLYPH_CLASSES:
+            raise ConfigError(f"glyphs have {ds.GLYPH_CLASSES} classes, but num_classes is {config.num_classes}")
         images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=side, noise=opt["noise"])
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
@@ -217,8 +223,6 @@ EVAL_BATCH = 32
 
 def evaluate(spec: NetworkSpec, params, dataset, loss: LossKind = LossKind.CE) -> tuple[float, float]:
     """(accuracy, mean total loss) of inference over a dataset, one infer_batch call per slice."""
-    if not dataset:
-        raise DataError("cannot evaluate an empty dataset")
     hits, total_loss = 0, 0.0
     for chunk in ds.batch_iter(dataset, EVAL_BATCH):
         predictions, chunk_loss = infer_batch(spec, params, ds.batch_frames(chunk), ds.batch_targets(chunk), loss)

@@ -98,7 +98,7 @@ class TestBatchedGradients:
                           mode=mode, loss=loss, audit=audit)
         refs = [naive_stop_gradients(spec, params, s.frames, s.target, mode, loss=loss.value) for s in batch]
         want = {"dw": _summed(r.dw for r in refs), "dtheta": _summed(r.dtheta for r in refs),
-                "dalpha": _summed(r.dalpha for r in refs)}
+                "dalpha": _summed(r.dleak for r in refs)}
         report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha}, want)
         assert report.max_rel <= STREAMING_VS_NAIVE_TOL, str(report)
         assert any(np.any(g) for g in acc.dw if g is not None)
@@ -129,8 +129,8 @@ class TestBatchedGradients:
         spec = parse_architecture("8C3-P2-200-3", (1, 4, 4), 3)
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         for i in spec.lif_indices:
-            for family in (acc.dtheta, acc.dalpha):
-                assert family[i].shape == spec.layers[i].out_shape
+            for family, shape in ((acc.dtheta, (spec.layers[i].num_thresholds,)), (acc.dalpha, ())):
+                assert family[i].shape == shape
                 assert not family[i].flags.writeable and not np.any(family[i])
                 assert family[i].base is not None and family[i].base.size == 1
         trained = GradAccumulator.zeros(spec, SynergyMode.WT)
@@ -186,7 +186,7 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
     """A backward pass after every time-step, each layer's products added in step order.
 
     A dense layer adds each step's (delta, weight trace) rows into dw with the engine's in-place
-    dgemm call; thresholds and leakages sum each step's rows with the engine's einsum.
+    dgemm call; thresholds and leakages sum each step's rows with the engine's einsum and dot product.
     """
     batch = len(target)
     states = reset_network(spec, batch)
@@ -231,9 +231,10 @@ def _per_step_reference(spec, params, frames, target, mode, loss, audit):
             else:
                 acc.dw[i] += numerics.conv2d_weight_grad(wt, delta, stride=layer.stride, padding=layer.padding)
             if mode.trains_thresholds:
-                acc.dtheta[i] += np.einsum("i...,i...->...", delta, threshold_traces[i]) - delta.sum(axis=0)
+                d = delta.reshape(batch, layer.num_thresholds, -1)
+                acc.dtheta[i] += np.einsum("ncp,ncp->c", d, threshold_traces[i].reshape(d.shape)) - d.sum(axis=(0, 2))
             if mode.trains_leakages:
-                acc.dalpha[i] += np.einsum("i...,i...->...", delta, leakage_traces[i])
+                acc.dalpha[i] += np.vdot(delta, leakage_traces[i])
             if i > lif[0]:
                 delta_spikes = weight_adjoint(layer, params[i], delta)
     audit["loss"], audit["prediction"] = total, np.argmax(counts, axis=-1).tolist()
@@ -300,7 +301,7 @@ class TestStackedDenseFold:
                 assert sweeps == want_sweeps and folded == want_folds
                 ref = naive_stop_gradients(net, params, frames, target[0], mode, loss=loss.value)
                 report = compare_gradients({"dw": acc.dw, "dtheta": acc.dtheta, "dalpha": acc.dalpha},
-                                           {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dalpha})
+                                           {"dw": ref.dw, "dtheta": ref.dtheta, "dalpha": ref.dleak})
                 assert report.max_rel <= STREAMING_VS_NAIVE_TOL, (depth, spike_mode, str(report))
                 assert np.any(acc.dw[0]) and np.any(acc.dw[1])
 
@@ -428,8 +429,9 @@ class TestBatchedMemory:
         # 25 MiB and the sweep's error scratch 3 MiB; the convolutions' patch scratch and the
         # input adjoint's padded delta buffer stay within one batch slice per call. No step keeps
         # the last step's input adjoint through its forward sweep, and the flatten layer allocates
-        # no spike array. The peak measured 31.7 MiB; a second 3 MiB scratch for the sweep's
-        # threshold/leakage products read 34.8 MiB, which this bound refuses.
+        # no spike array. The peak measured 31.45 MiB (31.73 MiB with per-neuron threshold and
+        # leakage sums); a second 3 MiB scratch for the sweep's threshold/leakage products read
+        # 34.8 MiB, which this bound refuses.
         rng = np.random.default_rng(0)
         frame = rng.uniform(size=(32, 1, 28, 28))
         short, long = self._conv_batch_peaks(frame, np.eye(10)[rng.integers(0, 10, size=32)])
@@ -440,10 +442,10 @@ class TestBatchedMemory:
         # uniform noise keeps pool1 busy, so conv2 builds im2col patches; on glyphs it builds COO
         # patches, whose 2.65 MB delta grid is the weight gradient's scratch at the peak. The
         # sweep drops pool2's 1.6 MB pulled-back error once conv2's error is formed, before that
-        # grid exists: the peaks measured 31.80, 32.29 and 32.35 MiB at parameter seeds 0, 1 and
-        # 4. A sweep that kept it read 36.13, 36.89 and 36.94 MiB, and one with a second 3 MiB
-        # scratch for the threshold/leakage products 34.86, 35.36 and 35.41 MiB; this bound
-        # refuses both
+        # grid exists: the peaks measured 31.51, 32.01 and 32.06 MiB at parameter seeds 0, 1 and
+        # 4 (0.29 MiB more each with per-neuron threshold and leakage sums). A sweep that kept it
+        # read 36.13, 36.89 and 36.94 MiB, and one with a second 3 MiB scratch for the
+        # threshold/leakage products 34.86, 35.36 and 35.41 MiB; this bound refuses both
         samples = dataset_from_images(*synthetic_glyphs(1, 32), 6, 10)
         coo = []
         real_patches = numerics._sparse_patches
@@ -456,11 +458,11 @@ class TestBatchedMemory:
             assert long <= 34 * 2**20, (seed, long / 2**20)
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
-        # the W1 image network on one sample: accumulators, states and traces are 4.1 MiB. Its
+        # the W1 image network on one sample: accumulators, states and traces are 3.8 MiB. Its
         # transients include conv2's 0.6 MiB im2col patch matrix (forward and weight gradient)
-        # and its input adjoint's 0.3 MiB window matrix. The peak measured 4.98 MiB. An adjoint
-        # that built a 1.2 MiB patch matrix of the deltas peaked at 5.88 MiB, which the bound
-        # refuses.
+        # and its input adjoint's 0.3 MiB window matrix. The peak measured 4.69 MiB. Threshold
+        # and leakage sums kept per neuron, 0.29 MiB of maps, peaked at 4.98 MiB, and an adjoint
+        # that built a 1.2 MiB patch matrix of the deltas at 5.88 MiB; the bound refuses both.
         spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 28, 28))
@@ -471,7 +473,7 @@ class TestBatchedMemory:
 
         short, long = learn(2), learn(6)
         assert long <= 1.05 * short, (short, long)
-        assert long <= 5.5 * 2**20, long / 2**20
+        assert long <= 4.9 * 2**20, long / 2**20
 
     def test_one_sample_memory_with_a_stacked_dense_layer_is_flat_over_a_long_window(self):
         # at a batch of one the window stack holds K = 7 of this net's 7328-byte sample-steps; it
@@ -596,7 +598,7 @@ class TestSparseRoutes:
         refs = [naive_stop_gradients(spec, params, [f[b] for f in frames], targets[b], SynergyMode.WTL)
                 for b in range(len(targets))]
         want = {"dw": _summed(r.dw for r in refs), "dtheta": _summed(r.dtheta for r in refs),
-                "dalpha": _summed(r.dalpha for r in refs)}
+                "dalpha": _summed(r.dleak for r in refs)}
         report = compare_gradients(_gradients(acc), want)
         assert report.max_rel <= STREAMING_VS_NAIVE_TOL, str(report)
 

@@ -455,6 +455,11 @@ def _glyphs_of_side_12(tmp_path):
     return write_config(tmp_path, arch="4-10", input_shape=[1, 10, 10], num_classes=10, dataset=dataset), "'side'"
 
 
+def _glyphs_in_four_classes(tmp_path):
+    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4, "side": 10}
+    return write_config(tmp_path, arch="4-4", input_shape=[1, 10, 10], num_classes=4, dataset=dataset), "num_classes"
+
+
 def _idx_bytes_above_max_value(tmp_path):
     return _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 2, max_value=100.0), "img.idx"
 
@@ -475,9 +480,10 @@ def _event_outside_the_sensor(tmp_path):
 # the load-time data checks each name the file (a manifest's label, also the line) and exit 2
 @pytest.mark.parametrize("build, code, prefix", [
     (_idx_8x8, 2, "data error:"), (_events_8x8, 2, "data error:"), (_glyphs_of_side_12, 1, "error:"),
+    (_glyphs_in_four_classes, 1, "error:"),
     (_idx_bytes_above_max_value, 2, "data error:"), (_idx_label_outside_the_classes, 2, "data error:"),
     (_manifest_label_outside_the_classes, 2, "data error:"), (_event_outside_the_sensor, 2, "data error:"),
-], ids=["idx", "events", "glyphs", "idx-bytes", "idx-label", "manifest-label", "event-bounds"])
+], ids=["idx", "events", "glyphs", "glyph-classes", "idx-bytes", "idx-label", "manifest-label", "event-bounds"])
 def test_dataset_geometry_is_checked_before_training(tmp_path, capsys, build, code, prefix):
     config, named = build(tmp_path)
     assert cli.main(["train", "--config", str(config)]) == code

@@ -298,7 +298,7 @@ class TestAccumulate:
         stack.weight[0][0] = 1.0
         accumulate_gradients(acc, 0, np.array([[0.3]]), stack)
         assert np.array_equal(acc.dtheta[0], np.zeros(1))
-        assert np.array_equal(acc.dalpha[0], np.zeros(1))
+        assert acc.dalpha[0] == 0.0
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_dense_fold_is_one_product_within_the_budget(self, monkeypatch, batch):
@@ -375,7 +375,7 @@ class TestApplyUpdates:
         spec, params = self._one_layer()
         params[0].leak = 0.9
         acc = GradAccumulator.zeros(spec)
-        acc.dalpha[0] = np.array([-3.0, -3.0])
+        acc.dalpha[0] = np.array(-6.0)  # summed over the layer's two neurons, whose mean is -3
         _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.0, eta_alpha=0.1))
         assert params[0].leak == 1.0
 
@@ -383,7 +383,7 @@ class TestApplyUpdates:
         spec, params = self._one_layer()
         acc = GradAccumulator.zeros(spec, SynergyMode.W)
         acc.dtheta[0] = np.ones(2)
-        acc.dalpha[0] = np.ones(2)
+        acc.dalpha[0] = np.array(1.0)
         _apply(params, acc, UpdateRates(eta_w=0.1, eta_theta=0.1, eta_alpha=0.1))
         assert np.array_equal(params[0].thresholds, np.ones(2))
         assert params[0].leak == pytest.approx(np.exp(-1.0))
@@ -401,7 +401,7 @@ class TestApplyUpdates:
         spec = parse_architecture("2C3-2", (1, 2, 2), 2)
         params = init_params(spec, seed=0)
         acc = GradAccumulator.zeros(spec)
-        acc.dtheta[0] = np.arange(8.0).reshape(2, 2, 2)  # channel means 1.5 and 5.5
+        acc.dtheta[0] = np.array([6.0, 22.0])  # summed over each channel's 4 positions: means 1.5 and 5.5
         _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0))
         np.testing.assert_allclose(params[0].thresholds, [1.0 - 0.15, 1.0 - 0.55], rtol=1e-15)
 

@@ -10,7 +10,7 @@ from stopsnn.lif import SpikeMode
 from stopsnn.oracle import compare_gradients, naive_stop_gradients, record_tape, unrolled_stbp_gradients
 from stopsnn.oracle.finitediff import finite_diff_gradient, total_relaxed_loss
 from stopsnn.oracle.linearize import FlatNetwork
-from stopsnn.topology import forward_timestep, init_params, parse_architecture, reset_network
+from stopsnn.topology import LayerKind, forward_timestep, init_params, parse_architecture, reset_network
 
 
 def small_net(arch="4-3", shape=(4,), classes=3, steps=3, seed=0):
@@ -57,14 +57,14 @@ class TestNaive:
         for i in spec.lif_indices:
             np.testing.assert_array_equal(acc.dw[i], ref.dw[i])
             np.testing.assert_array_equal(acc.dtheta[i], ref.dtheta[i])
-            np.testing.assert_array_equal(acc.dalpha[i], ref.dalpha[i])
+            np.testing.assert_array_equal(acc.dalpha[i], ref.dleak[i])
 
     def test_mode_w_zeroes_theta_alpha(self):
         spec, params, frames, target = small_net()
         ref = naive_stop_gradients(spec, params, frames, target, SynergyMode.W)
         for i in spec.lif_indices:
             assert np.array_equal(ref.dtheta[i], np.zeros_like(ref.dtheta[i]))
-            assert np.array_equal(ref.dalpha[i], np.zeros_like(ref.dalpha[i]))
+            assert ref.dleak[i] == 0.0
 
     def test_size_guard(self):
         spec = parse_architecture("200-200", (100,), 200, time_steps=1)
@@ -239,13 +239,33 @@ class TestMutationDetection:
     def test_threshold_sign_flip_is_caught(self, monkeypatch):
         real = learning.accumulate_gradients
 
-        def flipped(acc, index, delta, traces):
-            real(acc, index, delta, traces)
+        def flipped(acc, index, delta, stack):
+            real(acc, index, delta, stack)
             if acc.mode.trains_thresholds:
-                # undo and re-apply with the wrong sign
-                acc.dtheta[index] -= 2.0 * (delta * (traces.threshold[index] - 1.0)).sum(axis=0)
+                # undo and re-apply with the wrong sign, summed per threshold
+                d = delta.reshape(len(delta), len(acc.dtheta[index]), -1)
+                trace = stack.threshold[index][:len(delta)].reshape(d.shape)
+                acc.dtheta[index] -= 2.0 * (d * (trace - 1.0)).sum(axis=(0, 2))
             return acc
 
         monkeypatch.setattr(learning, "accumulate_gradients", flipped)
         result = checks.check_streaming_vs_naive(trials=8, seed=21)
         assert not result.ok
+
+    def test_conv_threshold_trace_flipped_top_to_bottom_is_caught(self, monkeypatch):
+        # a convolution's threshold gradient is one sum per channel, yet a trace paired with the
+        # errors of the mirrored rows of the channel's map still shows in the sum
+        real = learning.accumulate_gradients
+        flips = []
+
+        def misaligned(acc, index, delta, stack):
+            real(acc, index, delta, stack)
+            if acc.mode.trains_thresholds and acc.spec.layers[index].kind is LayerKind.CONV:
+                trace = stack.threshold[index][:len(delta)]
+                acc.dtheta[index] += np.einsum("nchw,nchw->c", delta, trace[:, :, ::-1] - trace)
+                flips.append(index)
+            return acc
+
+        monkeypatch.setattr(learning, "accumulate_gradients", misaligned)
+        result = checks.check_streaming_vs_naive(trials=8, seed=21)
+        assert flips and not result.ok, result.line()

@@ -422,6 +422,21 @@ class TestLoadDataset:
         assert len(train_set) == len(test_set) == 20
         assert train_set[0].frames[0].max() <= 1.0
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_idx_split_with_no_images_is_data_error(self, tmp_path, empty):
+        from stopsnn.datasets import synthetic_glyphs, write_idx
+
+        images, labels = synthetic_glyphs(seed=0, n_samples=4, side=10)
+        dataset = {"kind": "idx"}
+        for split in ("train", "test"):
+            n = 0 if split == empty else len(images)
+            write_idx(tmp_path / f"{split}_i.idx", tmp_path / f"{split}_l.idx", images[:n], labels[:n])
+            dataset.update({f"{split}_images": str(tmp_path / f"{split}_i.idx"),
+                            f"{split}_labels": str(tmp_path / f"{split}_l.idx")})
+        config = teacher_config(tmp_path, arch="10", input_shape=(1, 10, 10), num_classes=10, dataset=dataset)
+        with pytest.raises(DataError, match=f"{empty}_i.idx holds no images"):
+            load_dataset(config)
+
     def test_events_kind(self, tmp_path):
         from stopsnn.datasets import save_event_stream, synthetic_event_stream
 
@@ -476,6 +491,8 @@ class TestLoadDataset:
         {"kind": "idx", "train_labels": "l", "test_images": "i", "test_labels": "l"},
         {"kind": "events", "train_manifest": 3, "test_manifest": "m"},
         {"kind": "glyphs", "n_trian": 3},
+        {"kind": "idx", "train_images": "i", "train_labels": "l", "test_images": "i", "test_labels": "l",
+         "max_value": 0},
     ])
     def test_bad_option_is_config_error(self, tmp_path, dataset):
         config = teacher_config(tmp_path)
