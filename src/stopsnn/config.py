@@ -1,7 +1,7 @@
-"""Training configuration: JSON-backed, CLI-overridable, digestible. Each
-field is checked once, when a TrainConfig is made: its JSON type against
-its annotation (a bool is not a number, an int is a float, floats are
-finite), then its value."""
+"""Training configuration: JSON-backed, CLI-overridable and digestible (a
+checkpoint stores the config, and loading recomputes its digest from it). Each
+field is checked once, when a TrainConfig is made: its JSON type against its
+annotation (a bool is not a number, an int is a float, floats are finite), then its value."""
 import hashlib
 import json
 import sys
@@ -51,8 +51,8 @@ def check_json(what: str, kind: type, value):
 class TrainConfig:
     """Everything a training run needs; every field is a config JSON key of
     the same name. stopsnn train overrides 15 of them by flag (cli.TRAIN_FLAGS);
-    input_shape, num_classes, dataset, surrogate, init_mode, epsilon and
-    momentum_scope come from the config file alone."""
+    input_shape, num_classes, dataset, surrogate, init_mode and epsilon come
+    from the config file alone."""
 
     arch: str = "16-10"
     input_shape: tuple = (10,)
@@ -67,7 +67,6 @@ class TrainConfig:
     eta_alpha: float = 1e-4
     weight_decay: float = 0.0
     momentum: float = 0.9
-    momentum_scope: str = "weights"  # or "all"
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
@@ -97,8 +96,6 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be non-negative")
-        if self.momentum_scope not in ("weights", "all"):
-            raise ConfigError("momentum_scope must be 'weights' or 'all'")
         if self.epochs < 0 or self.batch_size < 1 or self.time_steps < 1:
             raise ConfigError("epochs must be >= 0; batch_size and time_steps >= 1")
         if self.seed < 0:
@@ -135,7 +132,7 @@ class TrainConfig:
 
     def model_digest(self) -> str:
         """Digest of the fields that define the parameter tensors; a
-        checkpoint refuses to load under a different digest."""
+        checkpoint whose stored config digests otherwise refuses to load."""
         essence = {k: getattr(self, k) for k in (
             "arch", "input_shape", "num_classes", "time_steps", "surrogate", "init_mode", "seed")}
         blob = json.dumps(essence, sort_keys=True, separators=(",", ":"))

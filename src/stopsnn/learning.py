@@ -555,23 +555,15 @@ THRESHOLD_FLOOR = 0.01
 
 @dataclass
 class OptimizerState:
-    """Momentum buffers mirroring the learnable tensors, plus the epoch clock.
-
-    Threshold and leak velocities exist only under momentum_scope "all".
-    """
+    """The weights' momentum buffers (None for a layer without parameters) and the
+    epoch clock; thresholds and leakages take plain truncated steps, without buffers."""
 
     weight_velocities: list = field(default_factory=list)
-    threshold_velocities: list | None = None
-    leak_velocities: list | None = None
     epoch: int = 0
 
     @classmethod
-    def fresh(cls, params, scope: str) -> "OptimizerState":
-        state = cls(weight_velocities=[None if p is None else np.zeros_like(p.weights) for p in params])
-        if scope == "all":
-            state.threshold_velocities = [None if p is None else np.zeros_like(p.thresholds) for p in params]
-            state.leak_velocities = [None if p is None else 0.0 for p in params]
-        return state
+    def fresh(cls, params) -> "OptimizerState":
+        return cls(weight_velocities=[None if p is None else np.zeros_like(p.weights) for p in params])
 
 
 @dataclass(frozen=True)
@@ -603,15 +595,14 @@ def apply_updates(
     plain SGD). Threshold changes are averaged over the neurons that share
     each threshold (a convolution channel's positions), then truncated
     at the floor epsilon; leakage changes are averaged over the layer's
-    neurons and the result clamped to [0, 1]. Both take momentum only
-    when the optimizer holds their velocities.
+    neurons and the result clamped to [0, 1]. Neither takes momentum.
 
     Fails closed: a non-finite gradient of a trained family, checked before
     any parameter moves, or a non-finite updated parameter raises
     NumericError naming the layer and the family (w, theta or alpha). A
     floor epsilon <= 0 is refused when the rates are made.
     """
-    spec, mode, momentum = grads.spec, grads.mode, rates.momentum
+    spec, mode = grads.spec, grads.mode
     for i in spec.lif_indices:
         _require_finite(grads.dw[i], "w gradient", i)
         if mode.trains_thresholds:
@@ -619,24 +610,18 @@ def apply_updates(
         if mode.trains_leakages:
             _require_finite(grads.dalpha[i], "alpha gradient", i)
     scale = 1.0 / float(grads.samples)
-    weight_v, theta_v, leak_v = optimizer.weight_velocities, optimizer.threshold_velocities, optimizer.leak_velocities
+    velocities = optimizer.weight_velocities
     for i in spec.lif_indices:
         layer, p = spec.layers[i], params[i]
-        weight_v[i] = momentum * weight_v[i] + (grads.dw[i] * scale + rates.weight_decay * p.weights)
-        p.weights = p.weights - rates.eta_w * weight_v[i]
+        velocities[i] = rates.momentum * velocities[i] + (grads.dw[i] * scale + rates.weight_decay * p.weights)
+        p.weights = p.weights - rates.eta_w * velocities[i]
 
         if mode.trains_thresholds:
             dtheta = grads.dtheta[i] * (scale / (layer.fan_out // layer.num_thresholds))
-            if theta_v is not None:
-                theta_v[i] = momentum * theta_v[i] + dtheta
-                dtheta = theta_v[i]
             p.thresholds = np.maximum(rates.epsilon, p.thresholds - rates.eta_theta * dtheta)
 
         if mode.trains_leakages:
             dalpha = float(grads.dalpha[i]) / layer.fan_out * scale
-            if leak_v is not None:
-                leak_v[i] = momentum * leak_v[i] + dalpha
-                dalpha = leak_v[i]
             p.leak = float(min(1.0, max(0.0, p.leak - rates.eta_alpha * dalpha)))
         _require_finite(p.weights, "w", i)
         _require_finite(p.thresholds, "theta", i)

@@ -3,12 +3,12 @@
 The loop runs one mini-batch at a time: one call of the gradient engine
 (the streaming rule's batched learn by default) accumulates the batch's
 summed gradients, and one apply_updates call steps weights with SGD and
-momentum, thresholds and leakages with plain truncated steps (switchable
-to momentum via momentum_scope="all"), all three learning rates following
-one cosine annealing schedule. Evaluation runs learning.infer_batch over
-slices of the set. Metrics go to a JSON-lines file with a CSV mirror; a
-checkpoint is written after every epoch, atomically, and loading one
-checks its tensors against the architecture of its stored config.
+momentum, thresholds and leakages with plain truncated steps, all three
+learning rates following one cosine annealing schedule. Evaluation runs
+learning.infer_batch over slices of the set. Metrics go to a JSON-lines
+file with a CSV mirror; a checkpoint (version, epoch, config, params and
+weight_velocities) is written after every epoch, atomically, and loading
+one checks its tensors against the architecture of its stored config.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .topology import (  # noqa: F401 -- forward_timestep stays importable here 
     parse_architecture,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
@@ -276,21 +276,13 @@ def checkpoint_save(path, params, optimizer: OptimizerState, config: TrainConfig
 
     skeleton = {
         "version": CHECKPOINT_VERSION,
-        "digest": config.model_digest(),
         "epoch": optimizer.epoch,
         "config": spliced(json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode()),
         "params": [
             None if p is None else {"weights": tensor(p.weights), "thresholds": tensor(p.thresholds), "leak": p.leak}
             for p in params
         ],
-        "optimizer": {
-            "weight_velocities": [None if v is None else tensor(v) for v in optimizer.weight_velocities],
-            "threshold_velocities": None if optimizer.threshold_velocities is None else [
-                None if v is None else tensor(v) for v in optimizer.threshold_velocities
-            ],
-            "leak_velocities": optimizer.leak_velocities,
-            "epoch": optimizer.epoch,
-        },
+        "weight_velocities": [None if v is None else tensor(v) for v in optimizer.weight_velocities],
     }
     chunks: list[bytes] = []
     for k, piece in enumerate(_SPLICE.split(json.dumps(skeleton, sort_keys=True, separators=(",", ":")))):
@@ -298,7 +290,7 @@ def checkpoint_save(path, params, optimizer: OptimizerState, config: TrainConfig
     _write_atomic(path, chunks)
 
 
-def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
+def _misfit(spec: NetworkSpec, params, velocities) -> str | None:
     """How a checkpoint's tensors disagree with the network its config describes, or None."""
     if len(params) != len(spec.layers):
         return f"{len(params)} parameter entries for {len(spec.layers)} layers"
@@ -308,16 +300,11 @@ def _misfit(spec: NetworkSpec, params, optimizer: OptimizerState) -> str | None:
         expected = (layer.weight_shape, (layer.num_thresholds,))
         if p is not None and (p.weights.shape, p.thresholds.shape) != expected:
             return f"layer {i} weights, thresholds {(p.weights.shape, p.thresholds.shape)}, expected {expected}"
-    buffers = {"weights": optimizer.weight_velocities, "thresholds": optimizer.threshold_velocities,
-               "leak": optimizer.leak_velocities}
-    for family, velocities in buffers.items():
-        if velocities is None:  # threshold and leak buffers exist only under momentum_scope "all"
-            continue
-        if len(velocities) != len(params):
-            return f"{family} velocities do not cover the {len(params)} layers"
-        for i, (v, p) in enumerate(zip(velocities, params)):
-            if (v is None) != (p is None) or (p is not None and np.shape(v) != np.shape(getattr(p, family))):
-                return f"layer {i} {family} velocity of shape {np.shape(v)} does not match its parameter"
+    if len(velocities) != len(params):
+        return f"weight velocities do not cover the {len(params)} layers"
+    for i, (v, p) in enumerate(zip(velocities, params)):
+        if (v is None) != (p is None) or (p is not None and v.shape != p.weights.shape):
+            return f"layer {i} weight velocity of shape {np.shape(v)} does not match its parameter"
     return None
 
 
@@ -329,11 +316,12 @@ def _json_number(value) -> float:
 
 
 def checkpoint_load(path, expected_digest: str | None = None):
-    """Load (params, optimizer, epoch, config_dict); refuse foreign digests, unreadable or
-    malformed files, epochs that are not non-negative integers or that differ between the file
-    and its optimizer, leaks and leak velocities that are not JSON numbers, threshold and leak
-    velocities of which only one is present, tensors whose shapes disagree with the architecture
-    of the stored config, and out-of-range parameter values."""
+    """Load (params, optimizer, epoch, config_dict). A DataError refuses:
+    - an unreadable file, one that is not a JSON object, or one of another CHECKPOINT_VERSION;
+    - a missing section, an epoch that is not a non-negative integer, a leak that is not a JSON number;
+    - a stored config that does not build, or tensors that do not fit the network it builds;
+    - non-finite parameters or weight velocities, a threshold <= 0, a leak outside [0, 1];
+    - a stored config whose model digest is not expected_digest, when that is given."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -345,7 +333,6 @@ def checkpoint_load(path, expected_digest: str | None = None):
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
     try:
-        digest = payload["digest"]
         params = [
             None if entry is None else LayerParams(
                 weights=_decode_array(entry["weights"]),
@@ -354,44 +341,32 @@ def checkpoint_load(path, expected_digest: str | None = None):
             )
             for entry in payload["params"]
         ]
-        opt_blob = payload["optimizer"]
-        optimizer = OptimizerState(
-            weight_velocities=[None if v is None else _decode_array(v) for v in opt_blob["weight_velocities"]],
-            threshold_velocities=None if opt_blob["threshold_velocities"] is None else [
-                None if v is None else _decode_array(v) for v in opt_blob["threshold_velocities"]
-            ],
-            leak_velocities=None if opt_blob["leak_velocities"] is None else [
-                None if v is None else _json_number(v) for v in opt_blob["leak_velocities"]
-            ],
-            epoch=opt_blob["epoch"],
-        )
+        velocities = [None if v is None else _decode_array(v) for v in payload["weight_velocities"]]
         epoch, config = payload["epoch"], payload["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__} {exc}") from exc
-    for what, value in (("epoch", epoch), ("optimizer epoch", optimizer.epoch)):
-        if type(value) is not int or value < 0:  # a bool is not an epoch
-            raise DataError(f"checkpoint {path} has {what} {value!r}, not a non-negative integer")
-    if epoch != optimizer.epoch:
-        raise DataError(f"checkpoint {path} has epoch {epoch} but optimizer epoch {optimizer.epoch}")
-    if (optimizer.threshold_velocities is None) != (optimizer.leak_velocities is None):
-        raise DataError(f"checkpoint {path} holds only one of the threshold and leak velocities")
+    if type(epoch) is not int or epoch < 0:  # a bool is not an epoch
+        raise DataError(f"checkpoint {path} has epoch {epoch!r}, not a non-negative integer")
     try:
-        spec = build_network(TrainConfig.from_dict(config))
+        stored = TrainConfig.from_dict(config)
+        spec = build_network(stored)
     except (TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} holds an unusable config: {exc}") from exc
-    misfit = _misfit(spec, params, optimizer)
+    misfit = _misfit(spec, params, velocities)
     if misfit is not None:
         raise DataError(f"checkpoint {path} does not fit its architecture: {misfit}")
-    for i, p in enumerate(params):
+    for i, (p, v) in enumerate(zip(params, velocities)):
         if p is None:
             continue
-        if not all(np.isfinite(v).all() for v in (p.weights, p.thresholds, p.leak)):
+        if not all(np.isfinite(x).all() for x in (p.weights, p.thresholds, p.leak)):
             raise DataError(f"non-finite parameter at layer {i} in checkpoint {path}")
+        if not np.isfinite(v).all():
+            raise DataError(f"non-finite weight velocity at layer {i} in checkpoint {path}")
         if (p.thresholds <= 0.0).any() or not 0.0 <= p.leak <= 1.0:
             raise DataError(f"threshold <= 0 or leak outside [0, 1] at layer {i} in checkpoint {path}")
-    if expected_digest is not None and digest != expected_digest:
+    if expected_digest is not None and stored.model_digest() != expected_digest:
         raise DataError("checkpoint digest does not match the requested configuration")
-    return params, optimizer, epoch, config
+    return params, OptimizerState(velocities, epoch), epoch, config
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +442,12 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
     say = log or (lambda msg: None)
 
     params = init_params(spec, seed=config.seed, init_mode=InitMode(config.init_mode))
-    optimizer = OptimizerState.fresh(params, config.momentum_scope)
+    optimizer = OptimizerState.fresh(params)
     metrics: list[dict] = []
     start_epoch = 0
 
     if config.resume and Path(config.checkpoint_path).exists():
-        params, optimizer, saved_epoch, _ = checkpoint_load(
-            config.checkpoint_path, expected_digest=config.model_digest()
-        )
-        saved_scope = "weights" if optimizer.threshold_velocities is None else "all"
-        if saved_scope != config.momentum_scope:
-            raise DataError(f"checkpoint {config.checkpoint_path} holds the momentum buffers of momentum_scope "
-                            f"{saved_scope!r}, not {config.momentum_scope!r}")
+        params, optimizer, saved_epoch, _ = checkpoint_load(config.checkpoint_path, config.model_digest())
         start_epoch = saved_epoch + 1
         if Path(config.metrics_path).exists():
             try:
@@ -486,6 +455,8 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
                 metrics = [{k: row[k] for k in METRIC_FIELDS} for row in rows if row["epoch"] <= saved_epoch]
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"corrupt metrics file {config.metrics_path}: {type(exc).__name__} {exc}") from exc
+            if [row["epoch"] for row in metrics] != list(range(start_epoch)):
+                raise DataError(f"metrics file {config.metrics_path} does not hold epochs 0..{saved_epoch} in order")
         say(f"resuming from epoch {start_epoch}")
 
     for epoch in range(start_epoch, config.epochs):

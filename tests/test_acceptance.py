@@ -143,7 +143,7 @@ class TestCriterion6TruncationInvariants:
                     acc.dalpha[i] = rng.standard_cauchy(acc.dalpha[i].shape) * scale
             acc.samples = 1
             apply_updates(
-                params, acc, OptimizerState.fresh(params, "weights"),
+                params, acc, OptimizerState.fresh(params),
                 UpdateRates(eta_w=float(rng.uniform(0, 0.5)), eta_theta=float(rng.uniform(0, 0.5)),
                             eta_alpha=float(rng.uniform(0, 0.5))),
             )

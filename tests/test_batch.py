@@ -722,7 +722,7 @@ class TestFailClosed:
 
     def _step(self, params, acc, rates):
         acc.samples = 1
-        apply_updates(params, acc, OptimizerState.fresh(params, "weights"), rates)
+        apply_updates(params, acc, OptimizerState.fresh(params), rates)
 
     @pytest.mark.parametrize("family,name", [("dw", "w"), ("dtheta", "theta"), ("dalpha", "alpha")])
     def test_non_finite_gradient_names_layer_and_family(self, family, name):

@@ -264,11 +264,10 @@ class TestTrainEval:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "ck.json"), "--data", str(data)]) == 1
         assert "dataset file" in capsys.readouterr().err
 
-    def test_resume_under_another_momentum_scope_is_data_error(self, tmp_path, capsys):
-        assert cli.main(["train", "--config", str(write_config(tmp_path)), "--epochs", "1"]) == 0
-        config_path = write_config(tmp_path, momentum_scope="all")
-        assert cli.main(["train", "--config", str(config_path), "--resume"]) == 2
-        assert "momentum_scope 'weights', not 'all'" in capsys.readouterr().err
+    def test_momentum_scope_is_an_unknown_field(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, momentum_scope="weights"))]) == 1
+        assert_one_error_line(capsys.readouterr().err, "unknown config fields: ['momentum_scope']")
+        assert not (tmp_path / "metrics.jsonl").exists()
 
     def test_corrupt_metrics_on_resume_is_data_error(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
@@ -385,12 +384,27 @@ class TestBadInputExitsData:
         err = capsys.readouterr().err
         assert f"has epoch {epoch!r}, not a non-negative integer" in err and "Traceback" not in err
 
-    def test_checkpoint_optimizer_epoch_is_not_a_count(self, tmp_path, capsys):
+    def test_checkpoint_of_version_1_is_refused(self, tmp_path, capsys):
         path, payload = self._trained_checkpoint(tmp_path)
-        payload["optimizer"]["epoch"] = 0.5
+        velocities = payload.pop("weight_velocities")
+        payload.update(version=1, digest="0" * 64, optimizer={
+            "weight_velocities": velocities, "threshold_velocities": None, "leak_velocities": None, "epoch": 0})
         path.write_text(json.dumps(payload))
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
-        assert "has optimizer epoch 0.5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight_velocity_is_refused_on_resume(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, arch="6-2", input_shape=[4])
+        assert cli.main(["train", "--config", str(config), "--epochs", "1"]) == 0
+        path = tmp_path / "ck.json"
+        payload = json.loads(path.read_text())
+        payload["weight_velocities"][0] = encode_tensor(np.full((6, 4), value))
+        path.write_text(json.dumps(payload))
+        assert cli.main(["train", "--config", str(config), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite weight velocity at layer 0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("leak", ["0.5", True, None], ids=["string", "bool", "null"])
     def test_checkpoint_leak_is_not_a_number(self, tmp_path, capsys, leak):
@@ -400,17 +414,6 @@ class TestBadInputExitsData:
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{leak!r} is not a number" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("velocity", ["0.0", False], ids=["string", "bool"])
-    def test_checkpoint_leak_velocity_is_not_a_number(self, tmp_path, capsys, velocity):
-        config = write_config(tmp_path, arch="6-2", input_shape=[4], epochs=1, momentum=0.5, momentum_scope="all")
-        assert cli.main(["train", "--config", str(config)]) == 0
-        path = tmp_path / "ck.json"
-        payload = json.loads(path.read_text())
-        payload["optimizer"]["leak_velocities"][0] = velocity
-        path.write_text(json.dumps(payload))
-        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
-        assert f"{velocity!r} is not a number" in capsys.readouterr().err
 
     def test_checkpoint_path_is_a_directory(self, tmp_path, capsys):
         assert cli.main(["eval", "--checkpoint", str(tmp_path)]) == 2

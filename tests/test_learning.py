@@ -339,7 +339,7 @@ class TestAccumulate:
 def _apply(params, acc, rates, samples=1):
     """One update of a freshly made optimizer (plain SGD at momentum 0) over a given sample count."""
     acc.samples = samples
-    return apply_updates(params, acc, OptimizerState.fresh(params, "weights"), rates)
+    return apply_updates(params, acc, OptimizerState.fresh(params), rates)
 
 
 class TestApplyUpdates:

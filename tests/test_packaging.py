@@ -12,7 +12,8 @@ being any name a top-level assignment binds, dunders excluded), and every
 public method, is read somewhere in src/, perfbench/ or demos/ outside its
 own definition or statement: API that only tests read is unused. The same rule holds for
 re-exports: stopsnn.oracle exports exactly the names that src/,
-perfbench/ and demos/ import from it.
+perfbench/ and demos/ import from it. README's "Config files" section and
+TrainConfig's docstring name exactly the config fields no train flag sets.
 """
 import ast
 import re
@@ -176,3 +177,19 @@ def test_the_oracle_subpackage_exports_what_its_readers_import():
                 imported.update(alias.name for alias in node.names)
     assert "record_tape" in imported  # the scan sees the imports
     assert set(oracle.__all__) == imported
+
+
+def test_docs_name_the_config_fields_set_in_the_file_alone():
+    from dataclasses import fields
+
+    from stopsnn.cli import TRAIN_FLAGS
+    from stopsnn.config import TrainConfig
+
+    file_only = {f.name for f in fields(TrainConfig)} - set(TRAIN_FLAGS)
+    assert "input_shape" in file_only
+    section = (ROOT / "README.md").read_text().split("### Config files", 1)[1].split("\n#", 1)[0]
+    count, listed = re.search(r"The other (\w+)\s+fields, (.*?), come from the file alone", section, re.S).groups()
+    assert set(re.findall(r"`(\w+)`", listed)) == file_only
+    assert count == ("one two three four five six seven eight nine ten".split())[len(file_only) - 1]
+    listed = re.search(r"\(cli\.TRAIN_FLAGS\);(.*?)\s+come\s+from the config file alone", TrainConfig.__doc__, re.S)
+    assert set(re.findall(r"\w+", listed.group(1))) - {"and"} == file_only

@@ -226,7 +226,7 @@ def _valid_checkpoint(tmp_path) -> bytes:
     config = TrainConfig(arch="3-2", input_shape=(2,), num_classes=2, time_steps=2)
     params = init_params(build_network(config), seed=0)
     path = tmp_path / "ck.json"
-    checkpoint_save(path, params, OptimizerState.fresh(params, "all"), config)
+    checkpoint_save(path, params, OptimizerState.fresh(params), config)
     return path.read_bytes()
 
 

@@ -98,7 +98,7 @@ class TestCheckpoints:
         config = teacher_config(tmp_path)
         spec = trainer.build_network(config)
         params = init_params(spec, seed=config.seed)
-        optimizer = OptimizerState.fresh(params, "weights")
+        optimizer = OptimizerState.fresh(params)
         return config, params, optimizer
 
     def test_unwritable_path_is_a_config_error_naming_it(self, tmp_path):
@@ -134,13 +134,11 @@ class TestCheckpoints:
     def test_bytes_match_the_reference_encoding(self, tmp_path, text):
         config, params, _ = self._setup(tmp_path)
         config = config.with_overrides(metrics_path=text)
-        optimizer = OptimizerState.fresh(params, "all")
+        optimizer = OptimizerState.fresh(params)
         rng = np.random.default_rng(0)
-        for velocities in (optimizer.weight_velocities, optimizer.threshold_velocities):
-            for v in velocities:
-                if v is not None:
-                    v += rng.normal(size=v.shape)
-        optimizer.leak_velocities = [None if v is None else 0.25 for v in optimizer.leak_velocities]
+        for v in optimizer.weight_velocities:
+            if v is not None:
+                v += rng.normal(size=v.shape)
         optimizer.epoch = 2
 
         def encode(arr):
@@ -148,21 +146,16 @@ class TestCheckpoints:
             return {"shape": list(arr.shape), "data": data}
 
         reference = {
-            "version": trainer.CHECKPOINT_VERSION,
-            "digest": config.model_digest(),
+            "version": 2,
             "epoch": 2,
             "config": config.to_dict(),
             "params": [None if p is None else {"weights": encode(p.weights), "thresholds": encode(p.thresholds),
                                                "leak": p.leak} for p in params],
-            "optimizer": {
-                "weight_velocities": [None if v is None else encode(v) for v in optimizer.weight_velocities],
-                "threshold_velocities": [None if v is None else encode(v) for v in optimizer.threshold_velocities],
-                "leak_velocities": optimizer.leak_velocities,
-                "epoch": optimizer.epoch,
-            },
+            "weight_velocities": [None if v is None else encode(v) for v in optimizer.weight_velocities],
         }
         path = tmp_path / "a.json"
         checkpoint_save(path, params, optimizer, config)
+        assert sorted(json.loads(path.read_text())) == ["config", "epoch", "params", "version", "weight_velocities"]
         assert path.read_bytes() == json.dumps(reference, sort_keys=True, separators=(",", ":")).encode()
 
     def test_digest_mismatch_refused(self, tmp_path):
@@ -189,7 +182,7 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="version"):
             checkpoint_load(path)
 
-    @pytest.mark.parametrize("missing", ["params", "digest", "optimizer", "epoch"])
+    @pytest.mark.parametrize("missing", ["params", "weight_velocities", "epoch", "config"])
     def test_missing_section_is_data_error(self, tmp_path, missing):
         config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
@@ -235,40 +228,29 @@ class TestCheckpoints:
     @pytest.mark.parametrize("section,key,value,message", [
         ("params", 2, None, "3 parameter entries for 2 layers"),
         ("params", 0, None, "layer 0 lacks parameters"),
-        ("optimizer", "weight_velocities", [{"shape": [2, 2], "data": base64.b64encode(bytes(32)).decode()}, None],
-         "layer 0 weights velocity"),
-        ("optimizer", "threshold_velocities", [None, None], "layer 0 thresholds velocity"),
-        ("optimizer", "leak_velocities", [0.0], "leak velocities do not cover"),
+        ("weight_velocities", 0, {"shape": [2, 2], "data": base64.b64encode(bytes(32)).decode()},
+         "layer 0 weight velocity"),
+        ("weight_velocities", 1, None, "layer 1 weight velocity"),
+        ("weight_velocities", 2, None, "weight velocities do not cover the 2 layers"),
         ("config", "arch", "12Q-2", "unusable config"),
         ("config", "arch", "10-2", "layer 0 weights, thresholds"),
         ("config", "epochs", "3", "unusable config"),
-        ("optimizer", "epoch", 7, "has epoch 0 but optimizer epoch 7"),
     ])
     def test_tensors_must_fit_the_stored_architecture(self, tmp_path, section, key, value, message):
-        config, params, _ = self._setup(tmp_path)
+        config, params, optimizer = self._setup(tmp_path)
         path = tmp_path / "a.json"
-        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), config)
+        checkpoint_save(path, params, optimizer, config)
         payload = json.loads(path.read_text())
-        if section == "params" and key == len(payload["params"]):
-            payload["params"].append(value)
+        if key == len(payload[section]):
+            payload[section].append(value)
         else:
             payload[section][key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=message):
             checkpoint_load(path)
 
-    @pytest.mark.parametrize("family", ["threshold_velocities", "leak_velocities"])
-    def test_threshold_and_leak_velocities_come_together(self, tmp_path, family):
-        config, params, _ = self._setup(tmp_path)
-        path = tmp_path / "a.json"
-        checkpoint_save(path, params, OptimizerState.fresh(params, "all"), config)
-        payload = json.loads(path.read_text())
-        payload["optimizer"][family] = None
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="only one of the threshold and leak velocities"):
-            checkpoint_load(path)
-
-    @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}'])
+    @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}',
+                                      '{"version": 2, "params": 3}'])
     def test_wrong_structure_is_data_error(self, tmp_path, text):
         path = tmp_path / "a.json"
         path.write_text(text)
@@ -349,6 +331,26 @@ class TestTrain:
                 assert np.array_equal(p.thresholds, q.thresholds)
                 assert p.leak == q.leak
 
+    @pytest.mark.parametrize("kept", [[1, 2], [0, 0, 1, 2], [1, 0, 2], [0, 1]],
+                             ids=["first_missing", "repeated", "out_of_order", "last_missing"])
+    def test_resume_refuses_a_gapped_metrics_file(self, tmp_path, kept):
+        config = teacher_config(tmp_path, epochs=5)
+        train(config, clock=lambda: 0.0, stop_after_epoch=2)
+        metrics, checkpoint = tmp_path / "metrics.jsonl", tmp_path / "ck.json"
+        rows = metrics.read_text().splitlines(keepends=True)
+        metrics.write_text("".join(rows[epoch] for epoch in kept))
+        before = {path: path.read_bytes() for path in (metrics, metrics.with_suffix(".csv"), checkpoint)}
+        with pytest.raises(DataError, match=f"metrics file {metrics} does not hold epochs 0..2 in order"):
+            train(config.with_overrides(resume=True), clock=lambda: 0.0)
+        assert {path: path.read_bytes() for path in before} == before
+
+    def test_resume_without_a_metrics_file_keeps_only_the_new_rows(self, tmp_path):
+        config = teacher_config(tmp_path, epochs=4)
+        train(config, clock=lambda: 0.0, stop_after_epoch=1)
+        (tmp_path / "metrics.jsonl").unlink()
+        result = train(config.with_overrides(resume=True), clock=lambda: 0.0)
+        assert [row["epoch"] for row in result.metrics] == [2, 3]
+
     def test_nan_aborts_and_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         config = teacher_config(tmp_path, epochs=5)
         real = trainer.learn_batch
@@ -366,24 +368,6 @@ class TestTrain:
             train(config)
         _, _, epoch, _ = checkpoint_load(config.checkpoint_path)
         assert epoch == 1  # last finite epoch
-
-    @pytest.mark.parametrize("saved, resumed", [("weights", "all"), ("all", "weights")])
-    def test_resume_refuses_momentum_buffers_of_another_scope(self, tmp_path, saved, resumed):
-        # the digest does not cover momentum_scope, so a resume under another scope would
-        # train without the momentum the config asks for, or with momentum it does not
-        config = teacher_config(tmp_path, momentum_scope=saved)
-        train(config, stop_after_epoch=0)
-        checkpoint = (tmp_path / "ck.json").read_bytes()
-        with pytest.raises(DataError, match=f"momentum_scope '{saved}', not '{resumed}'"):
-            train(config.with_overrides(momentum_scope=resumed, resume=True))
-        assert (tmp_path / "ck.json").read_bytes() == checkpoint
-        assert len(train(config.with_overrides(resume=True)).metrics) == config.epochs
-
-    def test_momentum_scope_all_runs(self, tmp_path):
-        config = teacher_config(tmp_path, momentum_scope="all", epochs=2)
-        result = train(config)
-        assert len(result.metrics) == 2
-        assert result.optimizer.threshold_velocities is not None
 
 
 class TestLoadDataset:
