@@ -1,7 +1,9 @@
 """Training configuration: JSON-backed, CLI-overridable and digestible (a
 checkpoint stores the config, and loading recomputes its digest from it). Each
 field is checked once, when a TrainConfig is made: its JSON type against its
-annotation (a bool is not a number, an int is a float, floats are finite), then its value."""
+annotation (a bool is not a number, an int is a float, floats are finite), then its value.
+Settings with one value in use are constants, not fields: NetworkSpec's default
+surrogate, and the threshold floor learning.THRESHOLD_FLOOR."""
 import hashlib
 import json
 import sys
@@ -9,8 +11,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .learning import THRESHOLD_FLOOR, LossKind, SynergyMode
-from .lif import SurrogateKind
+from .learning import LossKind, SynergyMode
 from .topology import InitMode
 
 
@@ -51,8 +52,8 @@ def check_json(what: str, kind: type, value):
 class TrainConfig:
     """Everything a training run needs; every field is a config JSON key of
     the same name. stopsnn train overrides 15 of them by flag (cli.TRAIN_FLAGS);
-    input_shape, num_classes, dataset, surrogate, init_mode and epsilon come
-    from the config file alone."""
+    input_shape, num_classes, dataset and init_mode
+    come from the config file alone."""
 
     arch: str = "16-10"
     input_shape: tuple = (10,)
@@ -61,7 +62,6 @@ class TrainConfig:
     time_steps: int = 6
     mode: str = "WTL"
     loss: str = "ce"
-    surrogate: str = "exp_abs"
     eta_w: float = 1e-2
     eta_theta: float = 1e-4
     eta_alpha: float = 1e-4
@@ -71,7 +71,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     init_mode: str = "fan_in_scaled"
-    epsilon: float = THRESHOLD_FLOOR
     checkpoint_path: str = "checkpoint.json"
     metrics_path: str = "metrics.jsonl"
     resume: bool = False
@@ -82,7 +81,6 @@ class TrainConfig:
         try:
             mode = SynergyMode(self.mode)
             LossKind(self.loss)
-            SurrogateKind(self.surrogate)
             InitMode(self.init_mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -100,8 +98,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0; batch_size and time_steps >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.epsilon <= 0:
-            raise ConfigError("threshold floor epsilon must be positive")
         if "kind" not in self.dataset:
             raise ConfigError("dataset must have a 'kind' entry")
 
@@ -134,6 +130,6 @@ class TrainConfig:
         """Digest of the fields that define the parameter tensors; a
         checkpoint whose stored config digests otherwise refuses to load."""
         essence = {k: getattr(self, k) for k in (
-            "arch", "input_shape", "num_classes", "time_steps", "surrogate", "init_mode", "seed")}
+            "arch", "input_shape", "num_classes", "time_steps", "init_mode", "seed")}
         blob = json.dumps(essence, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

@@ -73,14 +73,15 @@ def load_idx(images_path, labels_path) -> tuple[Tensor, np.ndarray]:
     """Load an IDX image/label file pair as (images, labels).
 
     Images come back as float64 arrays of the raw byte values; labels as an
-    int vector. Fails closed with a DataError on an unreadable file, bad
-    magic, a payload shorter or longer than its header declares, or a
-    count mismatch.
+    int vector. Fails closed with a DataError naming the file on an
+    unreadable file, bad magic, a payload shorter or longer than its header
+    declares, or a count mismatch (which names both).
     """
     (count, rows, cols), pixels = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, 3, "image")
     (label_count,), label_bytes = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, 1, "label")
     if label_count != count:
-        raise DataError(f"image count {count} does not match label count {label_count}")
+        raise DataError(f"image count {count} in {images_path} does not match label count {label_count} "
+                        f"in {labels_path}")
     return pixels.astype(np.float64).reshape(count, rows, cols), label_bytes.astype(np.int64)
 
 
@@ -141,6 +142,12 @@ def _int_fields(line: str) -> list[int] | None:
     return values if all(v in _INT64 for v in values) else None
 
 
+def _numbered_lines(text: str) -> tuple[list[str], int]:
+    """The lines of text without its leading and trailing whitespace, and the file line number of the first."""
+    lead = text[: len(text) - len(text.lstrip())]
+    return text.strip().splitlines(), len((lead + ".").splitlines())
+
+
 def _bad_event_line(path, rows: list[str], first_line: int) -> DataError:
     """The error naming the first of rows that is not four int64 fields."""
     for ln, line in enumerate(rows, start=first_line):
@@ -162,11 +169,9 @@ def load_event_stream(path) -> EventStream:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read event file {path}: {exc}") from exc
-    lines = text.strip().splitlines()
+    lines, first = _numbered_lines(text)
     if not lines:
         raise DataError(f"empty event file {path}")
-    lead = text[: len(text) - len(text.lstrip())]
-    first = len((lead + ".").splitlines())  # file line number of lines[0]
     header = _int_fields(lines[0])
     if header is None or len(header) != 2:
         raise DataError(f"bad event header on line {first} in {path}: {lines[0]!r}")
@@ -193,6 +198,30 @@ def save_event_stream(path, stream: EventStream) -> None:
         f.write(f"{stream.height} {stream.width}\n")
         for t, x, y, p in zip(stream.timestamps, stream.xs, stream.ys, stream.polarities):
             f.write(f"{t} {x} {y} {p}\n")
+
+
+def load_manifest(path, classes: int) -> list[tuple[Path, int]]:
+    """(event file, label) pairs, one "relative/path label" per line, each label one of the classes
+    and read by the event fields' integer rule; a DataError names the manifest and the file line number."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    lines, first = _numbered_lines(text)
+    entries = []
+    for ln, line in enumerate(lines, start=first):
+        fields = line.split()
+        values = _int_fields(fields[1]) if len(fields) == 2 else None
+        if values is None:
+            raise DataError(f"bad manifest line {ln} in {path}: {line!r}")
+        label = values[0]
+        if not 0 <= label < classes:
+            raise DataError(f"manifest line {ln} in {path}: label {label} is outside the {classes} classes "
+                            f"0..{classes - 1}")
+        entries.append((Path(path).parent / fields[0], label))
+    if not entries:
+        raise DataError(f"empty manifest {path}")
+    return entries
 
 
 def slice_events(stream: EventStream, time_steps: int, normalize: bool = True) -> list[Tensor]:
@@ -291,12 +320,13 @@ def synthetic_teacher(seed: int, spec: NetworkSpec, n_samples: int):
 
 
 GLYPH_CLASSES = 10
+GLYPH_NOISE = 12.0  # standard deviation of the per-pixel Gaussian noise, in byte units
 
 
-def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 12.0):
-    """Digit-like 10-class image task: smooth random prototype glyphs with
-    per-sample translation jitter of up to 2 pixels, amplitude wobble, and
-    pixel noise.
+def synthetic_glyphs(seed: int, n_samples: int, side: int = 28):
+    """Digit-like 10-class side x side image task: smooth random prototype
+    glyphs with per-sample translation jitter of up to 2 pixels, amplitude
+    wobble, and pixel noise of GLYPH_NOISE.
 
     Returns (images, labels) with byte-range values, IDX-compatible.
     """
@@ -318,18 +348,17 @@ def synthetic_glyphs(seed: int, n_samples: int, side: int = 28, noise: float = 1
         img = protos[label] * rng.uniform(0.8, 1.2)
         dy, dx = rng.integers(-2, 3, size=2)
         img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
-        img = img + rng.normal(0.0, noise, size=img.shape)
+        img = img + rng.normal(0.0, GLYPH_NOISE, size=img.shape)
         images[i] = np.clip(img, 0.0, 255.0)
     return images, labels.astype(np.int64)
 
 
-def dataset_from_images(images: Tensor, labels, time_steps: int, num_classes: int,
-                        max_value: float = 255.0) -> list[Sample]:
-    """Direct-code an image set into per-sample frame sequences; a 2-D image gains a channel axis."""
+def dataset_from_images(images: Tensor, labels, time_steps: int, num_classes: int) -> list[Sample]:
+    """Direct-code byte images into per-sample frame sequences (bytes / 255); a 2-D image gains a channel axis."""
     samples = []
     for img, label in zip(images, labels):
         raw = img[None, :, :] if img.ndim == 2 else img
-        frames = encode_direct(raw, max_value, time_steps)
+        frames = encode_direct(raw, time_steps)
         samples.append(Sample.from_frames(frames, int(label), num_classes))
     return samples
 

@@ -568,18 +568,13 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class UpdateRates:
-    """One epoch's learning rates plus momentum, weight decay and the threshold floor epsilon."""
+    """One epoch's learning rates plus momentum and weight decay."""
 
     eta_w: float
     eta_theta: float
     eta_alpha: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    epsilon: float = THRESHOLD_FLOOR
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError(f"threshold floor epsilon must be positive, got {self.epsilon}")
 
 
 def apply_updates(
@@ -594,13 +589,12 @@ def apply_updates(
     trains move. Weights take an L2-decayed momentum step (momentum 0 is
     plain SGD). Threshold changes are averaged over the neurons that share
     each threshold (a convolution channel's positions), then truncated
-    at the floor epsilon; leakage changes are averaged over the layer's
+    at THRESHOLD_FLOOR; leakage changes are averaged over the layer's
     neurons and the result clamped to [0, 1]. Neither takes momentum.
 
     Fails closed: a non-finite gradient of a trained family, checked before
     any parameter moves, or a non-finite updated parameter raises
-    NumericError naming the layer and the family (w, theta or alpha). A
-    floor epsilon <= 0 is refused when the rates are made.
+    NumericError naming the layer and the family (w, theta or alpha).
     """
     spec, mode = grads.spec, grads.mode
     for i in spec.lif_indices:
@@ -618,7 +612,7 @@ def apply_updates(
 
         if mode.trains_thresholds:
             dtheta = grads.dtheta[i] * (scale / (layer.fan_out // layer.num_thresholds))
-            p.thresholds = np.maximum(rates.epsilon, p.thresholds - rates.eta_theta * dtheta)
+            p.thresholds = np.maximum(THRESHOLD_FLOOR, p.thresholds - rates.eta_theta * dtheta)
 
         if mode.trains_leakages:
             dalpha = float(grads.dalpha[i]) / layer.fan_out * scale

@@ -134,8 +134,8 @@ def lif_step(
     return state
 
 
-def encode_direct(raw: Tensor, max_value: float, time_steps: int) -> list[Tensor]:
-    """Rescale raw values to [0, 1] fractional spikes, repeated each step.
+def encode_direct(raw: Tensor, time_steps: int) -> list[Tensor]:
+    """Rescale byte values in [0, 255] to [0, 1] fractional spikes, repeated each step.
 
     The returned frames share one array; encoded inputs are read-only by
     convention.
@@ -143,10 +143,8 @@ def encode_direct(raw: Tensor, max_value: float, time_steps: int) -> list[Tensor
     raw = np.asarray(raw, dtype=np.float64)
     if time_steps < 1:
         raise EncodingError(f"need at least one time-step, got {time_steps}")
-    if max_value <= 0:
-        raise EncodingError(f"max_value must be positive, got {max_value}")
-    if np.any(raw < 0.0) or np.any(raw > max_value):
-        raise EncodingError("raw values outside [0, max_value]")
-    frame = raw / float(max_value)
+    if np.any(raw < 0.0) or np.any(raw > 255.0):
+        raise EncodingError("raw values outside [0, 255]")
+    frame = raw / 255.0
     return [frame] * time_steps
 

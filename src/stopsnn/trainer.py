@@ -38,7 +38,6 @@ from .learning import (  # noqa: F401 -- learn_sample and loss_value stay import
     learn_sample,
     loss_value,
 )
-from .lif import SurrogateKind
 from .topology import (  # noqa: F401 -- forward_timestep stays importable here for tools that wrap it
     InitMode,
     LayerParams,
@@ -48,7 +47,7 @@ from .topology import (  # noqa: F401 -- forward_timestep stays importable here 
     parse_architecture,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
@@ -61,41 +60,16 @@ def cosine_lr(initial: float, epoch: int, total_epochs: int) -> float:
 # ---------------------------------------------------------------------------
 # dataset assembly
 
-def _load_manifest(path, classes: int) -> list[tuple[Path, int]]:
-    """(event file, label) pairs, one "relative/path label" per line, each label one of the classes."""
-    base = Path(path).parent
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    entries = []
-    for ln, line in enumerate(text.strip().splitlines(), start=1):
-        try:
-            name, label = line.split()
-            label = int(label)
-        except ValueError:
-            raise DataError(f"bad manifest line {ln} in {path}: {line!r}") from None
-        if not 0 <= label < classes:
-            raise DataError(f"manifest line {ln} in {path}: label {label} is outside the {classes} classes "
-                            f"0..{classes - 1}")
-        entries.append((base / name, label))
-    if not entries:
-        raise DataError(f"empty manifest {path}")
-    return entries
-
-
 _REQUIRED, _FROM_CONFIG = object(), object()  # no default; the TrainConfig field of the same name
 _PATH = (str, _REQUIRED, None)
 
 # (JSON type as config.check_json reads it, default, lower bound or None) of every option each kind reads
 DATASET_OPTIONS = {
-    "idx": {"train_images": _PATH, "train_labels": _PATH, "test_images": _PATH, "test_labels": _PATH,
-            "max_value": (float, 255.0, 0)},
-    "glyphs": {"n_train": (int, 1000, 1), "n_test": (int, 300, 1), "seed": (int, _FROM_CONFIG, 0),
-               "side": (int, 28, 1), "noise": (float, 12.0, 0)},
+    "idx": {"train_images": _PATH, "train_labels": _PATH, "test_images": _PATH, "test_labels": _PATH},
+    "glyphs": {"n_train": (int, 1000, 1), "n_test": (int, 300, 1), "seed": (int, _FROM_CONFIG, 0)},
     "teacher": {"n_train": (int, 200, 1), "n_test": (int, 100, 1), "seed": (int, _FROM_CONFIG, 0),
                 "arch": (str, _FROM_CONFIG, None)},
-    "events": {"train_manifest": _PATH, "test_manifest": _PATH, "normalize": (bool, True, None)},
+    "events": {"train_manifest": _PATH, "test_manifest": _PATH},
 }
 
 
@@ -147,13 +121,14 @@ def _split_per_class(samples: list, n_train: int) -> tuple[list, list]:
 def load_dataset(config: TrainConfig) -> tuple[list, list]:
     """Materialize (train, test) sample lists for the configured source.
 
-    Options are resolved by DATASET_OPTIONS: an unknown or malformed one,
-    or an IDX max_value <= 0, raises ConfigError; unreadable or malformed
-    files raise DataError naming the file, and so do a file whose frames
-    do not have config.input_shape and an IDX file with no images, bytes
-    above max_value or labels outside config.num_classes. Glyphs of another
-    side than input_shape's or with num_classes other than 10 are a
-    ConfigError. The teacher kind splits each class's draws between train and test.
+    Options are resolved by DATASET_OPTIONS: an unknown or malformed one
+    raises ConfigError. Unreadable or malformed files raise DataError naming
+    the file, and so do a file whose frames do not have config.input_shape,
+    an IDX file with no images or labels outside config.num_classes, and an
+    event file with fewer events than time steps. IDX frames are bytes / 255,
+    event frames are normalized by their peak count. Glyphs take input_shape
+    (1, s, s) and num_classes 10, or raise ConfigError. The teacher kind
+    splits each class's draws between train and test.
     """
     kind, opt = _resolve_options(config)
     steps, shape = config.time_steps, config.input_shape
@@ -163,8 +138,6 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
             raise DataError(f"{path} holds frames of shape {frame_shape}, but input_shape is {shape}")
 
     if kind == "idx":
-        if opt["max_value"] <= 0:
-            raise ConfigError(f"dataset option 'max_value' must be positive, got {opt['max_value']!r}")
         splits = []
         for split in ("train", "test"):
             images_path, labels_path = opt[f"{split}_images"], opt[f"{split}_labels"]
@@ -172,22 +145,18 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
             if not len(images):
                 raise DataError(f"{images_path} holds no images")
             fits((1, *images.shape[1:]), images_path)
-            if images.max(initial=0) > opt["max_value"]:
-                raise DataError(f"{images_path} holds values above max_value {opt['max_value']}")
             if labels.max(initial=0) >= config.num_classes:
                 raise DataError(f"{labels_path} holds label {labels.max()}, outside the {config.num_classes} "
                                 f"classes 0..{config.num_classes - 1}")
-            splits.append(ds.dataset_from_images(images, labels, time_steps=steps,
-                                                 num_classes=config.num_classes, max_value=opt["max_value"]))
+            splits.append(ds.dataset_from_images(images, labels, time_steps=steps, num_classes=config.num_classes))
         return splits[0], splits[1]
     if kind == "glyphs":
-        n_train, side = opt["n_train"], opt["side"]
+        n_train, side = opt["n_train"], shape[-1]
         if shape != (1, side, side):
-            raise ConfigError(f"dataset option 'side' {side} makes glyphs of shape {(1, side, side)}, "
-                              f"but input_shape is {shape}")
+            raise ConfigError(f"glyphs are images of shape (1, s, s), but input_shape is {shape}")
         if config.num_classes != ds.GLYPH_CLASSES:
             raise ConfigError(f"glyphs have {ds.GLYPH_CLASSES} classes, but num_classes is {config.num_classes}")
-        images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=side, noise=opt["noise"])
+        images, labels = ds.synthetic_glyphs(opt["seed"], n_train + opt["n_test"], side=side)
         all_samples = ds.dataset_from_images(images, labels, steps, config.num_classes)
         return all_samples[:n_train], all_samples[n_train:]
     if kind == "teacher":
@@ -197,20 +166,20 @@ def load_dataset(config: TrainConfig) -> tuple[list, list]:
     out = []
     for key in ("train_manifest", "test_manifest"):
         samples = []
-        for path, label in _load_manifest(opt[key], config.num_classes):
+        for path, label in ds.load_manifest(opt[key], config.num_classes):
             stream = ds.load_event_stream(path)
             fits((2, stream.height, stream.width), path)
-            frames = ds.slice_events(stream, steps, normalize=opt["normalize"])
+            try:
+                frames = ds.slice_events(stream, steps)
+            except DataError as exc:
+                raise DataError(f"{exc} in {path}") from None
             samples.append(ds.Sample.from_frames(frames, label, config.num_classes))
         out.append(samples)
     return out[0], out[1]
 
 
 def build_network(config: TrainConfig) -> NetworkSpec:
-    return parse_architecture(
-        config.arch, config.input_shape, config.num_classes,
-        time_steps=config.time_steps, surrogate=SurrogateKind(config.surrogate),
-    )
+    return parse_architecture(config.arch, config.input_shape, config.num_classes, time_steps=config.time_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +434,7 @@ def train(config: TrainConfig, clock=time.perf_counter, log=None,
             eta_w=cosine_lr(config.eta_w, epoch, config.epochs),
             eta_theta=cosine_lr(config.eta_theta, epoch, config.epochs),
             eta_alpha=cosine_lr(config.eta_alpha, epoch, config.epochs),
-            momentum=config.momentum, weight_decay=config.weight_decay, epsilon=config.epsilon,
+            momentum=config.momentum, weight_decay=config.weight_decay,
         )
 
         epoch_loss = 0.0

@@ -264,9 +264,11 @@ class TestTrainEval:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "ck.json"), "--data", str(data)]) == 1
         assert "dataset file" in capsys.readouterr().err
 
-    def test_momentum_scope_is_an_unknown_field(self, tmp_path, capsys):
-        assert cli.main(["train", "--config", str(write_config(tmp_path, momentum_scope="weights"))]) == 1
-        assert_one_error_line(capsys.readouterr().err, "unknown config fields: ['momentum_scope']")
+    @pytest.mark.parametrize("field, value", [("momentum_scope", "weights"), ("surrogate", "exp_abs"),
+                                              ("epsilon", 0.01)], ids=["momentum_scope", "surrogate", "epsilon"])
+    def test_removed_setting_is_an_unknown_field(self, tmp_path, capsys, field, value):
+        assert cli.main(["train", "--config", str(write_config(tmp_path, **{field: value}))]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"unknown config fields: [{field!r}]")
         assert not (tmp_path / "metrics.jsonl").exists()
 
     def test_corrupt_metrics_on_resume_is_data_error(self, tmp_path, capsys):
@@ -394,6 +396,14 @@ class TestBadInputExitsData:
         err = capsys.readouterr().err
         assert "unsupported checkpoint version 1" in err and "Traceback" not in err
 
+    def test_checkpoint_of_version_2_is_refused(self, tmp_path, capsys):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload.update(version=2, config={**payload["config"], "surrogate": "exp_abs", "epsilon": 0.01})
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 2" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_weight_velocity_is_refused_on_resume(self, tmp_path, capsys, value):
         config = write_config(tmp_path, arch="6-2", input_shape=[4])
@@ -427,11 +437,11 @@ class TestBadInputExitsData:
         assert "cannot read IDX image file" in capsys.readouterr().err
 
 
-def _idx_of_8x8_glyphs(tmp_path, labels, input_shape=(1, 8, 8), **options):
+def _idx_of_8x8_glyphs(tmp_path, labels, input_shape=(1, 8, 8)):
     images, _ = synthetic_glyphs(seed=0, n_samples=8, side=8)
     write_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", images, labels)
     files = {"train_images": "img.idx", "train_labels": "lbl.idx", "test_images": "img.idx", "test_labels": "lbl.idx"}
-    dataset = {"kind": "idx", **{key: str(tmp_path / name) for key, name in files.items()}, **options}
+    dataset = {"kind": "idx", **{key: str(tmp_path / name) for key, name in files.items()}}
     return write_config(tmp_path, arch="4-2", input_shape=list(input_shape), dataset=dataset)
 
 
@@ -453,18 +463,14 @@ def _events_8x8(tmp_path):
     return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 1\n", side=8), str(tmp_path / "ev.txt")
 
 
-def _glyphs_of_side_12(tmp_path):
-    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4, "side": 12}
-    return write_config(tmp_path, arch="4-10", input_shape=[1, 10, 10], num_classes=10, dataset=dataset), "'side'"
+def _glyphs_of_10x12(tmp_path):
+    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4}
+    return write_config(tmp_path, arch="4-10", input_shape=[1, 10, 12], num_classes=10, dataset=dataset), "input_shape"
 
 
 def _glyphs_in_four_classes(tmp_path):
-    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4, "side": 10}
+    dataset = {"kind": "glyphs", "n_train": 8, "n_test": 4}
     return write_config(tmp_path, arch="4-4", input_shape=[1, 10, 10], num_classes=4, dataset=dataset), "num_classes"
-
-
-def _idx_bytes_above_max_value(tmp_path):
-    return _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 2, max_value=100.0), "img.idx"
 
 
 def _idx_label_outside_the_classes(tmp_path):
@@ -480,13 +486,18 @@ def _event_outside_the_sensor(tmp_path):
     return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 1\n"), "ev.txt"
 
 
+def _event_file_shorter_than_the_window(tmp_path):
+    (tmp_path / "ev.txt").write_text("4 4\n0 1 1 0\n")  # one event for a window of two steps
+    return _events_on_4x4(tmp_path, "ev.txt 0\nev.txt 1\n"), "ev.txt"
+
+
 # the load-time data checks each name the file (a manifest's label, also the line) and exit 2
 @pytest.mark.parametrize("build, code, prefix", [
-    (_idx_8x8, 2, "data error:"), (_events_8x8, 2, "data error:"), (_glyphs_of_side_12, 1, "error:"),
-    (_glyphs_in_four_classes, 1, "error:"),
-    (_idx_bytes_above_max_value, 2, "data error:"), (_idx_label_outside_the_classes, 2, "data error:"),
+    (_idx_8x8, 2, "data error:"), (_events_8x8, 2, "data error:"), (_glyphs_of_10x12, 1, "error:"),
+    (_glyphs_in_four_classes, 1, "error:"), (_idx_label_outside_the_classes, 2, "data error:"),
     (_manifest_label_outside_the_classes, 2, "data error:"), (_event_outside_the_sensor, 2, "data error:"),
-], ids=["idx", "events", "glyphs", "glyph-classes", "idx-bytes", "idx-label", "manifest-label", "event-bounds"])
+    (_event_file_shorter_than_the_window, 2, "data error:"),
+], ids=["idx", "events", "glyphs", "glyph-classes", "idx-label", "manifest-label", "event-bounds", "event-count"])
 def test_dataset_geometry_is_checked_before_training(tmp_path, capsys, build, code, prefix):
     config, named = build(tmp_path)
     assert cli.main(["train", "--config", str(config)]) == code
@@ -494,3 +505,12 @@ def test_dataset_geometry_is_checked_before_training(tmp_path, capsys, build, co
     errors = [line for line in err.splitlines() if line.startswith(prefix)]
     assert len(errors) == 1 and named in errors[0] and "Traceback" not in err, err
     assert not any((tmp_path / name).exists() for name in ("ck.json", "metrics.jsonl", "metrics.csv"))
+
+
+def test_idx_count_mismatch_names_both_files(tmp_path, capsys):
+    config = _idx_of_8x8_glyphs(tmp_path, np.arange(8) % 2)
+    write_idx(tmp_path / "unused.idx", tmp_path / "lbl.idx", np.zeros((3, 8, 8)), np.zeros(3))  # 3 labels, 8 images
+    assert cli.main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"image count 8 in {tmp_path / 'img.idx'} does not match label count 3 in {tmp_path / 'lbl.idx'}" in err
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 
 from stopsnn import learning
 from stopsnn.datasets import Sample, batch_frames, batch_targets, dataset_from_images
-from stopsnn.errors import ConfigError, ShapeError, TargetError
+from stopsnn.errors import ShapeError, TargetError
 from stopsnn.learning import (
     GradAccumulator,
     LossKind,
@@ -362,14 +362,9 @@ class TestApplyUpdates:
         params[0].thresholds = np.array([0.05, 0.05])
         acc = GradAccumulator.zeros(spec)
         acc.dtheta[0] = np.array([1.0, -1.0])
-        _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, epsilon=0.01))
+        _apply(params, acc, UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0))
         assert params[0].thresholds[0] == 0.01  # 0.05 - 0.1 clamps up to the floor
         assert params[0].thresholds[1] == pytest.approx(0.15)
-
-    @pytest.mark.parametrize("epsilon", [0.0, -0.01])
-    def test_non_positive_floor_refused(self, epsilon):
-        with pytest.raises(ConfigError, match="epsilon"):
-            UpdateRates(eta_w=0.0, eta_theta=0.1, eta_alpha=0.0, epsilon=epsilon)
 
     def test_leak_clamps_to_unit_interval(self):
         spec, params = self._one_layer()

@@ -132,28 +132,28 @@ class TestLifStep:
 
 class TestEncodeDirect:
     def test_upper_bound(self):
-        frames = lif.encode_direct(np.array([255.0]), 255.0, 4)
+        frames = lif.encode_direct(np.array([255.0]), 4)
         assert len(frames) == 4
         for f in frames:
             assert f[0] == 1.0
 
     def test_zero(self):
-        frames = lif.encode_direct(np.array([0.0]), 255.0, 3)
+        frames = lif.encode_direct(np.array([0.0]), 3)
         assert all(f[0] == 0.0 for f in frames)
 
     def test_midpoint(self):
-        frames = lif.encode_direct(np.array([128.0]), 255.0, 5)
+        frames = lif.encode_direct(np.array([128.0]), 5)
         assert len(frames) == 5
         for f in frames:
             assert f[0] == pytest.approx(128.0 / 255.0, abs=1e-12)
 
     def test_out_of_range_raises(self):
         with pytest.raises(EncodingError):
-            lif.encode_direct(np.array([-1.0]), 255.0, 2)
+            lif.encode_direct(np.array([-1.0]), 2)
         with pytest.raises(EncodingError):
-            lif.encode_direct(np.array([300.0]), 255.0, 2)
+            lif.encode_direct(np.array([300.0]), 2)
 
     def test_no_steps_raises(self):
         with pytest.raises(EncodingError):
-            lif.encode_direct(np.array([1.0]), 255.0, 0)
+            lif.encode_direct(np.array([1.0]), 0)
 

@@ -13,7 +13,8 @@ public method, is read somewhere in src/, perfbench/ or demos/ outside its
 own definition or statement: API that only tests read is unused. The same rule holds for
 re-exports: stopsnn.oracle exports exactly the names that src/,
 perfbench/ and demos/ import from it. README's "Config files" section and
-TrainConfig's docstring name exactly the config fields no train flag sets.
+TrainConfig's docstring name exactly the config fields no train flag sets,
+and that section names exactly the options of each dataset kind.
 """
 import ast
 import re
@@ -186,10 +187,19 @@ def test_docs_name_the_config_fields_set_in_the_file_alone():
     from stopsnn.config import TrainConfig
 
     file_only = {f.name for f in fields(TrainConfig)} - set(TRAIN_FLAGS)
-    assert "input_shape" in file_only
+    assert file_only == {"input_shape", "num_classes", "dataset", "init_mode"}
     section = (ROOT / "README.md").read_text().split("### Config files", 1)[1].split("\n#", 1)[0]
     count, listed = re.search(r"The other (\w+)\s+fields, (.*?), come from the file alone", section, re.S).groups()
     assert set(re.findall(r"`(\w+)`", listed)) == file_only
     assert count == ("one two three four five six seven eight nine ten".split())[len(file_only) - 1]
     listed = re.search(r"\(cli\.TRAIN_FLAGS\);(.*?)\s+come\s+from the config file alone", TrainConfig.__doc__, re.S)
     assert set(re.findall(r"\w+", listed.group(1))) - {"and"} == file_only
+
+
+def test_docs_name_each_dataset_kinds_options():
+    from stopsnn.trainer import DATASET_OPTIONS
+
+    section = (ROOT / "README.md").read_text().split("### Config files", 1)[1].split("\n#", 1)[0]
+    listed = {kind: set(re.findall(r"`(\w+)`", options))
+              for kind, options in re.findall(r"^\* `(\w+)` takes (.*?):", section, re.M)}
+    assert listed == {kind: set(options) for kind, options in DATASET_OPTIONS.items()}

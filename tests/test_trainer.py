@@ -146,7 +146,7 @@ class TestCheckpoints:
             return {"shape": list(arr.shape), "data": data}
 
         reference = {
-            "version": 2,
+            "version": 3,
             "epoch": 2,
             "config": config.to_dict(),
             "params": [None if p is None else {"weights": encode(p.weights), "thresholds": encode(p.thresholds),
@@ -250,7 +250,7 @@ class TestCheckpoints:
             checkpoint_load(path)
 
     @pytest.mark.parametrize("text", ["[]", '"checkpoint"', '{"version": 1, "digest": "x", "params": 3}',
-                                      '{"version": 2, "params": 3}'])
+                                      '{"version": 3, "params": 3}'])
     def test_wrong_structure_is_data_error(self, tmp_path, text):
         path = tmp_path / "a.json"
         path.write_text(text)
@@ -377,7 +377,7 @@ class TestLoadDataset:
             arch="10",
             input_shape=(1, 12, 12),
             num_classes=10,
-            dataset={"kind": "glyphs", "n_train": 30, "n_test": 10, "side": 12},
+            dataset={"kind": "glyphs", "n_train": 30, "n_test": 10},
         )
         train_set, test_set = load_dataset(config)
         assert len(train_set) == 30 and len(test_set) == 10
@@ -447,7 +447,8 @@ class TestLoadDataset:
         assert train_set[0].frames[0].shape == (2, 5, 5)
         assert len(train_set[0].frames) == 3
 
-    @pytest.mark.parametrize("line", ["ev0.txt one", "ev0.txt", "ev0.txt 1 2", "ev0.txt 4", "ev0.txt -1"])
+    @pytest.mark.parametrize("line", ["ev0.txt one", "ev0.txt", "ev0.txt 1 2", "ev0.txt 4", "ev0.txt -1",
+                                      "ev0.txt 0_1", "ev0.txt \u0661"])
     def test_bad_manifest_line_is_data_error(self, tmp_path, line):
         from stopsnn.datasets import save_event_stream, synthetic_event_stream
 
@@ -458,7 +459,40 @@ class TestLoadDataset:
             dataset={"kind": "events", "train_manifest": str(tmp_path / "m.txt"),
                      "test_manifest": str(tmp_path / "m.txt")},
         )
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="manifest line 2 in "):
+            load_dataset(config)
+
+    def test_manifest_lines_are_numbered_as_in_the_file(self, tmp_path):
+        from stopsnn.datasets import save_event_stream, synthetic_event_stream
+
+        save_event_stream(tmp_path / "ev0.txt", synthetic_event_stream(seed=0, n_events=40, width=5, height=5))
+        (tmp_path / "m.txt").write_text("\n\nev0.txt 0\nev0.txt x\n")
+        config = teacher_config(
+            tmp_path, arch="4", input_shape=(2, 5, 5), num_classes=4,
+            dataset={"kind": "events", "train_manifest": str(tmp_path / "m.txt"),
+                     "test_manifest": str(tmp_path / "m.txt")},
+        )
+        with pytest.raises(DataError, match="bad manifest line 4 in "):
+            load_dataset(config)
+
+    @pytest.mark.parametrize("kind, option, value, takes", [
+        ("idx", "max_value", 255.0, ["test_images", "test_labels", "train_images", "train_labels"]),
+        ("glyphs", "side", 28, ["n_test", "n_train", "seed"]),
+        ("glyphs", "noise", 12.0, ["n_test", "n_train", "seed"]),
+        ("events", "normalize", True, ["test_manifest", "train_manifest"]),
+    ], ids=["max_value", "side", "noise", "normalize"])
+    def test_removed_dataset_option_is_unknown(self, tmp_path, kind, option, value, takes):
+        config = teacher_config(tmp_path)
+        config.dataset = {"kind": kind, option: value}
+        with pytest.raises(ConfigError) as info:
+            load_dataset(config)
+        assert str(info.value) == f"dataset option {option!r} is unknown for kind {kind!r}; it takes {takes}"
+
+    @pytest.mark.parametrize("shape", [(1, 10, 12), (3, 10, 10)])
+    def test_glyphs_need_one_square_channel(self, tmp_path, shape):
+        config = teacher_config(tmp_path, arch="10", input_shape=shape, num_classes=10,
+                                dataset={"kind": "glyphs", "n_train": 4, "n_test": 2})
+        with pytest.raises(ConfigError, match=r"glyphs are images of shape \(1, s, s\), but input_shape is"):
             load_dataset(config)
 
     def test_unknown_kind(self, tmp_path):
