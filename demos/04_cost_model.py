@@ -1,43 +1,47 @@
 #!/usr/bin/env python3
-"""Learning-pass cost model and measured memory behavior.
+"""Learning memory in bytes: what the streaming rule holds, and what temporal backprop records.
 
-Temporally backward training must keep two state tensors per neuron per
-time-step; the streaming rule carries a fixed three (weights-only) or five
-(full synergy) per neuron no matter how long the window is. The measured
-counts below come from instrumenting a real learning pass.
+learning_bytes counts the buffers a learn call holds for its whole window:
+the network states, the window stack (live traces, stacked rows, their
+targets and the error scratch), the gradient accumulators and the output
+counts. It takes no window length, and the measured peak of a real learning
+pass stays at or above it whatever the window. The unrolled tape that
+temporal backpropagation sweeps grows linearly with the window instead.
 """
+import tracemalloc
+
 import numpy as np
 
-from stopsnn.learning import SynergyMode, complexity_estimate, learn_sample
+from stopsnn.learning import SynergyMode, learn_sample, learning_bytes
 from stopsnn.oracle import record_tape
 from stopsnn.topology import init_params, parse_architecture
 
-print("analytic model (depth 4, width 100):")
-print(f"  {'window':>6} {'rule':<10} {'memory units':>13} {'multiplies':>13}")
-for steps in (6, 10, 20):
-    for rule in ("STBP", "STOP-W", "STOP-WTL"):
-        mem, mul = complexity_estimate(4, 100, steps, rule)
-        print(f"  {steps:>6} {rule:<10} {mem:>13} {mul:>13}")
+ARCH, SHAPE, STEPS = "100-100-100-100-4", (1, 10, 10), 6
+spec = parse_architecture(ARCH, SHAPE, 4, time_steps=STEPS)
+print(f"learning_bytes of {ARCH} (time_steps {STEPS}), held for any window:")
+print(f"  {'mode':<5} {'batch 1':>12} {'batch 32':>12}")
+for mode in SynergyMode:
+    print(f"  {mode.value:<5} {learning_bytes(spec, 1, mode):>12} {learning_bytes(spec, 32, mode):>12}")
 
-mem_stbp, _ = complexity_estimate(4, 100, 6, "STBP")
-mem_stop, _ = complexity_estimate(4, 100, 6, "STOP-W")
-print(f"\nmemory ratio at a 6-step window: {mem_stbp / mem_stop:.1f}x (grows as 2T/3)")
 
-print("\nmeasured on a 8-8-2 probe network:")
+def warm_peak(frames, target) -> int:
+    """Traced peak of a WTL learn_sample call made after a first, untraced one."""
+    learn_sample(spec, params, frames, target, mode=SynergyMode.WTL)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        learn_sample(spec, params, frames, target, mode=SynergyMode.WTL)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+params = init_params(spec, seed=0)
 rng = np.random.default_rng(0)
-target = np.zeros(2)
-target[0] = 1.0
-for steps in (2, 20):
-    spec = parse_architecture("8-8-2", (8,), 2, time_steps=steps)
-    params = init_params(spec, seed=0)
-    frames = [rng.uniform(size=(8,)) for _ in range(steps)]
-    counts = {}
-    for mode in (SynergyMode.W, SynergyMode.WTL):
-        audit = {}
-        learn_sample(spec, params, frames, target, mode=mode, audit=audit)
-        counts[mode.value] = audit["retained_time_indexed_tensors"]
-    tape = record_tape(spec, params, frames)
-    print(
-        f"  window {steps:>2}: streaming retains W={counts['W']}, WTL={counts['WTL']} tensors "
-        f"(constant); unrolled tape length {tape.length}, {tape.retained_tensor_count()} tensors"
-    )
+target = np.eye(4)[0]
+held = learning_bytes(spec, 1, SynergyMode.WTL)
+print(f"\none sample, WTL (learning_bytes {held}):")
+print(f"  {'window':>6} {'warm peak':>12} {'unrolled tape':>14}")
+for window in (STEPS, 4 * STEPS, 16 * STEPS):
+    frames = [rng.uniform(size=SHAPE) for _ in range(window)]
+    print(f"  {window:>6} {warm_peak(frames, target):>12} {record_tape(spec, params, frames).nbytes:>14}")

@@ -18,7 +18,7 @@ from .ablation import run_ablation
 from .checks import run_all
 from .config import TrainConfig, read_json
 from .errors import ConfigError, DataError, NumericError, ParseError, StopSnnError
-from .learning import COMPLEXITY_RULES, LossKind, SynergyMode, complexity_estimate, learn_sample
+from .learning import LossKind, SynergyMode, learn_sample, learning_bytes
 from .topology import parse_architecture
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     grad_p.add_argument("--trials", type=int, default=None, help="trials per suite, >= 0 (0 for an empty report)")
     grad_p.add_argument("--seed", type=int, default=0)
 
-    prof_p = sub.add_parser("profile", help="cost model plus measured retained buffers")
+    prof_p = sub.add_parser("profile", help="learning memory of a probe network, in bytes")
     prof_p.add_argument("--layers", type=int, required=True)
     prof_p.add_argument("--width", type=int, required=True)
     prof_p.add_argument("--timesteps", type=int, required=True)
@@ -135,7 +135,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _learn_peak_bytes(spec, params, frames, target) -> int:
-    """Traced peak of the bytes one WTL learn_sample call allocates above what existed before it."""
+    """Traced peak of the bytes a warm WTL learn_sample call allocates above what existed before it."""
+    learn_sample(spec, params, frames, target, mode=SynergyMode.WTL)  # warm: first-call allocations settle
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -147,12 +148,9 @@ def _learn_peak_bytes(spec, params, frames, target) -> int:
 
 def _cmd_profile(args) -> int:
     l, n, t = args.layers, args.width, args.timesteps
-    costs = {rule: complexity_estimate(l, n, t, rule) for rule in COMPLEXITY_RULES}
-    print(f"analytic cost model for depth {l}, width {n}, window {t}:")
-    print(f"  {'rule':<10} {'memory units':>14} {'multiplies':>16}")
-    for rule, (mem, mul) in costs.items():
-        print(f"  {rule:<10} {mem:>14} {mul:>16}")
-    print(f"  memory ratio STBP / STOP-W = {costs['STBP'][0] / costs['STOP-W'][0]:.2f} (= 2T/3)")
+    for flag, value in (("--layers", l), ("--width", n), ("--timesteps", t)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive, got {value}")
 
     import numpy as np
 
@@ -165,19 +163,15 @@ def _cmd_profile(args) -> int:
     params = init_params(spec, seed=0)
     rng = np.random.default_rng(0)
     frames = [rng.uniform(size=(probe_width,)) for _ in range(t)]
-    target = np.zeros(2)
-    target[0] = 1.0
-    audits = {}
-    for mode in (SynergyMode.W, SynergyMode.WTL):
-        audit: dict = {}
-        learn_sample(spec, params, frames, target, mode=mode, audit=audit)
-        audits[mode.value] = audit["retained_time_indexed_tensors"]
-    peaks = {len(window): _learn_peak_bytes(spec, params, window, target) for window in (frames, frames * 4)}
-    tape = record_tape(spec, params, frames)
-    print(f"measured on a {arch} probe network:")
-    print(f"  streaming retained step-carried tensors: W={audits['W']}, WTL={audits['WTL']} (constant in T)")
-    print("  WTL learn_sample tracemalloc peak: " + ", ".join(f"T={k}: {v} bytes" for k, v in peaks.items()))
-    print(f"  unrolled tape length: {tape.length} (equals T); recorded tensors: {tape.retained_tensor_count()}")
+    target = np.eye(2)[0]
+    windows = (frames, frames * 4)
+    held = {mode.value: learning_bytes(spec, 1, mode) for mode in (SynergyMode.W, SynergyMode.WTL)}
+    peaks = {len(window): _learn_peak_bytes(spec, params, window, target) for window in windows}
+    tapes = {len(window): record_tape(spec, params, window).nbytes for window in windows}
+    print(f"learning memory of a {arch} probe network, one sample:")
+    print(f"  learning_bytes, held for any window: W={held['W']} bytes, WTL={held['WTL']} bytes")
+    print("  WTL learn_sample warm tracemalloc peak: " + ", ".join(f"T={k}: {v} bytes" for k, v in peaks.items()))
+    print("  unrolled tape: " + ", ".join(f"T={k}: {v} bytes" for k, v in tapes.items()))
     return EXIT_OK
 
 

@@ -48,8 +48,10 @@ the largest neuron layer. A step allocates no state: the forward sweep
 works in place, and a sweep drops each pulled-back error once the
 layer's error is formed from it. Memory stays constant in the window
 length; states, traces and errors grow linearly in the batch, the
-kernels' blocks do not. One sample is a batch of one: learn_sample adds
-the axis and learns through learn_batch.
+kernels' blocks do not. learning_bytes(spec, batch, mode) is that memory
+in bytes: it builds what a learn call holds with the call's own
+constructors and takes no window length. One sample is a batch of one:
+learn_sample adds the axis and learns through learn_batch.
 
 infer_batch is the one inference rollout (evaluation and teacher
 labelling go through it). Like a backward sweep, it computes the loss
@@ -67,7 +69,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from . import numerics
-from .errors import ConfigError, NumericError, ShapeError, TargetError
+from .errors import NumericError, ShapeError, TargetError
 from .lif import SpikeMode, SurrogateKind, firing_derivative
 from .numerics import Tensor
 from .topology import (
@@ -401,9 +403,9 @@ def learn_batch(
     K steps, and once at the window's end, one backward sweep over the
     stacked rows backpropagates the instantaneous losses spatially and
     folds the error/trace products, summed over the rows, into the
-    accumulator. No history survives the sweep; pass an audit dict to
-    receive the count of retained step-carried tensors, the total loss and
-    one decoded prediction per sample. A target that is not (B, C), a frame
+    accumulator. No history survives the sweep (learning_bytes counts what
+    the call holds); pass an audit dict to receive the total loss and one
+    decoded prediction per sample. A target that is not (B, C), a frame
     that does not fit the network input and the target's batch, or a
     window with no frames raises ShapeError, and target rows that are not
     one-hot over the network's classes raise TargetError; trace and error
@@ -449,9 +451,6 @@ def learn_batch(
         total_loss += _backward_sweep(params, stack, thetas, acc, loss)
     acc.samples = batch
     if audit is not None:
-        # each neuron layer carries its potentials and spikes from step to step
-        audit["retained_time_indexed_tensors"] = 2 * len(lif_indices) + sum(
-            t is not None for t in (*stack.weight_traces, *stack.threshold_traces, *stack.leakage_traces))
         audit["loss"] = total_loss
         audit["prediction"] = np.argmax(output_counts, axis=-1).tolist()
     return acc
@@ -629,25 +628,25 @@ def _require_finite(values, what: str, layer: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# analytic cost model
+# memory held by a learn call
 
-COMPLEXITY_RULES = ("STBP", "STOP-W", "STOP-WTL")
-
-
-def complexity_estimate(depth: int, width: int, time_steps: int, rule: str) -> tuple[int, int]:
-    """Learning-pass cost model: (retained memory units, multiply count).
-
-    Temporally backward training stores two state variables per neuron per
-    time-step; the streaming rule keeps a constant three (weights only) or
-    five (full synergy) per neuron regardless of window length.
-    """
-    if depth < 1 or width < 1 or time_steps < 1:
-        raise ConfigError("depth, width, and time_steps must be positive")
-    l, n, t = depth, width, time_steps
-    if rule == "STBP":
-        return 2 * t * l * n, t * l * n * (2 * n + 7)
-    if rule == "STOP-W":
-        return 3 * l * n, t * l * n * (2 * n + 2)
-    if rule == "STOP-WTL":
-        return 5 * l * n, t * l * n * (2 * n + 6)
-    raise ConfigError(f"unknown rule {rule!r}; expected one of {COMPLEXITY_RULES}")
+def learning_bytes(spec: NetworkSpec, batch: int, mode: SynergyMode) -> int:
+    """Bytes a learn_batch call on a batch of B samples holds for its whole window: the output counts
+    and what learn_batch's own constructors build, the network states, the WindowStack (live traces,
+    stacked rows, their targets, the error scratch) and the accumulator. Each distinct buffer counts
+    once, at its real size: a K = 1 block that is its live array, the overlapping error views, an
+    untrained family's 8-byte zero view. No window argument: the rule holds the same for any length."""
+    states = reset_network(spec, batch)
+    stack = WindowStack(spec, mode, states, np.zeros((batch, spec.num_classes)))
+    output_counts = np.zeros((batch, spec.num_classes))
+    held = [output_counts, [vars(state) for state in states], vars(stack), vars(GradAccumulator.zeros(spec, mode))]
+    buffers = {}
+    while held:
+        item = held.pop()
+        if isinstance(item, dict | list | tuple):
+            held.extend(item.values() if isinstance(item, dict) else item)
+        elif isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            buffers[id(item)] = item
+    return sum(buffer.nbytes for buffer in buffers.values())

@@ -39,12 +39,13 @@ class UnrolledTape:
     def length(self) -> int:
         return len(self.potentials)
 
-    def retained_tensor_count(self) -> int:
-        total = 0
-        for group in (self.potentials, self.spikes, self.inputs):
-            for step in group:
-                total += len(step)
-        return total
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the recorded potentials, spikes and inputs; an array kept twice (a
+        layer's spikes are the next layer's input) counts once. Linear in the window."""
+        arrays = {id(a): a for step in (*self.potentials, *self.spikes) for a in step.values()}
+        arrays.update((id(a), a) for step in self.inputs for a in step)
+        return sum(a.nbytes for a in arrays.values())
 
 
 @dataclass

@@ -300,7 +300,7 @@ def checkpoint_load(path, expected_digest: str | None = None):
     if not isinstance(payload, dict):
         raise DataError(f"corrupt checkpoint {path}: not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
+        raise DataError(f"unsupported checkpoint version {payload.get('version')!r} in {path}")
     try:
         params = [
             None if entry is None else LayerParams(
@@ -334,7 +334,7 @@ def checkpoint_load(path, expected_digest: str | None = None):
         if (p.thresholds <= 0.0).any() or not 0.0 <= p.leak <= 1.0:
             raise DataError(f"threshold <= 0 or leak outside [0, 1] at layer {i} in checkpoint {path}")
     if expected_digest is not None and stored.model_digest() != expected_digest:
-        raise DataError("checkpoint digest does not match the requested configuration")
+        raise DataError(f"checkpoint {path} digest does not match the requested configuration")
     return params, OptimizerState(velocities, epoch), epoch, config
 
 

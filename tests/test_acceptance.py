@@ -5,6 +5,7 @@ its stated tolerance. Budgets are wall-clock sanity bounds, generous
 enough for a laptop-class CPU.
 """
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from stopsnn.learning import (
     SynergyMode,
     UpdateRates,
     apply_updates,
-    complexity_estimate,
     learn_sample,
+    learning_bytes,
 )
 from stopsnn.oracle import record_tape
 from stopsnn.topology import init_params, parse_architecture
@@ -85,47 +86,43 @@ class TestCriterion4UnrolledOracleValidity:
 
 class TestCriterion5MemoryBehavior:
     def test_streaming_constant_tape_linear_formulas_exact(self):
-        spec_base = "4C3-P2-8-3"
-        rng = np.random.default_rng(0)
-        target = np.zeros(3)
-        target[0] = 1.0
-
-        audits = {}
-        for steps in (2, 20):
-            spec = parse_architecture(spec_base, (1, 4, 4), 3, time_steps=steps)
-            params = init_params(spec, seed=0)
-            frames = [rng.uniform(size=(1, 4, 4)) for _ in range(steps)]
-            audit: dict = {}
-            learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, audit=audit)
-            audits[steps] = audit["retained_time_indexed_tensors"]
-        constant = audits[2] == audits[20]
-
-        spec = parse_architecture(spec_base, (1, 4, 4), 3, time_steps=7)
+        # in bytes: the streaming rule's warm learning peak holds learning_bytes and stays flat from
+        # window 20 to 200, while the unrolled tape of temporal backprop grows tenfold past it
+        spec = parse_architecture("4C3-P2-8-3", (1, 4, 4), 3, time_steps=8)
         params = init_params(spec, seed=0)
-        frames = [rng.uniform(size=(1, 4, 4)) for _ in range(7)]
-        tape = record_tape(spec, params, frames)
-        tape_ok = tape.length == 7
+        rng = np.random.default_rng(0)
+        frames = [rng.uniform(size=(1, 4, 4)) for _ in range(200)]
+        target = np.eye(3)[0]
+        held = learning_bytes(spec, 1, SynergyMode.WTL)
 
-        formulas_ok = True
-        for depth, width, steps in ((2, 10, 6), (3, 64, 10), (5, 128, 20)):
-            formulas_ok &= complexity_estimate(depth, width, steps, "STBP") == (
-                2 * steps * depth * width, steps * depth * width * (2 * width + 7))
-            formulas_ok &= complexity_estimate(depth, width, steps, "STOP-W") == (
-                3 * depth * width, steps * depth * width * (2 * width + 2))
-            formulas_ok &= complexity_estimate(depth, width, steps, "STOP-WTL") == (
-                5 * depth * width, steps * depth * width * (2 * width + 6))
-        stbp_mem, _ = complexity_estimate(4, 100, 6, "STBP")
-        stop_mem, _ = complexity_estimate(4, 100, 6, "STOP-W")
-        ratio_ok = stbp_mem / stop_mem == 4.0
+        def warm_peak(window):
+            learn_sample(spec, params, window, target, mode=SynergyMode.WTL)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                learn_sample(spec, params, window, target, mode=SynergyMode.WTL)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
 
-        ok = constant and tape_ok and formulas_ok and ratio_ok
+        peaks = {steps: warm_peak(frames[:steps]) for steps in (20, 200)}
+        tapes = {steps: record_tape(spec, params, frames[:steps]) for steps in (20, 200)}
+        held_ok = all(held <= peak for peak in peaks.values())
+        constant = peaks[200] <= 1.05 * peaks[20]
+        linear = tapes[200].nbytes == 10 * tapes[20].nbytes and tapes[20].nbytes > held
+        tape_ok = all(tape.length == steps for steps, tape in tapes.items())
+
+        ok = held_ok and constant and linear and tape_ok
         report(
             "5 memory behavior",
             ok,
-            f"retained tensors T=2:{audits[2]} == T=20:{audits[20]}; tape length 7; "
-            f"cost formulas exact; memory ratio at T=6 = 4.0",
+            f"learning_bytes {held} <= warm peak T=20:{peaks[20]}, T=200:{peaks[200]} bytes; "
+            f"tape T=20:{tapes[20].nbytes}, T=200:{tapes[200].nbytes} bytes",
         )
-        assert constant and tape_ok and formulas_ok and ratio_ok
+        assert held_ok, (held, peaks)
+        assert constant, peaks
+        assert linear, (held, tapes[20].nbytes, tapes[200].nbytes)
+        assert tape_ok
 
 
 class TestCriterion6TruncationInvariants:

@@ -34,6 +34,7 @@ from stopsnn.learning import (
     hidden_error,
     learn_batch,
     learn_sample,
+    learning_bytes,
     loss_value,
     output_error,
     update_leakage_traces,
@@ -414,9 +415,11 @@ class TestBatchedMemory:
         peaks = [unrolled(t) for t in (2, 8, 32)]
         assert peaks[0] < peaks[1] < peaks[2], peaks
 
+    W1 = ("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+
     def _conv_batch_peaks(self, frame, targets, seed=0):
         """Learning peaks of the W1 image network at T = 2 and 6 on one repeated batch frame."""
-        spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+        spec = parse_architecture(*self.W1)
         params = init_params(spec, seed=seed)
 
         def learn(steps):
@@ -424,9 +427,15 @@ class TestBatchedMemory:
 
         return learn(2), learn(6)
 
+    def _assert_peak_holds_the_learning_bytes(self, batch, peak):
+        # learning_bytes, the buffers a learn call holds for its window, is at most the peak, and on
+        # W1 the larger part of it: it read 0.82-0.87 of the warm peak at batches 1 and 32
+        held = learning_bytes(parse_architecture(*self.W1), batch, SynergyMode.WTL)
+        assert 0.8 * peak <= held <= peak, (batch, held / 2**20, peak / 2**20)
+
     def test_conv_batch_memory_is_bounded_and_flat_in_time(self):
-        # the W1 image network at a batch of 32: states, traces and gradient accumulators are
-        # 25 MiB and the sweep's error scratch 3 MiB; the convolutions' patch scratch and the
+        # the W1 image network at a batch of 32: learning_bytes is 27.44 MiB (states, traces, the
+        # sweep's error scratch and gradient accumulators); the convolutions' patch scratch and the
         # input adjoint's padded delta buffer stay within one batch slice per call. No step keeps
         # the last step's input adjoint through its forward sweep, and the flatten layer allocates
         # no spike array. The peak measured 31.45 MiB (31.73 MiB with per-neuron threshold and
@@ -437,6 +446,7 @@ class TestBatchedMemory:
         short, long = self._conv_batch_peaks(frame, np.eye(10)[rng.integers(0, 10, size=32)])
         assert long <= 1.05 * short, (short, long)
         assert long <= 34 * 2**20, long / 2**20
+        self._assert_peak_holds_the_learning_bytes(32, long)
 
     def test_conv_batch_memory_on_glyphs_is_bounded_with_the_coo_route(self, monkeypatch):
         # uniform noise keeps pool1 busy, so conv2 builds im2col patches; on glyphs it builds COO
@@ -456,14 +466,15 @@ class TestBatchedMemory:
             assert (16, 14, 14) in coo, seed  # conv2's input
             assert long <= 1.05 * short, (seed, short, long)
             assert long <= 34 * 2**20, (seed, long / 2**20)
+            self._assert_peak_holds_the_learning_bytes(32, long)
 
     def test_one_conv_sample_memory_is_bounded_and_flat_in_time(self):
-        # the W1 image network on one sample: accumulators, states and traces are 3.8 MiB. Its
-        # transients include conv2's 0.6 MiB im2col patch matrix (forward and weight gradient)
-        # and its input adjoint's 0.3 MiB window matrix. The peak measured 4.69 MiB. Threshold
-        # and leakage sums kept per neuron, 0.29 MiB of maps, peaked at 4.98 MiB, and an adjoint
-        # that built a 1.2 MiB patch matrix of the deltas at 5.88 MiB; the bound refuses both.
-        spec = parse_architecture("16C5-P2-32C5-P2-256-10", (1, 28, 28), 10)
+        # the W1 image network on one sample: learning_bytes is 3.94 MiB. Its transients include
+        # conv2's 0.6 MiB im2col patch matrix (forward and weight gradient) and its input
+        # adjoint's 0.3 MiB window matrix. The peak measured 4.69 MiB. Threshold and leakage
+        # sums kept per neuron, 0.29 MiB of maps, peaked at 4.98 MiB, and an adjoint that built
+        # a 1.2 MiB patch matrix of the deltas at 5.88 MiB; the bound refuses both.
+        spec = parse_architecture(*self.W1)
         params = init_params(spec, seed=0)
         frame = np.random.default_rng(0).uniform(size=(1, 28, 28))
         target = np.eye(10)[3]
@@ -474,6 +485,7 @@ class TestBatchedMemory:
         short, long = learn(2), learn(6)
         assert long <= 1.05 * short, (short, long)
         assert long <= 4.9 * 2**20, long / 2**20
+        self._assert_peak_holds_the_learning_bytes(1, long)
 
     def test_one_sample_memory_with_a_stacked_dense_layer_is_flat_over_a_long_window(self):
         # at a batch of one the window stack holds K = 7 of this net's 7328-byte sample-steps; it

@@ -80,13 +80,19 @@ def test_malformed_integer_list_is_usage(tmp_path, capsys, monkeypatch, argv, na
 
 
 class TestProfile:
-    def test_reports_table_and_ratio(self, capsys):
+    def test_reports_held_bytes_peaks_and_tape_in_bytes(self, capsys):
         code = cli.main(["profile", "--layers", "4", "--width", "100", "--timesteps", "6"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "4.00" in out  # 2T/3 at T=6
-        assert "STOP-WTL" in out
-        assert "tape length: 6" in out
+        assert "16-16-16-2 probe" in out
+        (held,) = [ln for ln in out.splitlines() if "learning_bytes" in ln]
+        w, wtl = (int(v) for v in re.findall(r"W(?:TL)?=(\d+) bytes", held))
+        assert 0 < w < wtl, held
+        (peak,) = [ln for ln in out.splitlines() if "tracemalloc peak" in ln]
+        assert all(int(v) >= wtl for v in re.findall(r"T=\d+: (\d+) bytes", peak)), out
+        (tape,) = [ln for ln in out.splitlines() if "unrolled tape" in ln]
+        sizes = dict(re.findall(r"T=(\d+): (\d+) bytes", tape))
+        assert set(sizes) == {"6", "24"} and int(sizes["24"]) == 4 * int(sizes["6"]), tape
 
     def test_measured_learning_peak_is_flat_in_the_window(self, capsys):
         code = cli.main(["profile", "--layers", "3", "--width", "16", "--timesteps", "8"])
@@ -98,10 +104,12 @@ class TestProfile:
         short, long = int(peaks["8"]), int(peaks["32"])
         assert 0 < long <= 1.05 * short and short <= 1.05 * long, line
 
-    @pytest.mark.parametrize("argv", [["--layers", "0", "--width", "4"], ["--layers", "2", "--width", "-3"]],
-                             ids=["layers", "width"])
+    @pytest.mark.parametrize("argv", [["--layers", "0", "--width", "4", "--timesteps", "4"],
+                                      ["--layers", "2", "--width", "-3", "--timesteps", "4"],
+                                      ["--layers", "2", "--width", "4", "--timesteps", "0"]],
+                             ids=["layers", "width", "timesteps"])
     def test_nonpositive_size_is_usage(self, capsys, argv):
-        assert cli.main(["profile", *argv, "--timesteps", "4"]) == 1
+        assert cli.main(["profile", *argv]) == 1
         assert_one_error_line(capsys.readouterr().err, "must be positive")
 
 
@@ -403,6 +411,23 @@ class TestBadInputExitsData:
         assert cli.main(["eval", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert "unsupported checkpoint version 2" in err and "Traceback" not in err
+
+    def test_unsupported_version_names_the_file(self, tmp_path, capsys):
+        path, payload = self._trained_checkpoint(tmp_path)
+        payload["version"] = 99
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 99" in err and str(path) in err, err
+
+    def test_digest_mismatch_names_the_file_on_resume(self, tmp_path, capsys):
+        config = write_config(tmp_path, epochs=1)
+        assert cli.main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        # the seed is a model field, so another seed asks for another model's checkpoint
+        assert cli.main(["train", "--config", str(config), "--resume", "--epochs", "2", "--seed", "6"]) == 2
+        err = capsys.readouterr().err
+        assert "digest does not match" in err and str(tmp_path / "ck.json") in err, err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_weight_velocity_is_refused_on_resume(self, tmp_path, capsys, value):

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stopsnn import learning
+from stopsnn import checks, learning
 from stopsnn.datasets import Sample, batch_frames, batch_targets, dataset_from_images
 from stopsnn.errors import ShapeError, TargetError
 from stopsnn.learning import (
@@ -13,11 +16,11 @@ from stopsnn.learning import (
     WindowStack,
     accumulate_gradients,
     apply_updates,
-    complexity_estimate,
     hidden_error,
     infer_batch,
     learn_batch,
     learn_sample,
+    learning_bytes,
     loss_derivative,
     loss_value,
     output_error,
@@ -479,36 +482,6 @@ class TestLearnSample:
         # the hidden layer never fires, so the output layer's trace stays zero
         assert np.array_equal(acc.dw[1], np.zeros((2, 3)))
 
-    def test_retained_tensor_count_independent_of_time(self):
-        spec = parse_architecture("4C3-P2-6-3", (1, 4, 4), 3)
-        params = init_params(spec, seed=2)
-        rng = np.random.default_rng(0)
-        target = np.array([1.0, 0.0, 0.0])
-
-        def count(t):
-            frames = [rng.uniform(size=(1, 4, 4)) for _ in range(t)]
-            audit = {}
-            learn_sample(spec, params, frames, target, mode=SynergyMode.WTL, audit=audit)
-            return audit["retained_time_indexed_tensors"]
-
-        assert count(2) == count(20)
-
-    def test_retained_count_tracks_mode(self):
-        spec = parse_architecture("6-3", (4,), 3)
-        params = init_params(spec, seed=2)
-        frames = [np.full(4, 0.5)] * 2
-        target = np.array([1.0, 0.0, 0.0])
-        counts = {}
-        for mode in SynergyMode:
-            audit = {}
-            learn_sample(spec, params, frames, target, mode=mode, audit=audit)
-            counts[mode] = audit["retained_time_indexed_tensors"]
-        # two neuron layers: 3 carried tensors per layer for W, 5 for WTL
-        assert counts[SynergyMode.W] == 6
-        assert counts[SynergyMode.WT] == 8
-        assert counts[SynergyMode.WL] == 8
-        assert counts[SynergyMode.WTL] == 10
-
     def test_one_error_evaluation_per_layer_per_step(self, monkeypatch):
         # one output and one hidden error per neuron layer and backward sweep, over every
         # stacked row at once: one sweep per K steps and one for the rest, so one per step at K = 1
@@ -542,23 +515,59 @@ class TestLearnSample:
                 assert calls["hidden"] == 2 * len(sweeps[mode])  # two hidden neuron layers per sweep
 
 
-class TestComplexityEstimate:
-    def test_memory_ratio_at_six_steps(self):
-        stbp_mem, _ = complexity_estimate(4, 100, 6, "STBP")
-        stop_mem, _ = complexity_estimate(4, 100, 6, "STOP-W")
-        assert stbp_mem / stop_mem == 4.0
+class TestLearningBytes:
+    @staticmethod
+    def _warm_peak(fn) -> int:
+        """Traced peak of a second call of fn above what existed before it."""
+        fn()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
 
-    def test_full_synergy_memory_ratio(self):
-        for t in (2, 6, 20):
-            wtl_mem, _ = complexity_estimate(3, 64, t, "STOP-WTL")
-            w_mem, _ = complexity_estimate(3, 64, t, "STOP-W")
-            assert wtl_mem / w_mem == pytest.approx(5.0 / 3.0)
+    def test_random_nets_peak_at_or_above_the_held_bytes_and_flat_in_the_window(self):
+        # 16 random nets, one per spike mode x synergy mode x batch (1 or 4), at time_steps 8.
+        # The peak at window 128 read at most 1.103x the peak at window 8 over seeds 100-139,
+        # on nets of a few KiB where transients show; 1.25 leaves margin.
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for n in range(16):
+            spec, params = checks.random_network(rng, time_steps=8)
+            spec = replace(spec, spike_mode=(SpikeMode.HARD, SpikeMode.SOFT)[n % 2])
+            mode, batch = list(SynergyMode)[n // 2 % 4], (1, 4)[n // 8]
+            kinds.add(len(spec.input_shape))
+            frame = rng.uniform(0.1, 1.0, size=(batch, *spec.input_shape))
+            target = np.eye(spec.num_classes)[rng.integers(spec.num_classes, size=batch)]
+            held = learning_bytes(spec, batch, mode)
+            peaks = {window: self._warm_peak(lambda: learn_batch(spec, params, [frame] * window, target, mode))
+                     for window in (8, 32, 128)}
+            case = (n, spec.layers, spec.spike_mode, mode, batch, held, peaks)
+            assert min(peaks.values()) >= held, case
+            assert peaks[128] <= 1.25 * peaks[8], case
+        assert kinds == {1, 3}  # dense and convolutional inputs
 
-    def test_multiply_ratio_wide_layers(self):
-        _, stbp = complexity_estimate(1, 1000, 1, "STBP")
-        _, stop = complexity_estimate(1, 1000, 1, "STOP-W")
-        assert stbp / stop == pytest.approx(2007.0 / 2002.0)
+    def test_orders_modes_and_grows_with_the_batch(self):
+        # at batches 1 and 2 the stack is time_steps deep in every mode, so a mode's extra traces
+        # only add bytes; at larger batches it is shallower for the modes with more traces
+        spec = parse_architecture("4C3-P2-8-3", (1, 4, 4), 3, time_steps=8)
+        for batch in (1, 2):
+            target = np.zeros((batch, 3))
+            assert {WindowStack(spec, mode, reset_network(spec, batch), target).depth for mode in SynergyMode} == {8}
+            held = {mode: learning_bytes(spec, batch, mode) for mode in SynergyMode}
+            assert held[SynergyMode.W] < held[SynergyMode.WT] < held[SynergyMode.WTL]
+            assert held[SynergyMode.W] < held[SynergyMode.WL] < held[SynergyMode.WTL]
+        for mode in SynergyMode:
+            assert learning_bytes(spec, 1, mode) < learning_bytes(spec, 4, mode) < learning_bytes(spec, 32, mode)
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            complexity_estimate(1, 1, 1, "BPTT")
+    def test_counts_each_buffer_once(self):
+        # a K = 1 stack's blocks are its live arrays, and an untrained family is one 8-byte zero
+        spec = parse_architecture("6-3", (4,), 3, time_steps=1)
+        states = reset_network(spec, 1)
+        assert WindowStack(spec, SynergyMode.W, states, np.zeros((1, 3))).depth == 1
+        # per neuron layer: potentials, spikes, weight trace, error scratch of the largest layer, dw,
+        # a zero dtheta and a zero dalpha; one output-count row and one target row
+        floats = (6 + 6 + 4 + 6 + 24) + (3 + 3 + 6 + 0 + 18) + 3 + 3
+        assert learning_bytes(spec, 1, SynergyMode.W) == 8 * floats + 4 * 8

@@ -83,14 +83,17 @@ class TestUnrolled:
         tape = record_tape(spec, params, frames)
         assert tape.length == 5
 
-    def test_tape_retained_tensors_grow_with_window(self):
+    def test_tape_bytes_grow_linearly_with_window(self):
         spec, params, _, _ = small_net(steps=1)
         rng = np.random.default_rng(0)
-        counts = {}
+        sizes = {}
         for steps in (2, 20):
             frames = [rng.uniform(size=(4,)) for _ in range(steps)]
-            counts[steps] = record_tape(spec, params, frames).retained_tensor_count()
-        assert counts[20] == 10 * counts[2]
+            sizes[steps] = record_tape(spec, params, frames).nbytes
+        # a step records both layers' potentials and spikes and the frame; the hidden spikes,
+        # which are also the output layer's input, count once
+        assert sizes[2] == 2 * 8 * (4 + 3 + 4 + 3 + 4)
+        assert sizes[20] == 10 * sizes[2]
 
     def test_tape_replays_exactly(self):
         spec, params, frames, _ = small_net(steps=4, seed=3)
